@@ -10,6 +10,7 @@ limits apply to subword tokens. The ratio is checked before truncation.
 from __future__ import annotations
 
 import enum
+import math
 import random
 import tempfile
 import unicodedata
@@ -24,7 +25,7 @@ from .corpus import (
     read_pairs,
     write_manifest,
 )
-from .errors import AlreadyTaggedError
+from .errors import AlreadyTaggedError, LengthMismatchError
 from .subword import SubwordTokenizer
 
 # ISO 15924-ish names -> Unicode character-name prefixes.
@@ -51,8 +52,8 @@ class FilterConfig:
     def __post_init__(self):
         if self.max_words < 1 or self.max_tokens < 1:
             raise ValueError("max_words and max_tokens must be >= 1")
-        if self.length_ratio_limit <= 1:
-            raise ValueError("length_ratio_limit must be > 1")
+        if not math.isfinite(self.length_ratio_limit) or self.length_ratio_limit <= 1:
+            raise ValueError("length_ratio_limit must be finite and > 1")
 
 
 class RejectReason(enum.Enum):
@@ -127,15 +128,16 @@ def apply_filters(
         if script and _majority_outside_script(text, script):
             return FilterVerdict(False, RejectReason.WRONG_SCRIPT)
 
-    n_src = tokenizer.count(pair.source)
-    n_tgt = tokenizer.count(pair.target)
+    src_tokens = tokenizer.tokenize(pair.source)
+    tgt_tokens = tokenizer.tokenize(pair.target)
+    n_src, n_tgt = len(src_tokens), len(tgt_tokens)
     if max(n_src, n_tgt) / min(n_src, n_tgt) > cfg.length_ratio_limit:
         return FilterVerdict(False, RejectReason.RATIO_EXCEEDED)
 
     kept = replace(
         pair,
-        source=truncate_tokens(pair.source, tokenizer, cfg.max_tokens),
-        target=truncate_tokens(pair.target, tokenizer, cfg.max_tokens),
+        source=_truncate(pair.source, src_tokens, tokenizer, cfg.max_tokens),
+        target=_truncate(pair.target, tgt_tokens, tokenizer, cfg.max_tokens),
     )
     return FilterVerdict(True, transformed=kept)
 
@@ -166,7 +168,12 @@ def truncate_tokens(text: str, tokenizer: SubwordTokenizer, max_tokens: int) -> 
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    tokens = tokenizer.tokenize(text)
+    return _truncate(text, tokenizer.tokenize(text), tokenizer, max_tokens)
+
+
+def _truncate(text: str, tokens: list[str], tokenizer: SubwordTokenizer,
+              max_tokens: int) -> str:
+    """``truncate_tokens`` on text that is already tokenized as ``tokens``."""
     if len(tokens) <= max_tokens:
         return text
     cut = max_tokens
@@ -234,7 +241,9 @@ def filter_corpus(
     ``out_dir/manifest.tsv`` describing the kept shards, and, when
     ``rejects_dir`` is given, per-shard reject files with a reason column.
     Language-id verdicts are read from ``langid_dir/<shard-name>.langid``
-    sidecar files (``src<TAB>tgt`` per corpus line) when present.
+    sidecar files (``src<TAB>tgt`` per corpus line) when present; a sidecar
+    whose line count differs from its shard's raises LengthMismatchError
+    before that shard is filtered.
 
     Returns the filtered manifest and a counter of kept/rejected lines.
     """
@@ -264,9 +273,7 @@ def filter_corpus(
         try:
             with out_file.open("w", encoding="utf-8", newline="\n") as out_fh:
                 for pair in read_pairs(manifest, entry.shard_id):
-                    langid = None
-                    if verdicts is not None and pair.line_no <= len(verdicts):
-                        langid = verdicts[pair.line_no - 1]
+                    langid = verdicts[pair.line_no - 1] if verdicts is not None else None
                     verdict = apply_filters(pair, cfg, tokenizer, langid)
                     if verdict.kept:
                         out_fh.write(f"{verdict.transformed.source}\t{verdict.transformed.target}\n")
@@ -295,4 +302,11 @@ def _shard_langid(langid_dir, entry) -> list[tuple[str, str]] | None:
         for line in fh:
             src, _, tgt = line.rstrip("\n").partition("\t")
             verdicts.append((src, tgt))
+    # Count shard lines the way read_pairs reads them.
+    with entry.path.open(encoding="utf-8") as fh:
+        shard_lines = sum(1 for _ in fh)
+    if len(verdicts) != shard_lines:
+        raise LengthMismatchError(
+            f"{sidecar}: {len(verdicts)} langid lines, but shard {entry.path} "
+            f"has {shard_lines} lines")
     return verdicts

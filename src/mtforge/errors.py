@@ -57,7 +57,8 @@ class DirectionSetMismatchError(MTForgeError):
 
 
 class LengthMismatchError(MTForgeError):
-    """Hypothesis and reference corpora have different segment counts."""
+    """Two sequences that must align line for line have different lengths:
+    hypothesis and reference segments, or a langid sidecar and its shard."""
 
 
 class EmptyCorpusError(MTForgeError):

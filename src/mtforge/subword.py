@@ -6,10 +6,19 @@ the token stream (a single space is a vocabulary piece). That makes
 ``detokenize(tokenize(text)) == text`` hold for every input, including
 unusual spacing: any character not covered by a vocabulary piece becomes its
 own single-character token.
+
+When no multi-character piece contains a whitespace character, a match can
+never cross a whitespace boundary. The text is then handled one run at a
+time: each whitespace character is one token, a non-whitespace run that is
+a piece (or a single character) is one token, and any other run is matched
+greedily on its own. A vocabulary with a multi-character piece that holds
+whitespace (``"a b"``, ``"  "``) falls back to greedy matching over the
+whole string. Both paths give the same tokens.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -24,6 +33,9 @@ _SUBWORD_PIECES = [
 
 DEFAULT_VOCAB = tuple(dict.fromkeys(COMMON_WORDS + _SUBWORD_PIECES))
 
+_RUNS = re.compile(r"\s+|\S+")
+_SPACE = re.compile(r"\s")
+
 
 class SubwordTokenizer:
     """Greedy longest-match tokenizer over a fixed piece vocabulary."""
@@ -35,8 +47,23 @@ class SubwordTokenizer:
             pieces = {p: 0.0 for p in vocab if p}
         self.vocab = pieces
         self._max_len = max((len(p) for p in pieces), default=1)
+        self._by_runs = not _SPACE.search("".join(p for p in pieces if len(p) > 1))
 
     def tokenize(self, text: str) -> list[str]:
+        if not self._by_runs:
+            return self._greedy(text)
+        vocab = self.vocab
+        tokens: list[str] = []
+        for run in _RUNS.findall(text):
+            if run in vocab or len(run) == 1:
+                tokens.append(run)
+            elif run[0].isspace():
+                tokens.extend(run)
+            else:
+                tokens.extend(self._greedy(run))
+        return tokens
+
+    def _greedy(self, text: str) -> list[str]:
         tokens: list[str] = []
         i = 0
         n = len(text)

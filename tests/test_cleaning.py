@@ -13,7 +13,7 @@ from mtforge.cleaning import (
     truncate_tokens,
 )
 from mtforge.corpus import Direction, OriginPool, SentencePair
-from mtforge.errors import AlreadyTaggedError
+from mtforge.errors import AlreadyTaggedError, LengthMismatchError
 from mtforge.subword import SubwordTokenizer, default_tokenizer
 
 TOK = default_tokenizer()
@@ -117,9 +117,57 @@ class TestApplyFilters:
         cfg = FilterConfig(length_ratio_limit=2.0)
         assert apply_filters(p, cfg, TOK) == apply_filters(p, cfg, TOK)
 
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_ratio_limit_rejected(self, limit):
+        with pytest.raises(ValueError):
+            FilterConfig(length_ratio_limit=limit)
+
     def test_verdict_shape_enforced(self):
         with pytest.raises(ValueError):
             FilterVerdict(True, RejectReason.EMPTY, None)
+
+
+class CountingTokenizer:
+    """Passes calls through to a tokenizer and records them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.tokenized: list[str] = []
+        self.counted = 0
+
+    def tokenize(self, text):
+        self.tokenized.append(text)
+        return self.inner.tokenize(text)
+
+    def count(self, text):
+        self.counted += 1
+        return self.inner.count(text)
+
+    def detokenize(self, tokens):
+        return self.inner.detokenize(tokens)
+
+
+def test_apply_filters_tokenizes_each_side_once():
+    cfg = FilterConfig(max_tokens=3, length_ratio_limit=3.0)
+    pairs = [
+        pair("the cat", "the dog"),            # within the limit, unchanged
+        pair("the cat sat down", "zzzz"),      # both sides truncated
+        pair("xx" + "e\u0301", "xxyy"),        # cut at max_tokens lands on a combining mark
+        pair("x", "y" * 10),                   # rejected by the ratio check
+        pair("same", "same"),
+    ]
+    for p in pairs:
+        stub = CountingTokenizer(TOK)
+        verdict = apply_filters(p, cfg, stub)
+        assert stub.counted == 0
+        assert sorted(stub.tokenized) == sorted([p.source, p.target])
+        n_src, n_tgt = TOK.count(p.source), TOK.count(p.target)
+        assert verdict.kept == (max(n_src, n_tgt) / min(n_src, n_tgt) <= 3.0)
+        if verdict.kept:
+            assert verdict.transformed.source == truncate_tokens(p.source, TOK, 3)
+            assert verdict.transformed.target == truncate_tokens(p.target, TOK, 3)
+    combining = apply_filters(pairs[2], cfg, TOK).transformed
+    assert combining.source == "xx"
 
 
 def test_ratio_ladder_monotone():
@@ -262,3 +310,22 @@ class TestFilterCorpus:
                                   tmp_path / "clean", langid_dir=langid_dir)
         assert counts["kept"] == 1
         assert counts["rejected_BadLangId"] == 1
+
+    @pytest.mark.parametrize("sidecar_text", ["hr\ten\n", "hr\ten\nhr\ten\nhr\ten\n"])
+    def test_langid_sidecar_length_must_match_shard(self, make_corpus, tmp_path,
+                                                    sidecar_text):
+        manifest = make_corpus([("a.tsv", "hr-en", "bitext", [
+            ("prva recenica", "first sentence"),
+            ("druga recenica", "second sentence"),
+        ])])
+        langid_dir = tmp_path / "langid"
+        langid_dir.mkdir()
+        sidecar = langid_dir / "a.tsv.langid"
+        sidecar.write_text(sidecar_text, encoding="utf-8")
+        with pytest.raises(LengthMismatchError) as exc:
+            filter_corpus(manifest, FilterConfig(), TOK, tmp_path / "clean",
+                          langid_dir=langid_dir)
+        message = str(exc.value)
+        assert str(sidecar) in message
+        assert f"{sidecar_text.count(chr(10))} langid lines" in message
+        assert "2 lines" in message

@@ -102,6 +102,13 @@ class TestFilterCli:
         filtered = load_manifest(out_dir / "manifest.tsv")
         assert filtered.shards[0].declared_line_count == 1
 
+    def test_non_finite_ratio_is_validation_error(self, tmp_path, capsys):
+        build_manifest(tmp_path, [("a.tsv", "hr-en", "bitext", [("a b", "c d")])])
+        rc = main(["filter", "--manifest", str(tmp_path / "manifest.tsv"),
+                   "--out", str(tmp_path / "clean"), "--ratio", "nan"])
+        assert rc == 1
+        assert "length_ratio_limit" in capsys.readouterr().err
+
     def test_script_rule_flag(self, tmp_path, capsys):
         build_manifest(tmp_path, [("a.tsv", "sr-en", "bitext", [
             ("latinica ovde", "latin here"),

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bleu_oracle import bleu_oracle
 from mtforge.corpus import Direction
@@ -50,6 +52,10 @@ class TestSubwordTokenizer:
             text = "".join(rng.choices(alphabets, k=rng.randint(0, 30)))
             assert tok.detokenize(tok.tokenize(text)) == text
 
+    def test_multichar_whitespace_piece_uses_greedy_fallback(self):
+        tok = SubwordTokenizer(["a b", "a", " "])
+        assert tok.tokenize("a b a") == tok._greedy("a b a") == ["a b", " ", "a"]
+
     def test_longest_match_prefers_longer_piece(self):
         tok = SubwordTokenizer(["a", "ab", "abc"])
         assert tok.tokenize("abcab") == ["abc", "ab"]
@@ -60,6 +66,32 @@ class TestSubwordTokenizer:
         tok = SubwordTokenizer.from_file(path)
         assert tok.tokenize("hello world") == ["hello", " ", "world"]
         assert tok.vocab["hello"] == -1.5
+
+
+# Letters, every kind of whitespace the run splitter must treat alike
+# (ASCII, the \x1c-\x1f separators, NEL, NBSP, LINE SEPARATOR) and a
+# combining mark.
+_LETTERS = "abc\u0301"
+_SPACES = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2028"
+_word_pieces = st.text(alphabet=_LETTERS, min_size=1, max_size=4)
+_any_pieces = st.text(alphabet=_LETTERS + _SPACES, min_size=1, max_size=4)
+_multichar_space_pieces = st.sampled_from(["a b", "  ", "\t\n", "c\xa0", "\u2028a"])
+_vocabs = st.one_of(
+    # No multi-character piece holds whitespace: tokenized per run.
+    st.lists(st.one_of(_word_pieces, st.sampled_from(_SPACES)), max_size=12),
+    # At least one does: the whole-string greedy fallback.
+    st.tuples(st.lists(_any_pieces, max_size=12), _multichar_space_pieces)
+    .map(lambda t: t[0] + [t[1]]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vocab=_vocabs, text=st.text(alphabet=_LETTERS + _SPACES, max_size=40))
+def test_tokenize_matches_greedy_and_round_trips(vocab, text):
+    tok = SubwordTokenizer(vocab)
+    tokens = tok.tokenize(text)
+    assert tokens == tok._greedy(text)
+    assert tok.detokenize(tokens) == text
 
 
 class TestCorpusBleu:
