@@ -64,7 +64,6 @@ from .sampling import (
     MixtureWeights,
     SamplingDistribution,
     language_distribution,
-    make_scheduler,
 )
 from .subword import SubwordTokenizer, default_tokenizer
 from .translator import (

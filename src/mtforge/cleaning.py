@@ -104,7 +104,8 @@ def apply_filters(
 
     ``langid`` is an externally supplied (source, target) language verdict;
     the toolkit itself does no language identification. Kept pairs come back
-    truncated to ``cfg.max_tokens`` per side but otherwise unchanged.
+    truncated to ``cfg.max_tokens`` per side but otherwise unchanged; a pair
+    whose truncation would leave a side blank is rejected as TooLong.
     """
     if not pair.source.strip() or not pair.target.strip():
         return FilterVerdict(False, RejectReason.EMPTY)
@@ -134,12 +135,14 @@ def apply_filters(
     if max(n_src, n_tgt) / min(n_src, n_tgt) > cfg.length_ratio_limit:
         return FilterVerdict(False, RejectReason.RATIO_EXCEEDED)
 
-    kept = replace(
-        pair,
-        source=_truncate(pair.source, src_tokens, tokenizer, cfg.max_tokens),
-        target=_truncate(pair.target, tgt_tokens, tokenizer, cfg.max_tokens),
-    )
-    return FilterVerdict(True, transformed=kept)
+    source = _truncate(pair.source, src_tokens, tokenizer, cfg.max_tokens)
+    target = _truncate(pair.target, tgt_tokens, tokenizer, cfg.max_tokens)
+    if not source.strip() or not target.strip():
+        # The cut kept nothing but whitespace (e.g. it backed off past
+        # combining marks to zero tokens): no non-blank prefix that ends on
+        # a grapheme boundary fits in max_tokens.
+        return FilterVerdict(False, RejectReason.TOO_LONG)
+    return FilterVerdict(True, transformed=replace(pair, source=source, target=target))
 
 
 def language_tag(direction) -> str:

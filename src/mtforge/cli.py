@@ -17,7 +17,7 @@ from .corpus import Direction, corpus_stats, load_manifest, write_manifest
 from .errors import MTForgeError
 from .evaluation import ScoreMatrix, corpus_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
-from .sampling import MixtureWeights, language_distribution, make_scheduler
+from .sampling import BatchScheduler, MixtureWeights, language_distribution
 from .subword import SubwordTokenizer, default_tokenizer
 from .translator import (
     CipherLanguage,
@@ -127,8 +127,8 @@ def _cmd_sample(args) -> int:
     stats = corpus_stats(manifest)
     dist = language_distribution(stats, args.temperature)
     weights = MixtureWeights.parse(args.mixture)
-    scheduler = make_scheduler(manifest, stats, dist, weights, args.batch_size, seed)
-    with Path(args.report).open("w", encoding="utf-8", newline="\n") as fh:
+    scheduler = BatchScheduler(manifest, dist, weights, args.batch_size, seed)
+    with scheduler, Path(args.report).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("# batch\tlanguage\torigin\tcount\n")
         for b in range(args.batches):
             batch = scheduler.next_batch()

@@ -4,7 +4,7 @@ File formats:
   * Manifest: one shard per line, ``path<TAB>src<TAB>tgt<TAB>origin<TAB>count``.
     ``#`` starts a comment, blank lines are ignored. Shard paths are resolved
     relative to the manifest's own directory so manifests stay relocatable.
-  * Shard: one pair per line, ``source<TAB>target``, UTF-8, LF endings.
+  * Shard: one pair per line, ``source<TAB>target``, UTF-8, LF or CRLF endings.
 """
 
 from __future__ import annotations
@@ -200,11 +200,14 @@ def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 
 def count_lines(path: Path) -> int:
+    """Lines split at ``\\n``; a last line without one counts too."""
     n = 0
+    last = b"\n"
     with path.open("rb") as fh:
-        for _ in fh:
-            n += 1
-    return n
+        while chunk := fh.read(1 << 20):
+            n += chunk.count(b"\n")
+            last = chunk[-1:]
+    return n + (last != b"\n")
 
 
 def read_pairs(manifest: CorpusManifest, shard_id: str) -> Iterator[SentencePair]:
@@ -213,21 +216,24 @@ def read_pairs(manifest: CorpusManifest, shard_id: str) -> Iterator[SentencePair
     Yields lazily, so memory stays bounded regardless of shard size. Raises
     MalformedLineError for any line without exactly one tab.
     """
-    entry = manifest.shard(shard_id)
+    yield from _read_entry(manifest.shard(shard_id))
+
+
+def _read_entry(entry: ShardEntry) -> Iterator[SentencePair]:
     with entry.path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line.count("\t") != 1:
-                raise MalformedLineError(shard_id, line_no)
+                raise MalformedLineError(entry.shard_id, line_no)
             source, target = line.split("\t")
             yield SentencePair(source, target, entry.direction, entry.origin,
-                               shard_id, line_no)
+                               entry.shard_id, line_no)
 
 
 def iter_all_pairs(manifest: CorpusManifest) -> Iterator[SentencePair]:
     """Stream every pair of every shard, in manifest order."""
     for entry in manifest.shards:
-        yield from read_pairs(manifest, entry.shard_id)
+        yield from _read_entry(entry)
 
 
 def corpus_stats(manifest: CorpusManifest) -> LanguageStats:

@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .evaluation import ScoreMatrix, corpus_bleu, evaluate_directions
 from .routing import build_routing_table, route_translate
-from .sampling import MixtureWeights, language_distribution, make_scheduler
+from .sampling import BatchScheduler, MixtureWeights, language_distribution
 from .subword import DEFAULT_VOCAB, SubwordTokenizer
 from .translator import (
     CipherLanguage,
@@ -163,9 +163,8 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0,
     stats = corpus_stats(merged)
     dist = language_distribution(stats, temperature=5.0)
     weights = MixtureWeights(0.6, 0.2, 0.2)
-    scheduler = make_scheduler(merged, stats, dist, weights, batch_size,
-                               seed=rng.randrange(2**63))
-    with (reports / "composition.tsv").open("w", encoding="utf-8", newline="\n") as fh:
+    scheduler = BatchScheduler(merged, dist, weights, batch_size, seed=rng.randrange(2**63))
+    with scheduler, (reports / "composition.tsv").open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("# batch\tlanguage\torigin\tcount\n")
         for b in range(batches):
             batch = scheduler.next_batch()

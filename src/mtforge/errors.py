@@ -24,10 +24,11 @@ class DuplicateShardPathError(ManifestError):
 
 
 class MalformedLineError(MTForgeError):
-    """A corpus line does not contain exactly one tab separator."""
+    """A corpus line does not contain exactly one tab separator, or holds a
+    carriage return outside a CRLF line end."""
 
-    def __init__(self, shard_id, line_no):
-        super().__init__(f"{shard_id}:{line_no}: expected exactly one tab separator")
+    def __init__(self, shard_id, line_no, reason="expected exactly one tab separator"):
+        super().__init__(f"{shard_id}:{line_no}: {reason}")
         self.shard_id = shard_id
         self.line_no = line_no
 

@@ -9,19 +9,22 @@ mixture weights.
 
 from __future__ import annotations
 
+import math
+import os
 import random
+import weakref
+from array import array
+from bisect import bisect
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import accumulate, repeat
+from typing import BinaryIO, Mapping
 
-from .corpus import (
-    CorpusManifest,
-    Direction,
-    LanguageStats,
-    OriginPool,
-    SentencePair,
-    iter_all_pairs,
-)
-from .errors import EmptyPoolError
+from .corpus import CorpusManifest, Direction, LanguageStats, OriginPool, SentencePair
+from .errors import EmptyPoolError, MalformedLineError
+
+# Bytes of whole lines validated per step of the index pass.
+_INDEX_READ_HINT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,9 @@ class SamplingDistribution:
 class MixtureWeights:
     """Pool weights (bitext, back-translation, dual-pseudo).
 
-    Weights must be non-negative with a positive sum and are normalized to
-    sum to one, so decimal shorthands like (0.33, 0.33, 0.33) mean exact
-    thirds.
+    Weights must be finite and non-negative with a positive sum and are
+    normalized to sum to one, so decimal shorthands like (0.33, 0.33, 0.33)
+    mean exact thirds.
     """
 
     bitext: float
@@ -55,6 +58,8 @@ class MixtureWeights:
 
     def __post_init__(self):
         vals = (self.bitext, self.back_translation, self.dual_pseudo)
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("mixture weights must be finite")
         if any(v < 0 for v in vals):
             raise ValueError("mixture weights must be non-negative")
         total = sum(vals)
@@ -93,8 +98,8 @@ def language_distribution(stats: LanguageStats, temperature: float) -> SamplingD
     invariant under a common scaling of all counts. Languages with zero count
     get zero probability (they are dropped).
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError("temperature must be positive and finite")
     positive = {l: c for l, c in stats.per_language.items() if c > 0}
     if not positive:
         raise ValueError("no language has a positive sentence count")
@@ -102,7 +107,91 @@ def language_distribution(stats: LanguageStats, temperature: float) -> SamplingD
     exponent = 1.0 / temperature
     scaled = {l: (c / total) ** exponent for l, c in sorted(positive.items())}
     z = sum(scaled.values())
+    if z <= 0:
+        raise ValueError(f"temperature {temperature:g} gives every language zero weight")
     return SamplingDistribution(temperature, {l: w / z for l, w in scaled.items()})
+
+
+def _index_lines(fh: BinaryIO, shard_id: str) -> array:
+    """Byte offsets of the line starts of a shard opened in binary mode,
+    followed by its size, built in one pass.
+
+    Every line must hold exactly one tab and be strict UTF-8, as
+    ``read_pairs`` requires. A line ends at ``\\n`` or ``\\r\\n``; the last
+    line may have no end. Any other ``\\r`` raises MalformedLineError, where
+    text mode would silently split the line there.
+    """
+    offsets = array("Q", [0])
+    line_no = 1
+    while lines := fh.readlines(_INDEX_READ_HINT):
+        # Fast path: checks over the whole chunk; the per-line walk below
+        # finds the first bad line only when one of them fails.
+        data = b"".join(lines)
+        if not ((b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
+                and set(map(bytes.count, lines, repeat(b"\t"))) == {1}
+                and _is_utf8(data)):
+            _check_lines(lines, shard_id, line_no)
+        offsets.extend(accumulate(map(len, lines), initial=offsets.pop()))
+        line_no += len(lines)
+    return offsets
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _check_lines(lines: list[bytes], shard_id: str, first_line_no: int) -> None:
+    for line_no, line in enumerate(lines, first_line_no):
+        body = line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
+        if b"\r" in body:
+            raise MalformedLineError(shard_id, line_no,
+                                     "carriage return outside a CRLF line end")
+        if body.count(b"\t") != 1:
+            raise MalformedLineError(shard_id, line_no)
+        try:
+            body.decode()
+        except UnicodeDecodeError as exc:
+            exc.reason = f"{shard_id}:{line_no}: {exc.reason}"
+            raise
+
+
+class _OffsetPairs:
+    """The pairs of one (pool, direction), concatenated over its shards in
+    manifest order and read from disk by offset when indexed."""
+
+    __slots__ = ("direction", "origin", "_starts", "_shards", "_len")
+
+    def __init__(self, direction: Direction, origin: OriginPool,
+                 shards: list[tuple[int, array, str]]):
+        self.direction = direction
+        self.origin = origin
+        self._shards = shards   # (descriptor, line offsets, shard id)
+        # Index of each shard's first pair, then the total.
+        *self._starts, self._len = accumulate(
+            (len(offsets) - 1 for _, offsets, _ in shards), initial=0)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> SentencePair:
+        s = bisect(self._starts, k) - 1
+        fd, offsets, shard_id = self._shards[s]
+        i = k - self._starts[s]
+        start = offsets[i]
+        source, target = os.pread(fd, offsets[i + 1] - start, start) \
+            .rstrip(b"\r\n").decode().split("\t")
+        return SentencePair(source, target, self.direction, self.origin, shard_id, i + 1)
+
+
+def _cumulative(weights: list[float]) -> tuple[list[float], float, int]:
+    """What ``random.choices`` computes from ``weights`` on every call:
+    cumulative weights, their total and the highest index."""
+    cum = list(accumulate(weights))
+    return cum, cum[-1] + 0.0, len(cum) - 1
 
 
 class BatchScheduler:
@@ -112,16 +201,25 @@ class BatchScheduler:
     within the pool with probability proportional to q_src * q_tgt
     (renormalized over the directions present in that pool), and (3) a pair
     uniformly from that direction. Sampling is with replacement; the whole
-    stream is reproducible from the seed.
+    stream is reproducible from the seed, and draws make exactly the RNG
+    calls of ``random.choices`` and ``randrange``.
 
-    Pairs are materialized in memory at construction, which is fine at the
-    corpus sizes this scheduler is meant for (development and simulation).
+    Construction reads every shard once in binary mode and keeps only an
+    ``array('Q')`` of line-start byte offsets per shard (8 bytes a pair);
+    each draw reads its one line with ``os.pread``. Lines are validated as
+    ``read_pairs`` reads them (one tab, strict UTF-8, ``\\n`` or ``\\r\\n``
+    line ends), except that a ``\\r`` anywhere else raises
+    MalformedLineError instead of shifting later lines.
+
+    The scheduler keeps one read-only descriptor open per non-empty shard
+    of a pool with positive weight, so shards must not change while it is
+    open. ``close()`` (or leaving a ``with`` block) releases them, as does
+    garbage collection.
     """
 
     def __init__(
         self,
         manifest: CorpusManifest,
-        stats: LanguageStats,
         distribution: SamplingDistribution,
         weights: MixtureWeights,
         batch_size: int,
@@ -133,55 +231,68 @@ class BatchScheduler:
         self.weights = weights
         self._rng = random.Random(seed)
 
-        pools: dict[OriginPool, dict[Direction, list[SentencePair]]] = {}
-        for pair in iter_all_pairs(manifest):
-            pools.setdefault(pair.origin, {}).setdefault(pair.direction, []).append(pair)
+        with ExitStack() as stack:
+            shards: dict[OriginPool, dict[Direction, list]] = {}
+            for entry in manifest.shards:
+                fh = stack.enter_context(entry.path.open("rb"))
+                offsets = _index_lines(fh, entry.shard_id)
+                if len(offsets) == 1 or weights.for_pool(entry.origin) <= 0:
+                    fh.close()   # never drawn from
+                    continue
+                shards.setdefault(entry.origin, {}).setdefault(entry.direction, []) \
+                    .append((fh.fileno(), offsets, entry.shard_id))
 
-        self._pools = []   # (pool, directions, direction weights, pairs per direction)
-        pool_weights = []
-        for pool in OriginPool:
-            lam = weights.for_pool(pool)
-            if lam <= 0:
-                continue
-            by_dir = {d: ps for d, ps in pools.get(pool, {}).items() if ps}
-            if not by_dir:
-                raise EmptyPoolError(
-                    f"pool {pool.value} has weight {lam:g} but no pairs in the manifest")
-            directions = sorted(by_dir)
-            dir_weights = [
-                distribution.q.get(d.src, 0.0) * distribution.q.get(d.tgt, 0.0)
-                for d in directions
-            ]
-            if sum(dir_weights) <= 0:
-                raise EmptyPoolError(
-                    f"pool {pool.value}: no direction has positive sampling weight")
-            self._pools.append((pool, directions, dir_weights, by_dir))
-            pool_weights.append(lam)
-        self._pool_weights = pool_weights
+            self._pools = []   # (cumulative direction weights, total, hi, pairs per direction)
+            pool_weights = []
+            for pool in OriginPool:
+                lam = weights.for_pool(pool)
+                if lam <= 0:
+                    continue
+                by_dir = shards.get(pool)
+                if not by_dir:
+                    raise EmptyPoolError(
+                        f"pool {pool.value} has weight {lam:g} but no pairs in the manifest")
+                directions = sorted(by_dir)
+                cum, total, hi = _cumulative([
+                    distribution.q.get(d.src, 0.0) * distribution.q.get(d.tgt, 0.0)
+                    for d in directions
+                ])
+                if total <= 0:
+                    raise EmptyPoolError(
+                        f"pool {pool.value}: no direction has positive sampling weight")
+                if not math.isfinite(total):
+                    raise ValueError(f"pool {pool.value}: direction weights must be finite")
+                self._pools.append(
+                    (cum, total, hi, [_OffsetPairs(d, pool, by_dir[d]) for d in directions]))
+                pool_weights.append(lam)
+            self._pool_cum, self._pool_total, self._pool_hi = _cumulative(pool_weights)
+            self._finalizer = weakref.finalize(self, stack.pop_all().close)
 
-    def draw(self) -> SentencePair:
-        pool, directions, dir_weights, by_dir = self._rng.choices(
-            self._pools, weights=self._pool_weights)[0]
-        direction = self._rng.choices(directions, weights=dir_weights)[0]
-        pairs = by_dir[direction]
+    def close(self) -> None:
+        """Release the shard descriptors; later draws raise ValueError."""
+        self._finalizer()
+
+    def __enter__(self) -> "BatchScheduler":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _draw(self) -> SentencePair:
+        rand = self._rng.random
+        cum, total, hi, by_dir = self._pools[
+            bisect(self._pool_cum, rand() * self._pool_total, 0, self._pool_hi)]
+        pairs = by_dir[bisect(cum, rand() * total, 0, hi)]
         return pairs[self._rng.randrange(len(pairs))]
 
     def next_batch(self) -> Batch:
-        pairs = [self.draw() for _ in range(self.batch_size)]
+        if not self._finalizer.alive:
+            raise ValueError("the scheduler is closed")
+        draw = self._draw
+        pairs = [draw() for _ in repeat(None, self.batch_size)]
         composition: dict[tuple[str, OriginPool], int] = {}
         for pair in pairs:
             for lang in (pair.direction.src, pair.direction.tgt):
                 key = (lang, pair.origin)
                 composition[key] = composition.get(key, 0) + 1
         return Batch(pairs, composition)
-
-
-def make_scheduler(
-    manifest: CorpusManifest,
-    stats: LanguageStats,
-    distribution: SamplingDistribution,
-    weights: MixtureWeights,
-    batch_size: int,
-    seed: int,
-) -> BatchScheduler:
-    return BatchScheduler(manifest, stats, distribution, weights, batch_size, seed)

@@ -35,7 +35,7 @@ from mtforge.curriculum import (
 from mtforge.errors import InvalidScheduleError
 from mtforge.evaluation import corpus_bleu, evaluate_directions
 from mtforge.routing import build_routing_table, route_translate
-from mtforge.sampling import MixtureWeights, language_distribution, make_scheduler
+from mtforge.sampling import BatchScheduler, MixtureWeights, language_distribution
 from mtforge.subword import default_tokenizer
 from mtforge.translator import (
     CipherLanguage,
@@ -85,7 +85,7 @@ def test_criterion_2_mixture_weighting(tmp_path):
     stats = corpus_stats(manifest)
     dist = language_distribution(stats, 5.0)
     draws = 100_000
-    scheduler = make_scheduler(manifest, stats, dist,
+    scheduler = BatchScheduler(manifest, dist,
                                MixtureWeights(0.6, 0.2, 0.2),
                                batch_size=draws, seed=2021)
     batch = scheduler.next_batch()

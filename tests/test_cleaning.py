@@ -170,6 +170,15 @@ def test_apply_filters_tokenizes_each_side_once():
     assert combining.source == "xx"
 
 
+@pytest.mark.parametrize("side, max_tokens", [
+    ("e" + "\u0301" * 20, 5),   # the back-off past combining marks reaches zero tokens
+    ("  " + "z" * 10, 2),        # the cut keeps only the leading whitespace
+])
+def test_truncation_that_keeps_nothing_is_too_long(side, max_tokens):
+    verdict = apply_filters(pair(side, side), FilterConfig(max_tokens=max_tokens), TOK)
+    assert not verdict.kept and verdict.reason is RejectReason.TOO_LONG
+
+
 def test_ratio_ladder_monotone():
     """A pair kept at a tight ratio limit stays kept at looser limits."""
     rng = random.Random(123)

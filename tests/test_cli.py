@@ -162,6 +162,27 @@ class TestSampleCli:
                    "--report", str(tmp_path / "r.tsv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "nan,0,0"), ("--lambda", "inf,1,1"), ("--temperature", "nan"),
+    ])
+    def test_non_finite_number_is_validation_error(self, tmp_path, capsys, flag, value):
+        build_manifest(tmp_path, [("bx.tsv", "hr-en", "bitext", [("s", "t")])])
+        rc = main(["sample", "--manifest", str(tmp_path / "manifest.tsv"),
+                   "--lambda", "1,0,0", flag, value, "--seed", "1",
+                   "--report", str(tmp_path / "r.tsv")])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
+    def test_stray_carriage_return_is_validation_error(self, tmp_path, capsys):
+        (tmp_path / "bx.tsv").write_bytes(b"s1\tt1\rs2\tt2\ns3\tt3\n")
+        (tmp_path / "manifest.tsv").write_text("bx.tsv\thr\ten\tbitext\t2\n",
+                                               encoding="utf-8")
+        rc = main(["sample", "--manifest", str(tmp_path / "manifest.tsv"),
+                   "--lambda", "1,0,0", "--seed", "1", "--report", str(tmp_path / "r.tsv")])
+        assert rc == 1
+        assert "bx.tsv:1: carriage return" in capsys.readouterr().err
+
 
 class TestAugmentCli:
     def test_plan_and_run(self, tmp_path, capsys):

@@ -1,15 +1,31 @@
+import gc
 import math
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mtforge.corpus import Direction, LanguageStats, OriginPool
-from mtforge.errors import EmptyPoolError
+from conftest import build_manifest
+from mtforge.corpus import (
+    Direction,
+    LanguageStats,
+    OriginPool,
+    corpus_stats,
+    count_lines,
+    iter_all_pairs,
+    load_manifest,
+    read_pairs,
+)
+from mtforge.errors import EmptyPoolError, MalformedLineError
 from mtforge.sampling import (
+    Batch,
     BatchScheduler,
     MixtureWeights,
     language_distribution,
-    make_scheduler,
 )
 
 
@@ -120,7 +136,7 @@ def scheduler_for(manifest, weights, batch_size=8, seed=0, temperature=5.0):
     from mtforge.corpus import corpus_stats
     stats = corpus_stats(manifest)
     dist = language_distribution(stats, temperature)
-    return make_scheduler(manifest, stats, dist, weights, batch_size, seed)
+    return BatchScheduler(manifest, dist, weights, batch_size, seed)
 
 
 class TestScheduler:
@@ -198,7 +214,7 @@ class TestScheduler:
         from mtforge.corpus import corpus_stats
         stats = corpus_stats(manifest)
         dist = language_distribution(stats, 5.0)
-        sched = make_scheduler(manifest, stats, dist, MixtureWeights(1, 0, 0),
+        sched = BatchScheduler(manifest, dist, MixtureWeights(1, 0, 0),
                                batch_size=30_000, seed=3)
         batch = sched.next_batch()
         w_hr = dist.q["hr"] * dist.q["en"]
@@ -208,3 +224,264 @@ class TestScheduler:
                        for p in batch.pairs) / len(batch.pairs)
         assert abs(observed - expected) <= 3 * math.sqrt(
             expected * (1 - expected) / len(batch.pairs))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("values", [
+        (math.nan, 0, 0), (math.inf, 1, 1), (1, -math.inf, 0), (0.5, 0.5, math.nan),
+    ])
+    def test_mixture_weights(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureWeights(*values)
+
+    @pytest.mark.parametrize("text", ["nan,0,0", "inf,1,1"])
+    def test_mixture_parse(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureWeights.parse(text)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_temperature(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            language_distribution(stats_for({"aa": 1, "bb": 3}), t)
+
+    def test_temperature_that_zeroes_every_weight(self):
+        # 0.5 ** 1e300 underflows to 0 for both languages.
+        with pytest.raises(ValueError):
+            language_distribution(stats_for({"aa": 1, "bb": 1}), 1e-300)
+
+
+def raw_corpus(root, shards):
+    """Write shards as raw bytes plus a manifest; ``shards`` is a list of
+    (name, "src-tgt", origin, bytes). Declared counts are binary ``\\n`` lines."""
+    lines = []
+    for name, direction, origin, data in shards:
+        (root / name).write_bytes(data)
+        src, tgt = direction.split("-")
+        lines.append(f"{name}\t{src}\t{tgt}\t{origin}\t{count_lines(root / name)}\n")
+    (root / "manifest.tsv").write_text("".join(lines), encoding="utf-8")
+    return load_manifest(root / "manifest.tsv", verify=True)
+
+
+def draw_all(manifest, weights=MixtureWeights(1, 0, 0), draws=400, seed=0):
+    dist = language_distribution(corpus_stats(manifest), 5.0)
+    with BatchScheduler(manifest, dist, weights, draws, seed) as sched:
+        return sched.next_batch().pairs
+
+
+class TestLineIndex:
+    def test_stray_carriage_return_fails_loudly(self, tmp_path):
+        # Counted as 2 lines, but text mode would read 3 and shift the rest.
+        manifest = raw_corpus(tmp_path, [
+            ("bx.tsv", "hr-en", "bitext", b"s1\tt1\rs2\tt2\ns3\tt3\n")])
+        assert manifest.shards[0].declared_line_count == 2
+        with pytest.raises(MalformedLineError) as err:
+            draw_all(manifest)
+        assert (err.value.shard_id, err.value.line_no) == ("bx.tsv", 1)
+        assert "carriage return" in str(err.value)
+
+    @pytest.mark.parametrize("data, line_no", [
+        (b"a\tb\nc\td\r", 2),          # a final \r with no \n after it
+        (b"a\tb\r\r\nc\td\n", 1),      # \r before a CRLF line end
+        (b"a\tb\n\rc\td\n", 2),
+    ])
+    def test_other_stray_carriage_returns(self, tmp_path, data, line_no):
+        manifest = raw_corpus(tmp_path, [("bx.tsv", "hr-en", "bitext", data)])
+        with pytest.raises(MalformedLineError) as err:
+            draw_all(manifest)
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("data", [
+        b"s0\tt0\r\ns1\tt1\r\ns2\tt2\r\n",          # CRLF
+        b"s0\tt0\ns1\tt1\ns2\tt2",                  # no final newline
+        b"s0\tt0\r\ns1\tt1\ns2\tt2",                # both, mixed
+        "šđ\tx\x0by\x1cz\x85 \n\t\n".encode(),  # not line ends
+    ])
+    def test_draws_match_read_pairs(self, tmp_path, data):
+        manifest = raw_corpus(tmp_path, [("bx.tsv", "hr-en", "bitext", data)])
+        lines = list(read_pairs(manifest, "bx.tsv"))
+        drawn = draw_all(manifest)
+        assert {p.line_no for p in drawn} == set(range(1, len(lines) + 1))
+        assert all(p == lines[p.line_no - 1] for p in drawn)
+
+    def test_invalid_utf8_fails_at_build(self, tmp_path):
+        manifest = raw_corpus(tmp_path, [
+            ("bx.tsv", "hr-en", "bitext", b"a\tb\nc\t\xc3\nd\te\n")])
+        with pytest.raises(UnicodeDecodeError, match="bx.tsv:2"):
+            draw_all(manifest)
+
+    @pytest.mark.parametrize("data, line_no", [
+        (b"a\tb\nno tab\n", 2), (b"a\tb\tc\n", 1), (b"a\tb\n\nc\td\n", 2),
+    ])
+    def test_tab_count_fails_at_build(self, tmp_path, data, line_no):
+        manifest = raw_corpus(tmp_path, [("bx.tsv", "hr-en", "bitext", data)])
+        with pytest.raises(MalformedLineError) as err:
+            draw_all(manifest)
+        assert err.value.line_no == line_no
+
+    def test_bad_line_in_zero_weight_pool_still_fails(self, tmp_path):
+        manifest = raw_corpus(tmp_path, [
+            ("bx.tsv", "hr-en", "bitext", b"a\tb\n"),
+            ("bt.tsv", "en-hr", "bt", b"a\tb\nbad\n"),
+        ])
+        with pytest.raises(MalformedLineError):
+            draw_all(manifest)
+
+    def test_lines_across_index_chunks(self, tmp_path):
+        # Lines long enough that the index pass reads the shard in several steps.
+        rows = [(f"s{i}" + "x" * 5000, f"t{i}") for i in range(200)]
+        data = "".join(f"{s}\t{t}\n" for s, t in rows).encode()
+        manifest = raw_corpus(tmp_path, [("bx.tsv", "hr-en", "bitext", data)])
+        drawn = draw_all(manifest, draws=300)
+        assert all((p.source, p.target) == rows[p.line_no - 1] for p in drawn)
+
+
+class MaterializingScheduler:
+    """The scheduler as it was before the offset index: every pair is held
+    in memory and each pick calls ``random.choices``. Kept as the reference
+    that the draw stream must match exactly."""
+
+    def __init__(self, manifest, distribution, weights, batch_size, seed):
+        self.batch_size = batch_size
+        self._rng = random.Random(seed)
+        pools = {}
+        for pair in iter_all_pairs(manifest):
+            pools.setdefault(pair.origin, {}).setdefault(pair.direction, []).append(pair)
+        self._pools = []
+        self._pool_weights = []
+        for pool in OriginPool:
+            lam = weights.for_pool(pool)
+            if lam <= 0:
+                continue
+            by_dir = {d: ps for d, ps in pools.get(pool, {}).items() if ps}
+            if not by_dir:
+                raise EmptyPoolError(pool.value)
+            directions = sorted(by_dir)
+            dir_weights = [distribution.q.get(d.src, 0.0) * distribution.q.get(d.tgt, 0.0)
+                           for d in directions]
+            if sum(dir_weights) <= 0:
+                raise EmptyPoolError(pool.value)
+            self._pools.append((directions, dir_weights, by_dir))
+            self._pool_weights.append(lam)
+
+    def draw(self):
+        directions, dir_weights, by_dir = self._rng.choices(
+            self._pools, weights=self._pool_weights)[0]
+        pairs = by_dir[self._rng.choices(directions, weights=dir_weights)[0]]
+        return pairs[self._rng.randrange(len(pairs))]
+
+    def next_batch(self):
+        pairs = [self.draw() for _ in range(self.batch_size)]
+        composition = {}
+        for pair in pairs:
+            for lang in (pair.direction.src, pair.direction.tgt):
+                key = (lang, pair.origin)
+                composition[key] = composition.get(key, 0) + 1
+        return Batch(pairs, composition)
+
+
+_DIRECTIONS = ["hr-en", "en-hr", "hu-en", "hr-hu", "mk-hu"]
+_ORIGINS = ["bitext", "bt", "dual_pseudo"]
+_SIDES = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                        blacklist_characters="\t\r\n"), max_size=6)
+_SHARDS = st.lists(
+    st.tuples(st.sampled_from(_DIRECTIONS), st.sampled_from(_ORIGINS),
+              st.lists(st.tuples(_SIDES, _SIDES), max_size=6),
+              st.sampled_from(["\n", "\r\n"]), st.booleans()),
+    min_size=1, max_size=7)
+_WEIGHTS = st.tuples(*[st.sampled_from([0, 0.2, 1, 2.5])] * 3).filter(lambda w: sum(w) > 0)
+
+
+def _write_random_corpus(root, shards):
+    """``shards`` as drawn from ``_SHARDS``: (direction, origin, rows, line
+    end, whether the last line has its end)."""
+    entries = []
+    for i, (direction, origin, rows, end, final_end) in enumerate(shards):
+        text = end.join(f"{s}\t{t}" for s, t in rows)
+        if rows and final_end:
+            text += end
+        entries.append((f"shard{i}.tsv", direction, origin, text.encode()))
+    return raw_corpus(root, entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shards=_SHARDS, weights=_WEIGHTS, seed=st.integers(0, 2**64),
+       batch_size=st.integers(1, 40))
+def test_draw_stream_matches_materializing_oracle(shards, weights, seed, batch_size):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = _write_random_corpus(Path(tmp), shards)
+        stats = corpus_stats(manifest)
+        assume(stats.total_pairs > 0)
+        dist = language_distribution(stats, 5.0)
+        weights = MixtureWeights(*weights)
+        try:
+            oracle = MaterializingScheduler(manifest, dist, weights, batch_size, seed)
+        except EmptyPoolError:
+            with pytest.raises(EmptyPoolError):
+                BatchScheduler(manifest, dist, weights, batch_size, seed)
+            return
+        with BatchScheduler(manifest, dist, weights, batch_size, seed) as sched:
+            for _ in range(3):
+                got, want = sched.next_batch(), oracle.next_batch()
+                assert got.pairs == want.pairs
+                assert list(got.composition.items()) == list(want.composition.items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights=_WEIGHTS, seed=st.integers(0, 2**32))
+def test_pool_fractions_follow_mixture_weights(tmp_path_factory, weights, seed):
+    manifest = three_pool_corpus(
+        lambda shards: build_manifest(tmp_path_factory.mktemp("corpus"), shards))
+    draws = 4000
+    pairs = draw_all(manifest, MixtureWeights(*weights), draws=draws, seed=seed)
+    for origin, w in zip(OriginPool, weights):
+        p = w / sum(weights)
+        observed = sum(pair.origin is origin for pair in pairs) / draws
+        assert abs(observed - p) <= 5 * math.sqrt(p * (1 - p) / draws)
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestDescriptors:
+    def corpus(self, make_corpus):
+        rows = [("s", "t")] * 3
+        return make_corpus([
+            ("bx1.tsv", "hr-en", "bitext", rows),
+            ("bx2.tsv", "hr-en", "bitext", rows),
+            ("empty.tsv", "en-hu", "bitext", []),
+            ("bt.tsv", "hu-en", "bt", rows),
+            ("dp.tsv", "hr-hu", "dual_pseudo", rows),
+        ])
+
+    def test_one_per_drawable_shard_released_on_close(self, make_corpus):
+        manifest = self.corpus(make_corpus)
+        before = open_descriptors()
+        # dual_pseudo has zero weight and empty.tsv has no lines: 3 kept.
+        sched = scheduler_for(manifest, MixtureWeights(0.5, 0.5, 0))
+        assert open_descriptors() == before + 3
+        sched.next_batch()
+        sched.close()
+        assert open_descriptors() == before
+        sched.close()
+        with pytest.raises(ValueError, match="closed"):
+            sched.next_batch()
+
+    def test_released_when_dropped(self, make_corpus):
+        manifest = self.corpus(make_corpus)
+        before = open_descriptors()
+        sched = scheduler_for(manifest, MixtureWeights(1, 1, 1))
+        assert open_descriptors() == before + 4
+        del sched
+        gc.collect()
+        assert open_descriptors() == before
+
+    def test_released_when_construction_fails(self, make_corpus, tmp_path):
+        manifest = self.corpus(make_corpus)
+        (tmp_path / "dp.tsv").write_text("no tab\n", encoding="utf-8")
+        before = open_descriptors()
+        with pytest.raises(MalformedLineError):
+            scheduler_for(manifest, MixtureWeights(1, 1, 1))
+        gc.collect()
+        assert open_descriptors() == before
