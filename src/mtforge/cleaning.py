@@ -22,6 +22,7 @@ from .corpus import (
     CorpusManifest,
     SentencePair,
     ShardEntry,
+    count_lines,
     read_pairs,
     write_manifest,
 )
@@ -275,7 +276,7 @@ def filter_corpus(
             if rejects_dir is not None else None
         try:
             with out_file.open("w", encoding="utf-8", newline="\n") as out_fh:
-                for pair in read_pairs(manifest, entry.shard_id):
+                for pair in read_pairs(entry):
                     langid = verdicts[pair.line_no - 1] if verdicts is not None else None
                     verdict = apply_filters(pair, cfg, tokenizer, langid)
                     if verdict.kept:
@@ -305,9 +306,7 @@ def _shard_langid(langid_dir, entry) -> list[tuple[str, str]] | None:
         for line in fh:
             src, _, tgt = line.rstrip("\n").partition("\t")
             verdicts.append((src, tgt))
-    # Count shard lines the way read_pairs reads them.
-    with entry.path.open(encoding="utf-8") as fh:
-        shard_lines = sum(1 for _ in fh)
+    shard_lines = count_lines(entry.path)
     if len(verdicts) != shard_lines:
         raise LengthMismatchError(
             f"{sidecar}: {len(verdicts)} langid lines, but shard {entry.path} "

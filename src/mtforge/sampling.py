@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import BinaryIO, Mapping
 
-from .corpus import CorpusManifest, Direction, LanguageStats, OriginPool, SentencePair
+from .corpus import (
+    STRAY_CR,
+    CorpusManifest,
+    Direction,
+    LanguageStats,
+    OriginPool,
+    SentencePair,
+)
 from .errors import EmptyPoolError, MalformedLineError
 
 # Bytes of whole lines validated per step of the index pass.
@@ -118,8 +125,7 @@ def _index_lines(fh: BinaryIO, shard_id: str) -> array:
 
     Every line must hold exactly one tab and be strict UTF-8, as
     ``read_pairs`` requires. A line ends at ``\\n`` or ``\\r\\n``; the last
-    line may have no end. Any other ``\\r`` raises MalformedLineError, where
-    text mode would silently split the line there.
+    line may have no end. Any other ``\\r`` raises MalformedLineError.
     """
     offsets = array("Q", [0])
     line_no = 1
@@ -148,8 +154,7 @@ def _check_lines(lines: list[bytes], shard_id: str, first_line_no: int) -> None:
     for line_no, line in enumerate(lines, first_line_no):
         body = line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
         if b"\r" in body:
-            raise MalformedLineError(shard_id, line_no,
-                                     "carriage return outside a CRLF line end")
+            raise MalformedLineError(shard_id, line_no, STRAY_CR)
         if body.count(b"\t") != 1:
             raise MalformedLineError(shard_id, line_no)
         try:
@@ -208,8 +213,7 @@ class BatchScheduler:
     ``array('Q')`` of line-start byte offsets per shard (8 bytes a pair);
     each draw reads its one line with ``os.pread``. Lines are validated as
     ``read_pairs`` reads them (one tab, strict UTF-8, ``\\n`` or ``\\r\\n``
-    line ends), except that a ``\\r`` anywhere else raises
-    MalformedLineError instead of shifting later lines.
+    line ends, no other ``\\r``).
 
     The scheduler keeps one read-only descriptor open per non-empty shard
     of a pool with positive weight, so shards must not change while it is

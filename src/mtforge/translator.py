@@ -98,10 +98,11 @@ class CipherLanguage:
 
     def __post_init__(self):
         check_lang_code(self.lang)
-        inverse = {v: k for k, v in self.token_map.items()}
-        if len(inverse) != len(self.token_map):
+        decode = _DecodeTable((v, k) for k, v in self.token_map.items())
+        if len(decode) != len(self.token_map):
             raise ValueError("token_map must be a bijection")
-        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_encode", _EncodeTable(self.token_map))
+        object.__setattr__(self, "_decode", decode)
 
     @classmethod
     def from_seed(cls, lang: str, seed: int,
@@ -120,25 +121,63 @@ class CipherLanguage:
             mapping[word] = pseudo
         return cls(lang, seed, mapping)
 
-    def encode_token(self, token: str) -> str:
-        mapped = self.token_map.get(token)
-        if mapped is not None:
-            return mapped
+    def encode(self, sentence: str) -> str:
+        return " ".join(map(self._encode.__getitem__, sentence.split()))
+
+    def decode(self, sentence: str) -> str:
+        return " ".join(map(self._decode.__getitem__, sentence.split()))
+
+
+class _EncodeTable(dict):
+    """Word -> pseudo-word; an out-of-vocabulary token comes back wrapped
+    in the OOV markers."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> str:
         return f"{OOV_OPEN}{token}{OOV_CLOSE}"
 
-    def decode_token(self, token: str) -> str:
-        original = self._inverse.get(token)
-        if original is not None:
-            return original
+
+class _DecodeTable(dict):
+    """Pseudo-word -> word; any other token comes back with its OOV markers
+    stripped, or unchanged when it has none."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> str:
         if len(token) >= 2 and token.startswith(OOV_OPEN) and token.endswith(OOV_CLOSE):
             return token[1:-1]
         return token
 
-    def encode(self, sentence: str) -> str:
-        return " ".join(self.encode_token(t) for t in sentence.split())
 
-    def decode(self, sentence: str) -> str:
-        return " ".join(self.decode_token(t) for t in sentence.split())
+class _NotOneToken(Exception):
+    """A token decodes to something other than exactly one token, so the
+    sentence cannot be translated token by token through a composed table."""
+
+
+class _ComposedTable(dict):
+    """X-token -> Y-token through English for one X->Y call, filled as
+    tokens are first seen.
+
+    Composing per token equals ``tgt.encode(src.decode(sentence))`` only when
+    the decoded token re-splits into itself. Otherwise (an empty decode, or
+    a vocabulary key holding whitespace) lookup raises _NotOneToken and the
+    caller translates that sentence the long way.
+    """
+
+    __slots__ = ("_decode", "_encode")
+
+    def __init__(self, src: CipherLanguage, tgt: CipherLanguage):
+        super().__init__()
+        self._decode = src._decode
+        self._encode = tgt._encode
+
+    def __missing__(self, token: str) -> str:
+        word = self._decode[token]
+        if word.split() != [word]:
+            raise _NotOneToken(token)
+        mapped = self[token] = self._encode[word]
+        return mapped
 
 
 class CipherTranslator(Translator):
@@ -168,12 +207,21 @@ class CipherTranslator(Translator):
 
     def translate(self, sentences, direction, config=None):
         self._check_direction(direction)
+        src = self._ciphers.get(direction.src)
+        tgt = self._ciphers.get(direction.tgt)
+        if src is None:
+            table = tgt._encode
+        elif tgt is None:
+            table = src._decode
+        else:
+            table = _ComposedTable(src, tgt)
+        lookup = table.__getitem__
         out = []
         for sentence in sentences:
-            if direction.src != "en":
-                sentence = self._ciphers[direction.src].decode(sentence)
-            if direction.tgt != "en":
-                sentence = self._ciphers[direction.tgt].encode(sentence)
+            try:
+                sentence = " ".join(map(lookup, sentence.split()))
+            except _NotOneToken:
+                sentence = tgt.encode(src.decode(sentence))
             out.append(sentence)
         return out
 
@@ -269,8 +317,11 @@ class LineProtocolTranslator(Translator):
     """Adapter for external translators speaking a line protocol.
 
     Runs a subprocess per call: one sentence per line on stdin, one
-    translation per line on stdout. ``{src}`` and ``{tgt}`` placeholders in
-    the command are substituted with the direction's language codes.
+    translation per line on stdout, both UTF-8. A line ends at ``\\n``, with
+    one ``\\r`` before it stripped; no other character ends a line, so a
+    source sentence holding ``\\n`` or ``\\r`` is rejected before the command
+    runs. ``{src}`` and ``{tgt}`` placeholders in the command are
+    substituted with the direction's language codes.
     """
 
     def __init__(self, command: str | Sequence[str], directions: Iterable[Direction]):
@@ -285,14 +336,25 @@ class LineProtocolTranslator(Translator):
         self._check_direction(direction)
         if not sentences:
             return []
+        for i, sentence in enumerate(sentences):
+            if "\n" in sentence or "\r" in sentence:
+                raise MTForgeError(f"sentence {i + 1} contains a line break")
         argv = [a.format(src=direction.src, tgt=direction.tgt) for a in self._command]
         proc = subprocess.run(
-            argv, input="\n".join(sentences) + "\n",
-            capture_output=True, text=True)
+            argv, input=("\n".join(sentences) + "\n").encode(),
+            capture_output=True)
         if proc.returncode != 0:
             raise MTForgeError(
-                f"translator command failed ({proc.returncode}): {proc.stderr.strip()}")
-        lines = proc.stdout.splitlines()
+                f"translator command failed ({proc.returncode}): "
+                f"{proc.stderr.decode(errors='replace').strip()}")
+        try:
+            lines = proc.stdout.decode().split("\n")
+        except UnicodeDecodeError as exc:
+            raise MTForgeError(f"translator output is not UTF-8: {exc}") from None
+        last = lines.pop()
+        lines = [line.removesuffix("\r") for line in lines]
+        if last:
+            lines.append(last)
         if len(lines) != len(sentences):
             raise MTForgeError(
                 f"translator returned {len(lines)} lines for {len(sentences)} sentences")

@@ -12,8 +12,8 @@ from mtforge.cleaning import (
     shuffle_dataset,
     truncate_tokens,
 )
-from mtforge.corpus import Direction, OriginPool, SentencePair
-from mtforge.errors import AlreadyTaggedError, LengthMismatchError
+from mtforge.corpus import Direction, OriginPool, SentencePair, load_manifest
+from mtforge.errors import AlreadyTaggedError, LengthMismatchError, MalformedLineError
 from mtforge.subword import SubwordTokenizer, default_tokenizer
 
 TOK = default_tokenizer()
@@ -338,3 +338,19 @@ class TestFilterCorpus:
         assert str(sidecar) in message
         assert f"{sidecar_text.count(chr(10))} langid lines" in message
         assert "2 lines" in message
+
+    @pytest.mark.parametrize("sidecar_text, error", [
+        ("hr\ten\n", MalformedLineError),
+        ("hr\ten\nhr\ten\n", LengthMismatchError),
+    ])
+    def test_stray_carriage_return_counts_one_line(self, tmp_path, sidecar_text, error):
+        # One line by count_lines; text mode would read two and filter both.
+        (tmp_path / "a.tsv").write_bytes(b"s1\tt1\rs2\tt2\n")
+        (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t1\n", encoding="utf-8")
+        manifest = load_manifest(tmp_path / "m.tsv", verify=True)
+        langid_dir = tmp_path / "langid"
+        langid_dir.mkdir()
+        (langid_dir / "a.tsv.langid").write_text(sidecar_text, encoding="utf-8")
+        with pytest.raises(error):
+            filter_corpus(manifest, FilterConfig(), TOK, tmp_path / "clean",
+                          langid_dir=langid_dir)

@@ -4,11 +4,13 @@ import tracemalloc
 import pytest
 
 from conftest import build_manifest, write_shard
+from mtforge import corpus
 from mtforge.corpus import (
     CorpusManifest,
     Direction,
     OriginPool,
     corpus_stats,
+    count_lines,
     load_manifest,
     read_pairs,
     write_manifest,
@@ -119,7 +121,7 @@ class TestReadPairs:
     def test_enumeration(self, make_corpus):
         manifest = make_corpus([("a.tsv", "hr-en", "bitext",
                                  [("s1", "t1"), ("s2", "t2"), ("s3", "t3")])])
-        pairs = list(read_pairs(manifest, "a.tsv"))
+        pairs = list(read_pairs(manifest.shard("a.tsv")))
         assert [p.line_no for p in pairs] == [1, 2, 3]
         assert pairs[1].source == "s2" and pairs[1].target == "t2"
         assert pairs[0].shard_id == "a.tsv"
@@ -129,26 +131,26 @@ class TestReadPairs:
         (tmp_path / "a.tsv").write_text("", encoding="utf-8")
         (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t0\n", encoding="utf-8")
         manifest = load_manifest(tmp_path / "m.tsv")
-        assert list(read_pairs(manifest, "a.tsv")) == []
+        assert list(read_pairs(manifest.shard("a.tsv"))) == []
 
     def test_no_tab(self, tmp_path):
         (tmp_path / "a.tsv").write_text("hello world\n", encoding="utf-8")
         (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t1\n", encoding="utf-8")
         manifest = load_manifest(tmp_path / "m.tsv")
         with pytest.raises(MalformedLineError) as err:
-            list(read_pairs(manifest, "a.tsv"))
+            list(read_pairs(manifest.shard("a.tsv")))
         assert err.value.line_no == 1
 
     def test_two_tabs(self, tmp_path):
         (tmp_path / "a.tsv").write_text("a\tb\tc\n", encoding="utf-8")
         (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t1\n", encoding="utf-8")
         with pytest.raises(MalformedLineError):
-            list(read_pairs(load_manifest(tmp_path / "m.tsv"), "a.tsv"))
+            list(read_pairs(load_manifest(tmp_path / "m.tsv").shard("a.tsv")))
 
     def test_unknown_shard(self, make_corpus):
         manifest = make_corpus([("a.tsv", "hr-en", "bitext", [("x", "y")])])
         with pytest.raises(KeyError):
-            list(read_pairs(manifest, "other.tsv"))
+            list(read_pairs(manifest.shard("other.tsv")))
 
     def test_streaming_memory_bounded(self, tmp_path):
         """Iterating a large shard must not materialize it."""
@@ -161,12 +163,59 @@ class TestReadPairs:
         manifest = load_manifest(tmp_path / "m.tsv")
         tracemalloc.start()
         n = 0
-        for _ in read_pairs(manifest, "big.tsv"):
+        for _ in read_pairs(manifest.shard("big.tsv")):
             n += 1
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert n == 200_000
         assert peak < 2_000_000  # bytes; the file itself is ~9 MB
+
+
+    @staticmethod
+    def raw_shard(tmp_path, data):
+        (tmp_path / "a.tsv").write_bytes(data)
+        n = count_lines(tmp_path / "a.tsv")
+        (tmp_path / "m.tsv").write_text(f"a.tsv\thr\ten\tbitext\t{n}\n", encoding="utf-8")
+        return load_manifest(tmp_path / "m.tsv", verify=True).shard("a.tsv")
+
+    @pytest.mark.parametrize("data, line_no", [
+        (b"s1\tt1\rs2\tt2\ns3\tt3\n", 1),   # counted as 2 lines, not 3
+        (b"a\tb\nc\td\r", 2),               # a final \r with no \n after it
+        (b"a\tb\r\r\nc\td\n", 1),           # \r before a CRLF line end
+        (b"a\tb\n\rc\td\n", 2),
+    ])
+    def test_stray_carriage_return(self, tmp_path, data, line_no):
+        entry = self.raw_shard(tmp_path, data)
+        with pytest.raises(MalformedLineError) as err:
+            list(read_pairs(entry))
+        assert (err.value.shard_id, err.value.line_no) == ("a.tsv", line_no)
+        assert "carriage return outside a CRLF line end" in str(err.value)
+
+    @pytest.mark.parametrize("data, rows", [
+        (b"s0\tt0\r\ns1\tt1\r\n", [("s0", "t0"), ("s1", "t1")]),
+        (b"s0\tt0\ns1\tt1", [("s0", "t0"), ("s1", "t1")]),
+        (b"s0\tt0\r\ns1\tt1", [("s0", "t0"), ("s1", "t1")]),
+        ("\u0161\tx\x0by\x1cz\x85\u2028 \n\t\n".encode(),
+         [("\u0161", "x\x0by\x1cz\x85\u2028 "), ("", "")]),
+    ])
+    def test_lines_are_the_counted_lines(self, tmp_path, data, rows):
+        entry = self.raw_shard(tmp_path, data)
+        pairs = list(read_pairs(entry))
+        assert [(p.source, p.target) for p in pairs] == rows
+        assert [p.line_no for p in pairs] == list(range(1, entry.declared_line_count + 1))
+
+
+class TestWriteShard:
+    @pytest.mark.parametrize("n", [
+        0, 1, corpus._ROWS_PER_WRITE - 1, corpus._ROWS_PER_WRITE,
+        corpus._ROWS_PER_WRITE + 1, 2 * corpus._ROWS_PER_WRITE + 1,
+    ])
+    def test_same_as_one_write_per_row(self, tmp_path, n):
+        rows = [(f"izvor {i} \u0161\u0111 \u2211", f"c\u00edl {i} \u65e5\u672c \x85")
+                for i in range(n)]
+        write_shard(tmp_path / "ref.tsv", rows)  # conftest: one write per row
+        assert corpus.write_shard(tmp_path / "out.tsv", (row for row in rows)) == n
+        assert (tmp_path / "out.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
 
 
 class TestCorpusStats:

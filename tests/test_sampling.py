@@ -298,7 +298,7 @@ class TestLineIndex:
     ])
     def test_draws_match_read_pairs(self, tmp_path, data):
         manifest = raw_corpus(tmp_path, [("bx.tsv", "hr-en", "bitext", data)])
-        lines = list(read_pairs(manifest, "bx.tsv"))
+        lines = list(read_pairs(manifest.shard("bx.tsv")))
         drawn = draw_all(manifest)
         assert {p.line_no for p in drawn} == set(range(1, len(lines) + 1))
         assert all(p == lines[p.line_no - 1] for p in drawn)

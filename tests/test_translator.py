@@ -1,6 +1,8 @@
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mtforge.corpus import Direction
 from mtforge.errors import (
@@ -10,9 +12,12 @@ from mtforge.errors import (
 )
 from mtforge.translator import (
     NOISE_TOKEN,
+    OOV_CLOSE,
+    OOV_OPEN,
     CipherLanguage,
     DecodingConfig,
     LineProtocolTranslator,
+    Translator,
     make_cipher_translator,
     pivot_translate,
     with_noise,
@@ -217,3 +222,118 @@ class TestLineProtocolTranslator:
         t = LineProtocolTranslator(["true"], [Direction("en", "de")])
         with pytest.raises(UnsupportedDirectionError):
             t.translate(["a"], Direction("de", "en"))
+
+    def test_only_newline_ends_an_output_line(self):
+        # Each output line holds U+2028, NEL and \x1c and ends in CRLF.
+        command = [sys.executable, "-c",
+                   "import sys\n"
+                   "for line in sys.stdin.buffer:\n"
+                   "    sys.stdout.buffer.write("
+                   "line[:-1] + '\\u2028\\x85\\x1c.'.encode() + b'\\r\\n')"]
+        t = LineProtocolTranslator(command, [Direction("en", "de")])
+        out = t.translate(["a", "b\u2028c"], Direction("en", "de"))
+        assert out == ["a\u2028\x85\x1c.", "b\u2028c\u2028\x85\x1c."]
+
+    def test_output_must_be_utf8(self):
+        command = [sys.executable, "-c", "import sys; sys.stdout.buffer.write(b'\\xff\\n')"]
+        t = LineProtocolTranslator(command, [Direction("en", "de")])
+        with pytest.raises(MTForgeError, match="not UTF-8"):
+            t.translate(["a"], Direction("en", "de"))
+
+    @pytest.mark.parametrize("sentence", ["two\nlines", "carriage\rreturn", "crlf\r\n"])
+    def test_line_break_in_source_rejected_before_spawning(self, sentence):
+        t = LineProtocolTranslator(["/nonexistent-binary"], [Direction("en", "de")])
+        with pytest.raises(MTForgeError, match="sentence 2 contains a line break"):
+            t.translate(["fine", sentence], Direction("en", "de"))
+
+
+class OracleCipherTranslator(Translator):
+    """``CipherTranslator`` as it was before its lookup tables: a method call
+    per token, and X->Y as ``tgt.encode(src.decode(sentence))``."""
+
+    def __init__(self, languages):
+        self._maps = {c.lang: dict(c.token_map) for c in languages}
+        self._inverses = {lang: {v: k for k, v in m.items()}
+                          for lang, m in self._maps.items()}
+
+    @property
+    def supported_directions(self):
+        codes = ["en", *self._maps]
+        return frozenset(Direction(a, b) for a in codes for b in codes if a != b)
+
+    def encode_token(self, lang, token):
+        mapped = self._maps[lang].get(token)
+        if mapped is not None:
+            return mapped
+        return f"{OOV_OPEN}{token}{OOV_CLOSE}"
+
+    def decode_token(self, lang, token):
+        original = self._inverses[lang].get(token)
+        if original is not None:
+            return original
+        if len(token) >= 2 and token.startswith(OOV_OPEN) and token.endswith(OOV_CLOSE):
+            return token[1:-1]
+        return token
+
+    def translate(self, sentences, direction, config=None):
+        self._check_direction(direction)
+        out = []
+        for sentence in sentences:
+            if direction.src != "en":
+                sentence = " ".join(self.decode_token(direction.src, t)
+                                    for t in sentence.split())
+            if direction.tgt != "en":
+                sentence = " ".join(self.encode_token(direction.tgt, t)
+                                    for t in sentence.split())
+            out.append(sentence)
+        return out
+
+
+_SEPARATORS = [" ", "  ", "\t", "\x1c", "\x85", "\u2028"]
+# Short words over a tiny alphabet, so vocabularies and sentences collide;
+# words may hold whitespace, be empty or carry the OOV markers.
+_WORDS = st.text(alphabet="ab" + OOV_OPEN + OOV_CLOSE + " \u2028", max_size=4)
+_PLAIN_WORDS = st.text(alphabet="abcd", min_size=1, max_size=4)
+
+
+def _vocab(keys, values):
+    return st.lists(st.tuples(keys, values), max_size=8,
+                    unique_by=(lambda kv: kv[0], lambda kv: kv[1])).map(dict)
+
+
+@st.composite
+def _sentences(draw, words, oov=st.one_of(_WORDS, st.just(OOV_OPEN + OOV_CLOSE))):
+    """Sentences of vocabulary and OOV words, with repeated, leading and
+    non-space whitespace between them."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 8))):
+        pieces.append(draw(st.sampled_from(_SEPARATORS)))
+        pieces.append(draw(st.sampled_from(words) | oov if words else oov))
+    if draw(st.booleans()):
+        pieces.append(draw(st.sampled_from(_SEPARATORS)))
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), xx=_vocab(_WORDS, _WORDS), yy=_vocab(_WORDS, _WORDS))
+def test_cipher_translate_matches_oracle(data, xx, yy):
+    languages = [CipherLanguage("xx", 0, xx), CipherLanguage("yy", 0, yy)]
+    fast = make_cipher_translator(languages)
+    oracle = OracleCipherTranslator(languages)
+    words = sorted({*xx, *xx.values(), *yy, *yy.values()})
+    sentences = data.draw(st.lists(_sentences(words), max_size=6))
+    for direction in (Direction("en", "xx"), Direction("xx", "en"),
+                      Direction("xx", "yy"), Direction("yy", "xx")):
+        assert fast.translate(sentences, direction) == \
+            oracle.translate(sentences, direction), direction
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), xx=_vocab(_WORDS, _PLAIN_WORDS))
+def test_cipher_round_trip(data, xx):
+    ciphers = make_cipher_translator([CipherLanguage("xx", 0, xx)])
+    words = sorted(w for w in {*xx, *xx.values()} if not w.startswith(OOV_OPEN))
+    sentence = data.draw(_sentences(words, oov=st.text(alphabet="abc \u2028", max_size=4)))
+    assume(not any(t.startswith(OOV_OPEN) for t in sentence.split()))
+    encoded = ciphers.translate([sentence], Direction("en", "xx"))
+    assert ciphers.translate(encoded, Direction("xx", "en")) == [" ".join(sentence.split())]
