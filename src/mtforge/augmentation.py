@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CorpusManifest, Direction, OriginPool, ShardEntry, write_shard
+from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, read_lines,
+                     read_table, write_shard, write_table)
 from .errors import (
     EmptyMonolingualError,
     EnglishInPairError,
@@ -193,20 +195,11 @@ def run_plan(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    line_cache: dict[Path, list[str]] = {}
-    translation_cache: dict[tuple[Path, Direction], list[str]] = {}
+    input_lines = cache(read_lines)
 
-    def input_lines(path: Path) -> list[str]:
-        if path not in line_cache:
-            with path.open(encoding="utf-8") as fh:
-                line_cache[path] = [line.rstrip("\n") for line in fh]
-        return line_cache[path]
-
-    def translated(path: Path, lines: list[str], direction: Direction) -> list[str]:
-        key = (path, direction)
-        if key not in translation_cache:
-            translation_cache[key] = translator.translate(lines, direction, config)
-        return translation_cache[key]
+    @cache
+    def translated(path: Path, direction: Direction) -> list[str]:
+        return translator.translate(input_lines(path), direction, config)
 
     entries: list[ShardEntry] = []
     used_names: set[str] = set()
@@ -227,7 +220,7 @@ def run_plan(
         lines = input_lines(task.input_path)
         if task.kind == TaskKind.BACK_TRANSLATION:
             lang = task.needed[0].tgt
-            synthetic = translated(task.input_path, lines, task.needed[0])
+            synthetic = translated(task.input_path, task.needed[0])
             for output in task.outputs:
                 if output.direction.src == lang:
                     emit(task.kind, output.direction, output.origin,
@@ -238,8 +231,8 @@ def run_plan(
         elif task.kind == TaskKind.DUAL_PSEUDO:
             out = task.outputs[0]
             to_src, to_tgt = task.needed
-            xs = translated(task.input_path, lines, to_src)
-            ys = translated(task.input_path, lines, to_tgt)
+            xs = translated(task.input_path, to_src)
+            ys = translated(task.input_path, to_tgt)
             emit(task.kind, out.direction, out.origin, zip(xs, ys))
         else:  # TRIANGULATION
             sources, targets = [], []
@@ -260,34 +253,32 @@ def run_plan(
 
 
 # --- plan file serialization (TSV, one task per line) -----------------------
+#
+# Input paths are stored as given and, when loaded, stay relative to the
+# working directory, not to the plan file.
 
 def save_plan(plan: AugmentationPlan, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# kind\tinput_path\tinput_meta\tneeded\toutputs\n")
-        for task in plan.tasks:
-            meta = (f"lang={task.input_lang}" if task.input_lang
-                    else f"dir={task.input_direction}")
-            needed = ",".join(str(d) for d in task.needed)
-            outputs = ",".join(f"{o.direction}:{o.origin.value}" for o in task.outputs)
-            fh.write(f"{task.kind.value}\t{task.input_path}\t{meta}\t{needed}\t{outputs}\n")
+    write_table(path, (
+        (task.kind.value, task.input_path,
+         f"lang={task.input_lang}" if task.input_lang else f"dir={task.input_direction}",
+         ",".join(str(d) for d in task.needed),
+         ",".join(f"{o.direction}:{o.origin.value}" for o in task.outputs))
+        for task in plan.tasks
+    ), header="kind input_path input_meta needed outputs".split())
+
+
+def _task(kind_text, input_path, meta, needed_text, outputs_text) -> AugmentationTask:
+    kind = TaskKind(kind_text)
+    input_lang = meta[5:] if meta.startswith("lang=") else None
+    input_direction = Direction.parse(meta[4:]) if meta.startswith("dir=") else None
+    needed = tuple(Direction.parse(d) for d in needed_text.split(","))
+    outputs = []
+    for chunk in outputs_text.split(","):
+        d, _, origin = chunk.partition(":")
+        outputs.append(TaskOutput(Direction.parse(d), OriginPool.parse(origin)))
+    return AugmentationTask(kind, Path(input_path), input_lang,
+                            input_direction, needed, tuple(outputs))
 
 
 def load_plan(path: str | Path) -> AugmentationPlan:
-    tasks = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            kind_text, input_path, meta, needed_text, outputs_text = line.split("\t")
-            kind = TaskKind(kind_text)
-            input_lang = meta[5:] if meta.startswith("lang=") else None
-            input_direction = Direction.parse(meta[4:]) if meta.startswith("dir=") else None
-            needed = tuple(Direction.parse(d) for d in needed_text.split(","))
-            outputs = []
-            for chunk in outputs_text.split(","):
-                d, _, origin = chunk.partition(":")
-                outputs.append(TaskOutput(Direction.parse(d), OriginPool.parse(origin)))
-            tasks.append(AugmentationTask(kind, Path(input_path), input_lang,
-                                          input_direction, needed, tuple(outputs)))
-    return AugmentationPlan(tasks)
+    return AugmentationPlan(read_table(path, 5, _task))

@@ -18,15 +18,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import (
-    CorpusManifest,
-    SentencePair,
-    ShardEntry,
-    count_lines,
-    read_pairs,
-    write_manifest,
-)
-from .errors import AlreadyTaggedError, LengthMismatchError
+from .corpus import (STRAY_CR, CorpusManifest, SentencePair, ShardEntry, count_lines,
+                     read_lines, read_pairs, write_manifest)
+from .errors import AlreadyTaggedError, LengthMismatchError, MalformedLineError
 from .subword import SubwordTokenizer
 
 # ISO 15924-ish names -> Unicode character-name prefixes.
@@ -198,15 +192,13 @@ def shuffle_dataset(
     seeded RNG, then each chunk is shuffled in memory and concatenated, so
     peak RAM is bounded by the chunk size rather than the corpus size.
     Same seed, same inputs -> byte-identical output. Returns the line count.
+    Lines are the ones ``count_lines`` counts, written with ``\\n`` ends; a
+    ``\\r`` outside a CRLF line end raises MalformedLineError.
     """
     rng = random.Random(seed)
     out_path = Path(out_path)
 
-    total = 0
-    for entry in manifest.shards:
-        with entry.path.open("rb") as fh:
-            for _ in fh:
-                total += 1
+    total = sum(count_lines(entry.path) for entry in manifest.shards)
     n_chunks = max(1, -(-total // lines_per_chunk))
 
     with tempfile.TemporaryDirectory(prefix="mtforge-shuffle-") as tmp:
@@ -214,9 +206,12 @@ def shuffle_dataset(
         handles = [p.open("w", encoding="utf-8", newline="\n") for p in chunk_paths]
         try:
             for entry in manifest.shards:
-                with entry.path.open(encoding="utf-8") as fh:
-                    for line in fh:
-                        handles[rng.randrange(n_chunks)].write(line.rstrip("\n") + "\n")
+                with entry.path.open(encoding="utf-8", newline="\n") as fh:
+                    for line_no, line in enumerate(fh, start=1):
+                        line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+                        if "\r" in line:
+                            raise MalformedLineError(entry.shard_id, line_no, STRAY_CR)
+                        handles[rng.randrange(n_chunks)].write(line + "\n")
         finally:
             for h in handles:
                 h.close()
@@ -301,11 +296,7 @@ def _shard_langid(langid_dir, entry) -> list[tuple[str, str]] | None:
     sidecar = Path(langid_dir) / (Path(entry.raw_path).name + ".langid")
     if not sidecar.exists():
         return None
-    verdicts = []
-    with sidecar.open(encoding="utf-8") as fh:
-        for line in fh:
-            src, _, tgt = line.rstrip("\n").partition("\t")
-            verdicts.append((src, tgt))
+    verdicts = [line.partition("\t")[::2] for line in read_lines(sidecar)]
     shard_lines = count_lines(entry.path)
     if len(verdicts) != shard_lines:
         raise LengthMismatchError(

@@ -13,15 +13,16 @@ import sys
 from pathlib import Path
 
 from . import augmentation, cleaning, curriculum, demo
-from .corpus import Direction, corpus_stats, load_manifest, write_manifest
+from .corpus import Direction, corpus_stats, load_manifest, read_lines, write_manifest
 from .errors import MTForgeError
 from .evaluation import ScoreMatrix, corpus_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
-from .sampling import BatchScheduler, MixtureWeights, language_distribution
+from .sampling import BatchScheduler, MixtureWeights, language_distribution, write_composition
 from .subword import SubwordTokenizer, default_tokenizer
 from .translator import (
     CipherLanguage,
     LineProtocolTranslator,
+    PivotVia,
     derive_language_seed,
     make_cipher_translator,
 )
@@ -36,11 +37,6 @@ class _Parser(argparse.ArgumentParser):
     # error handling so usage problems map to exit code 1.
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: {message}")
-
-
-def _read_lines(path: str | Path) -> list[str]:
-    with Path(path).open(encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
 
 
 def _write_lines(path: str | Path, lines) -> None:
@@ -127,21 +123,15 @@ def _cmd_sample(args) -> int:
     stats = corpus_stats(manifest)
     dist = language_distribution(stats, args.temperature)
     weights = MixtureWeights.parse(args.mixture)
-    scheduler = BatchScheduler(manifest, dist, weights, args.batch_size, seed)
-    with scheduler, Path(args.report).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# batch\tlanguage\torigin\tcount\n")
-        for b in range(args.batches):
-            batch = scheduler.next_batch()
-            for (lang, origin), n in sorted(batch.composition.items(),
-                                            key=lambda kv: (kv[0][0], kv[0][1].value)):
-                fh.write(f"{b}\t{lang}\t{origin.value}\t{n}\n")
+    with BatchScheduler(manifest, dist, weights, args.batch_size, seed) as scheduler:
+        write_composition(scheduler, args.batches, args.report)
     print(f"batches\t{args.batches}")
     return 0
 
 
 def _cmd_bleu(args) -> int:
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    hyps = read_lines(args.hyp)
+    refs = read_lines(args.ref)
     tokenizer = SubwordTokenizer.from_file(args.vocab) if args.vocab else None
     result = corpus_bleu(hyps, refs, tokenizer)
     precisions = "\t".join(f"{p:.4f}" for p in result.precisions)
@@ -195,8 +185,7 @@ def _cmd_route_build(args) -> int:
     pivot = ScoreMatrix.load(args.pivot)
     table = build_routing_table(direct, pivot, args.pivot_lang)
     table.save(args.out)
-    pivoted = sum(1 for e in table.entries.values()
-                  if e.strategy.__class__.__name__ == "PivotVia")
+    pivoted = sum(isinstance(e.strategy, PivotVia) for e in table.entries.values())
     print(f"entries\t{len(table.entries)}")
     print(f"pivot_routed\t{pivoted}")
     return 0
@@ -213,7 +202,7 @@ def _cmd_route_translate(args) -> int:
         directions.add(Direction(direction.src, table.pivot_lang))
         directions.add(Direction(table.pivot_lang, direction.tgt))
     translator = _make_translator(args.translator, langs, directions)
-    sentences = _read_lines(args.input)
+    sentences = read_lines(args.input)
     _write_lines(args.out, route_translate(translator, table, sentences, direction))
     print(f"sentences\t{len(sentences)}")
     return 0

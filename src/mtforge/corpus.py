@@ -1,9 +1,10 @@
-"""Corpus domain types, manifest ingestion, and streaming pair readers.
+"""Corpus domain types, manifest ingestion, streaming pair readers, and the
+TSV table reader and writer that every table format and report goes through.
 
 File formats:
-  * Manifest: one shard per line, ``path<TAB>src<TAB>tgt<TAB>origin<TAB>count``.
-    ``#`` starts a comment, blank lines are ignored. Shard paths are resolved
-    relative to the manifest's own directory so manifests stay relocatable.
+  * Manifest: a table of ``path<TAB>src<TAB>tgt<TAB>origin<TAB>count`` rows.
+    Shard paths are resolved relative to the manifest's own directory so
+    manifests stay relocatable.
   * Shard: one pair per line, ``source<TAB>target``, UTF-8, LF or CRLF endings.
 """
 
@@ -14,9 +15,9 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import DuplicateShardPathError, MalformedLineError, ManifestError
+from .errors import DuplicateShardPathError, MalformedLineError, ManifestError, TableError
 
 _LANG_RE = re.compile(r"[a-z]{2,8}\Z")
 _ROWS_PER_WRITE = 512
@@ -128,9 +129,6 @@ class CorpusManifest:
                 return entry
         raise KeyError(f"no shard {shard_id!r} in manifest")
 
-    def by_origin(self, origin: OriginPool) -> list[ShardEntry]:
-        return [s for s in self.shards if s.origin == origin]
-
 
 @dataclass
 class LanguageStats:
@@ -148,6 +146,84 @@ class LanguageStats:
         return sum(self.per_direction.values())
 
 
+def read_table(path: str | Path, arity: int, parse: Callable[..., object],
+               error: type[TableError] = TableError) -> list:
+    """``parse(*fields)`` of every row of a TSV table, in file order.
+
+    A line ends at ``\\n`` or ``\\r\\n`` and the last may have no end; any
+    other ``\\r`` is an error. Blank lines and lines whose first non-blank
+    character is ``#`` are skipped; every other line must have ``arity``
+    tab-separated fields. A ValueError on a row, from these checks or from
+    ``parse``, becomes ``error(path, line_no, reason)``; a TableError raised
+    by ``parse`` keeps its own class and gets the row's location.
+    """
+    rows = []
+    with Path(path).open(encoding="utf-8", newline="\n") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+            try:
+                if "\r" in line:
+                    raise ValueError(STRAY_CR)
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != arity:
+                    raise ValueError(f"expected {arity} fields, got {len(fields)}")
+                rows.append(parse(*fields))
+            except TableError as exc:
+                raise type(exc)(path, line_no, exc.reason) from None
+            except ValueError as exc:
+                raise error(path, line_no, str(exc)) from None
+    return rows
+
+
+def write_table(path: str | Path, rows: Iterable[Iterable[object]],
+                header: Iterable[str] | None = None) -> None:
+    """Write each row as its fields (through ``str``) joined by tabs, after a
+    ``# col<TAB>...`` line when ``header`` names the columns.
+
+    Raises TableError, before the file is opened, for a row that would not
+    read back as written: a field holding a tab or a line break, or a row
+    that ``read_table`` would skip as blank or as a comment.
+    """
+    lines = [] if header is None else ["# " + "\t".join(header)]
+    for row in rows:
+        fields = list(map(str, row))
+        line = "\t".join(fields)
+        if (line.count("\t") != len(fields) - 1 or "\n" in line or "\r" in line
+                or line.lstrip()[:1] in ("", "#")):   # read_table would skip it
+            raise TableError(path, len(lines) + 1,
+                             f"row would not read back as written: {fields!r}")
+        lines.append(line)
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a plain text file without their ends, under the table
+    line policy: ``\\n`` or ``\\r\\n`` ends, the last line may have none,
+    and any other ``\\r`` raises MalformedLineError naming its line. Reads
+    256k characters at a time, so the text is never held next to its lines.
+    """
+    lines: list[str] = []
+    rest = ""   # the start of a line the next chunk ends
+    with Path(path).open(encoding="utf-8", newline="\n") as fh:
+        while chunk := fh.read(1 << 18):
+            text = rest + chunk
+            if "\r" in text:
+                text = text.replace("\r\n", "\n")
+                # A last \r may begin a \r\n that the next chunk ends.
+                if (cr := text.find("\r", 0, len(text) - 1)) >= 0:
+                    raise MalformedLineError(path, len(lines) + text.count("\n", 0, cr) + 1, STRAY_CR)
+            *done, rest = text.split("\n")
+            lines += done
+    if "\r" in rest:
+        raise MalformedLineError(path, len(lines) + 1, STRAY_CR)
+    if rest:
+        lines.append(rest)
+    return lines
+
+
 def load_manifest(path: str | Path, verify: bool = False) -> CorpusManifest:
     """Read a manifest file.
 
@@ -155,31 +231,20 @@ def load_manifest(path: str | Path, verify: bool = False) -> CorpusManifest:
     recounted and a mismatch raises ManifestError.
     """
     path = Path(path)
-    root = path.parent
-    shards: list[ShardEntry] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ManifestError(path, line_no, f"expected 5 fields, got {len(fields)}")
-            raw, src, tgt, origin_text, count_text = fields
-            if raw in seen:
-                raise DuplicateShardPathError(path, line_no, f"duplicate shard path {raw!r}")
-            seen.add(raw)
-            try:
-                direction = Direction(src, tgt)
-                origin = OriginPool.parse(origin_text)
-                count = int(count_text)
-                if count < 0:
-                    raise ValueError("negative line count")
-            except ValueError as exc:
-                raise ManifestError(path, line_no, str(exc)) from None
-            shards.append(ShardEntry(raw, root / raw, direction, origin, count))
-    manifest = CorpusManifest(shards, root)
+
+    def shard(raw, src, tgt, origin_text, count_text) -> ShardEntry:
+        if raw in seen:   # read_table puts in the line number
+            raise DuplicateShardPathError(path, 0, f"duplicate shard path {raw!r}")
+        seen.add(raw)
+        direction = Direction(src, tgt)
+        origin = OriginPool.parse(origin_text)
+        count = int(count_text)
+        if count < 0:
+            raise ValueError("negative line count")
+        return ShardEntry(raw, path.parent / raw, direction, origin, count)
+
+    manifest = CorpusManifest(read_table(path, 5, shard, ManifestError), path.parent)
     if verify:
         for entry in manifest.shards:
             actual = count_lines(entry.path)
@@ -193,13 +258,8 @@ def load_manifest(path: str | Path, verify: bool = False) -> CorpusManifest:
 
 
 def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for entry in manifest.shards:
-            fh.write(
-                f"{entry.raw_path}\t{entry.direction.src}\t{entry.direction.tgt}"
-                f"\t{entry.origin.value}\t{entry.declared_line_count}\n"
-            )
+    write_table(path, ((e.raw_path, e.direction.src, e.direction.tgt, e.origin.value,
+                        e.declared_line_count) for e in manifest.shards))
 
 
 def count_lines(path: Path) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Direction
+from .corpus import Direction, read_table
 from .errors import InvalidScheduleError
 from .sampling import MixtureWeights
 
@@ -185,8 +185,7 @@ def average_checkpoints(checkpoints: Sequence[ParamVector]) -> list[float]:
 #   directions: "all" or comma-separated "src-tgt" list
 #   lambdas:    "l1,l2,l3"
 
-def parse_stage_line(line: str) -> StageDescriptor:
-    stage_id, tier_text, dirs_text, lambdas, enc, dec = line.split("\t")
+def _stage(stage_id, tier_text, dirs_text, lambdas, enc, dec) -> StageDescriptor:
     if tier_text == "noisy":
         tier: DataTier = Noisy()
     elif tier_text.startswith("clean:"):
@@ -204,14 +203,4 @@ def parse_stage_line(line: str) -> StageDescriptor:
 
 def load_schedule(path: str | Path) -> list[StageDescriptor]:
     """Parse and validate a schedule file."""
-    stages = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                stages.append(parse_stage_line(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return stage_schedule(stages)
+    return stage_schedule(read_table(path, 6, _stage))

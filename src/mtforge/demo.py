@@ -23,18 +23,11 @@ from .augmentation import (
     run_plan,
 )
 from .cleaning import FilterConfig, filter_corpus
-from .corpus import (
-    CorpusManifest,
-    Direction,
-    OriginPool,
-    ShardEntry,
-    corpus_stats,
-    write_manifest,
-    write_shard,
-)
+from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, corpus_stats,
+                     write_manifest, write_shard, write_table)
 from .evaluation import ScoreMatrix, corpus_bleu, evaluate_directions
 from .routing import build_routing_table, route_translate
-from .sampling import BatchScheduler, MixtureWeights, language_distribution
+from .sampling import BatchScheduler, MixtureWeights, language_distribution, write_composition
 from .subword import DEFAULT_VOCAB, SubwordTokenizer
 from .translator import (
     CipherLanguage,
@@ -164,13 +157,8 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0,
     dist = language_distribution(stats, temperature=5.0)
     weights = MixtureWeights(0.6, 0.2, 0.2)
     scheduler = BatchScheduler(merged, dist, weights, batch_size, seed=rng.randrange(2**63))
-    with scheduler, (reports / "composition.tsv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# batch\tlanguage\torigin\tcount\n")
-        for b in range(batches):
-            batch = scheduler.next_batch()
-            for (lang, origin), n in sorted(batch.composition.items(),
-                                            key=lambda kv: (kv[0][0], kv[0][1].value)):
-                fh.write(f"{b}\t{lang}\t{origin.value}\t{n}\n")
+    with scheduler:
+        write_composition(scheduler, batches, reports / "composition.tsv")
     summary.append(("sample", "batches", str(batches)))
     summary.append(("sample", "batch_size", str(batch_size)))
 
@@ -216,8 +204,5 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0,
     summary.append(("bleu", "devtest_avg_all", f"{routed_matrix.avg_all:.2f}"))
 
     summary_path = reports / "summary.tsv"
-    with summary_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# stage\tkey\tvalue\n")
-        for stage, key, value in summary:
-            fh.write(f"{stage}\t{key}\t{value}\n")
+    write_table(summary_path, summary, header=("stage", "key", "value"))
     return summary_path

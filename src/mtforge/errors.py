@@ -9,8 +9,9 @@ class MTForgeError(Exception):
     """Base class for toolkit validation errors."""
 
 
-class ManifestError(MTForgeError):
-    """A manifest file could not be parsed."""
+class TableError(MTForgeError, ValueError):
+    """A row of a TSV table or report is malformed, located at ``path:line``
+    (line 0 when the fault is in the table as a whole)."""
 
     def __init__(self, path, line_no, reason):
         super().__init__(f"{path}:{line_no}: {reason}")
@@ -19,13 +20,17 @@ class ManifestError(MTForgeError):
         self.reason = reason
 
 
+class ManifestError(TableError):
+    """A manifest file could not be parsed or disagrees with its shards."""
+
+
 class DuplicateShardPathError(ManifestError):
     """The same shard path is listed twice in one manifest."""
 
 
 class MalformedLineError(MTForgeError):
-    """A corpus line does not contain exactly one tab separator, or holds a
-    carriage return outside a CRLF line end."""
+    """A shard line does not hold exactly one tab, or a line of a shard or of a
+    plain-text file (then ``shard_id`` is its path) holds a stray ``\\r``."""
 
     def __init__(self, shard_id, line_no, reason="expected exactly one tab separator"):
         super().__init__(f"{shard_id}:{line_no}: {reason}")

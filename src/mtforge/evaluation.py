@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Direction
+from .corpus import Direction, read_table, write_table
 from .errors import EmptyCorpusError, LengthMismatchError
 from .subword import SubwordTokenizer, default_tokenizer
 from .translator import (
@@ -27,6 +27,7 @@ from .translator import (
 )
 
 MAX_ORDER = 4
+ENGLISH = "en"   # the language the ScoreMatrix direction classes are relative to
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,6 @@ class ScoreMatrix:
     """
 
     scores: dict[Direction, BleuScore]
-    english: str = "en"
 
     def _mean(self, directions) -> float | None:
         values = [self.scores[d].score for d in directions]
@@ -108,43 +108,34 @@ class ScoreMatrix:
 
     @property
     def avg_x_to_en(self) -> float | None:
-        return self._mean([d for d in self.scores if d.tgt == self.english])
+        return self._mean([d for d in self.scores if d.tgt == ENGLISH])
 
     @property
     def avg_en_to_y(self) -> float | None:
-        return self._mean([d for d in self.scores if d.src == self.english])
+        return self._mean([d for d in self.scores if d.src == ENGLISH])
 
     @property
     def avg_x_to_y(self) -> float | None:
-        return self._mean([d for d in self.scores
-                           if self.english not in (d.src, d.tgt)])
+        return self._mean([d for d in self.scores if ENGLISH not in (d.src, d.tgt)])
 
     @property
     def avg_all(self) -> float | None:
         return self._mean(list(self.scores))
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# src\ttgt\tscore\tp1\tp2\tp3\tp4\tbp\thyp_len\tref_len\n")
-            for d in sorted(self.scores):
-                s = self.scores[d]
-                ps = "\t".join(f"{p:.6f}" for p in s.precisions)
-                fh.write(f"{d.src}\t{d.tgt}\t{s.score:.6f}\t{ps}"
-                         f"\t{s.brevity_penalty:.6f}\t{s.hyp_len}\t{s.ref_len}\n")
+        write_table(path, (
+            (d.src, d.tgt, *(f"{x:.6f}" for x in (s.score, *s.precisions, s.brevity_penalty)),
+             s.hyp_len, s.ref_len)
+            for d, s in sorted(self.scores.items())
+        ), header="src tgt score p1 p2 p3 p4 bp hyp_len ref_len".split())
 
     @classmethod
-    def load(cls, path: str | Path, english: str = "en") -> "ScoreMatrix":
-        scores: dict[Direction, BleuScore] = {}
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                src, tgt, score, p1, p2, p3, p4, bp, hl, rl = line.split("\t")
-                scores[Direction(src, tgt)] = BleuScore(
-                    float(score), (float(p1), float(p2), float(p3), float(p4)),
-                    float(bp), int(hl), int(rl))
-        return cls(scores, english)
+    def load(cls, path: str | Path) -> "ScoreMatrix":
+        def row(src, tgt, score, p1, p2, p3, p4, bp, hyp_len, ref_len):
+            return Direction(src, tgt), BleuScore(
+                float(score), (float(p1), float(p2), float(p3), float(p4)),
+                float(bp), int(hyp_len), int(ref_len))
+        return cls(dict(read_table(path, 10, row)))
 
 
 DevSet = Mapping[Direction, tuple[Sequence[str], Sequence[str]]]
@@ -156,7 +147,6 @@ def evaluate_directions(
     config: DecodingConfig | None = None,
     strategy: Strategy = Direct(),
     tokenizer: SubwordTokenizer | None = None,
-    english: str = "en",
 ) -> ScoreMatrix:
     """Score every devset direction under one decoding strategy.
 
@@ -175,4 +165,4 @@ def evaluate_directions(
         else:
             hyps = translator.translate(sources, direction, config)
         scores[direction] = corpus_bleu(hyps, references, tok)
-    return ScoreMatrix(scores, english)
+    return ScoreMatrix(scores)

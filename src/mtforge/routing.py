@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Direction
+from .corpus import Direction, read_table, write_table
 from .errors import DirectionSetMismatchError, UnknownDirectionError
 from .evaluation import ScoreMatrix
 from .translator import (
@@ -37,28 +37,23 @@ class RoutingTable:
     pivot_lang: str
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# src\ttgt\tstrategy\tpivot_lang\tbleu_direct\tbleu_pivot\n")
-            for d in sorted(self.entries):
-                e = self.entries[d]
-                kind = "pivot" if isinstance(e.strategy, PivotVia) else "direct"
-                fh.write(f"{d.src}\t{d.tgt}\t{kind}\t{self.pivot_lang}"
-                         f"\t{e.bleu_direct:.6f}\t{e.bleu_pivot:.6f}\n")
+        write_table(path, (
+            (d.src, d.tgt, "pivot" if isinstance(e.strategy, PivotVia) else "direct",
+             self.pivot_lang, f"{e.bleu_direct:.6f}", f"{e.bleu_pivot:.6f}")
+            for d, e in sorted(self.entries.items())
+        ), header="src tgt strategy pivot_lang bleu_direct bleu_pivot".split())
 
     @classmethod
     def load(cls, path: str | Path) -> "RoutingTable":
-        entries: dict[Direction, RouteEntry] = {}
-        pivot_lang = "en"
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                src, tgt, kind, pivot_lang, direct_text, pivot_text = line.split("\t")
-                strategy: Strategy = PivotVia(pivot_lang) if kind == "pivot" else Direct()
-                entries[Direction(src, tgt)] = RouteEntry(
-                    strategy, float(direct_text), float(pivot_text))
-        return cls(entries, pivot_lang)
+        """The pivot language is the last row's (``en`` for an empty table)."""
+        def row(src, tgt, kind, pivot_lang, direct_text, pivot_text):
+            if kind not in ("direct", "pivot"):
+                raise ValueError(f"unknown strategy {kind!r}")
+            strategy: Strategy = PivotVia(pivot_lang) if kind == "pivot" else Direct()
+            return Direction(src, tgt), RouteEntry(
+                strategy, float(direct_text), float(pivot_text)), pivot_lang
+        rows = read_table(path, 6, row)
+        return cls({d: e for d, e, _ in rows}, rows[-1][2] if rows else "en")
 
 
 def build_routing_table(

@@ -18,16 +18,11 @@ from bisect import bisect
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
+from pathlib import Path
 from typing import BinaryIO, Mapping
 
-from .corpus import (
-    STRAY_CR,
-    CorpusManifest,
-    Direction,
-    LanguageStats,
-    OriginPool,
-    SentencePair,
-)
+from .corpus import (STRAY_CR, CorpusManifest, Direction, LanguageStats, OriginPool,
+                     SentencePair, write_table)
 from .errors import EmptyPoolError, MalformedLineError
 
 # Bytes of whole lines validated per step of the index pass.
@@ -300,3 +295,13 @@ class BatchScheduler:
                 key = (lang, pair.origin)
                 composition[key] = composition.get(key, 0) + 1
         return Batch(pairs, composition)
+
+
+def write_composition(scheduler: BatchScheduler, batches: int, path: str | Path) -> None:
+    """Draw ``batches`` batches and write the composition report: per batch,
+    one ``batch language origin count`` row per (language, pool), sorted."""
+    rows = []
+    for b in range(batches):
+        composition = scheduler.next_batch().composition
+        rows += sorted((b, lang, origin.value, n) for (lang, origin), n in composition.items())
+    write_table(path, rows, header="batch language origin count".split())

@@ -17,6 +17,7 @@ from mtforge.corpus import Direction, OriginPool
 from mtforge.errors import (
     EmptyMonolingualError,
     EnglishInPairError,
+    MalformedLineError,
     NothingToDoError,
     UnsupportedDirectionError,
 )
@@ -174,6 +175,15 @@ class TestRunPlan:
     def test_empty_plan(self, translator, tmp_path):
         manifest = run_plan(AugmentationPlan([]), translator, None, tmp_path / "out")
         assert manifest.shards == []
+
+    def test_stray_carriage_return_in_input(self, translator, tmp_path):
+        # Text mode would translate four lines; the file has three.
+        path = tmp_path / "mono.en.txt"
+        path.write_bytes(b"the cat sat\r\ngood day\rto you\nwe want water\n")
+        plan = plan_backtranslation(MonoCorpusRef(path, "en"), ["hr"])
+        with pytest.raises(MalformedLineError) as err:
+            run_plan(plan, translator, None, tmp_path / "out")
+        assert err.value.line_no == 2
 
     def test_manifest_counts_match_files(self, mono, translator, tmp_path):
         plan = plan_backtranslation(mono, ["hr", "hu"])

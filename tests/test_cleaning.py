@@ -286,6 +286,25 @@ class TestShuffleDataset:
         assert sorted(out.read_text(encoding="utf-8").splitlines()) == \
             ["a1\ta2", "a3\ta4", "b1\tb2"]
 
+    def test_stray_carriage_return_raises(self, tmp_path):
+        # One line by count_lines; text mode would write two.
+        (tmp_path / "a.tsv").write_bytes(b"s0\tt0\ns1\tt1\rs2\tt2\n")
+        (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t2\n", encoding="utf-8")
+        manifest = load_manifest(tmp_path / "m.tsv", verify=True)
+        with pytest.raises(MalformedLineError) as err:
+            shuffle_dataset(manifest, 5, tmp_path / "out.tsv")
+        assert (err.value.shard_id, err.value.line_no) == ("a.tsv", 2)
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_crlf_shard_gives_lf_output(self, tmp_path):
+        (tmp_path / "a.tsv").write_bytes(b"s1\tt1\r\ns2\tt2\r\ns3\tt3")
+        (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t3\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        assert shuffle_dataset(load_manifest(tmp_path / "m.tsv", verify=True), 5, out) == 3
+        data = out.read_bytes()
+        assert b"\r" not in data and data.count(b"\n") == 3
+        assert sorted(data.decode().splitlines()) == ["s1\tt1", "s2\tt2", "s3\tt3"]
+
 
 class TestFilterCorpus:
     def test_writes_filtered_shards_and_rejects(self, make_corpus, tmp_path):
@@ -354,3 +373,14 @@ class TestFilterCorpus:
         with pytest.raises(error):
             filter_corpus(manifest, FilterConfig(), TOK, tmp_path / "clean",
                           langid_dir=langid_dir)
+
+    def test_stray_carriage_return_in_sidecar(self, make_corpus, tmp_path):
+        # Text mode would read three verdicts here; count_lines counts two.
+        manifest = make_corpus([("a.tsv", "hr-en", "bitext", [("s1", "t1"), ("s2", "t2")])])
+        langid_dir = tmp_path / "langid"
+        langid_dir.mkdir()
+        (langid_dir / "a.tsv.langid").write_bytes(b"hr\ten\r\nhr\ten\rde\ten\n")
+        with pytest.raises(MalformedLineError) as err:
+            filter_corpus(manifest, FilterConfig(), TOK, tmp_path / "clean",
+                          langid_dir=langid_dir)
+        assert err.value.line_no == 2 and "a.tsv.langid" in str(err.value)

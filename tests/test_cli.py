@@ -74,6 +74,14 @@ class TestBleu:
         ref.write_text("a\nb\n", encoding="utf-8")
         assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 1
 
+    def test_stray_carriage_return_in_hypotheses(self, tmp_path, capsys):
+        # Text mode would read two hypotheses against two references.
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_bytes(b"a b\rc d\n")
+        ref.write_text("a b\nc d\n", encoding="utf-8")
+        assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 1
+        assert f"{hyp}:1: carriage return" in capsys.readouterr().err
+
     def test_fixed_tsv_shape(self, tmp_path, capsys):
         hyp = tmp_path / "h.txt"
         ref = tmp_path / "r.txt"

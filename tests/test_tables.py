@@ -1,0 +1,306 @@
+"""The shared TSV table layer: ``read_table``/``write_table`` and every format
+built on them (manifest, score matrix, routing table, augmentation plan,
+schedule), plus the plain-line reader ``read_lines``."""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mtforge.augmentation import (
+    AugmentationPlan,
+    AugmentationTask,
+    TaskKind,
+    TaskOutput,
+    load_plan,
+    save_plan,
+)
+from mtforge.corpus import (
+    STRAY_CR,
+    CorpusManifest,
+    Direction,
+    OriginPool,
+    ShardEntry,
+    load_manifest,
+    read_lines,
+    read_table,
+    write_manifest,
+    write_table,
+)
+from mtforge.curriculum import (
+    RATIO_LADDER,
+    AllDirections,
+    Clean,
+    Noisy,
+    SelectedDirections,
+    StageDescriptor,
+    load_schedule,
+)
+from mtforge.errors import (
+    DuplicateShardPathError,
+    MalformedLineError,
+    ManifestError,
+    TableError,
+)
+from mtforge.evaluation import BleuScore, ScoreMatrix
+from mtforge.routing import RouteEntry, RoutingTable
+from mtforge.sampling import MixtureWeights
+from mtforge.translator import Direct, PivotVia
+
+# One good row per format, as its loader reads it.
+GOOD_ROWS = {
+    "manifest": "a.tsv\thr\ten\tbitext\t3",
+    "scores": "hr\ten\t12.500000\t0.5\t0.4\t0.3\t0.2\t1.0\t10\t11",
+    "routing": "hr\thu\tpivot\ten\t10.000000\t12.000000",
+    "plan": "bt\tmono.txt\tlang=en\ten-hr\thr-en:back_translation",
+    "schedule": "s1\tclean:2.0\tall\t0.6,0.2,0.2\t6\t6",
+}
+LOADERS = {
+    "manifest": load_manifest,
+    "scores": ScoreMatrix.load,
+    "routing": RoutingTable.load,
+    "plan": load_plan,
+    "schedule": load_schedule,
+}
+# A row whose field count is right but whose value is not.
+BAD_VALUES = {
+    "manifest": "a.tsv\thr\ten\tbitext\tmany",
+    "scores": "hr\ten\thigh\t0.5\t0.4\t0.3\t0.2\t1.0\t10\t11",
+    "routing": "hr\thu\tpviot\ten\t10.000000\t12.000000",
+    "plan": "bt\tmono.txt\tlang=en\ten-EN\thr-en:back_translation",
+    "schedule": "s1\tclean:2.2\tall\t0.6,0.2,0.2\t6\t6",
+}
+
+
+def _bad_rows(fmt):
+    good = GOOD_ROWS[fmt]
+    return {
+        "short": good.rsplit("\t", 1)[0],
+        "bad_value": BAD_VALUES[fmt],
+        # Text mode would split this row in two at the \r.
+        "stray_cr": good.replace("\t", "\r\t", 1),
+    }
+
+
+@pytest.mark.parametrize("fmt", sorted(LOADERS))
+@pytest.mark.parametrize("case", ["short", "bad_value", "stray_cr"])
+def test_loader_errors_are_located(tmp_path, fmt, case):
+    path = tmp_path / f"{fmt}.tsv"
+    path.write_bytes(f"# columns\n\n{_bad_rows(fmt)[case]}\n".encode())
+    with pytest.raises(TableError) as err:
+        LOADERS[fmt](path)
+    assert err.value.path == path and err.value.line_no == 3
+    assert str(err.value).startswith(f"{path}:3: ")
+    if case == "stray_cr":
+        assert err.value.reason == STRAY_CR
+    if fmt == "manifest":
+        assert isinstance(err.value, ManifestError)
+
+
+@pytest.mark.parametrize("fmt", sorted(LOADERS))
+def test_loaders_share_one_line_policy(tmp_path, fmt):
+    """CRLF ends, an indented comment, blank and whitespace-only lines and a
+    last line without an end all read as LF text with those lines skipped."""
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_text(f"{GOOD_ROWS[fmt]}\n", encoding="utf-8")
+    crlf.write_bytes(f"  # note\r\n\r\n \t \r\n{GOOD_ROWS[fmt]}".encode())
+    loaded, expected = LOADERS[fmt](crlf), LOADERS[fmt](lf)
+    if fmt == "manifest":
+        loaded, expected = loaded.shards, expected.shards
+    assert loaded == expected
+
+
+def test_duplicate_shard_path_is_located(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text("a.tsv\thr\ten\tbitext\t1\n# again\na.tsv\ten\thr\tbt\t1\n",
+                    encoding="utf-8")
+    with pytest.raises(DuplicateShardPathError) as err:
+        load_manifest(path)
+    assert err.value.line_no == 3 and str(err.value).startswith(f"{path}:3: ")
+
+
+def test_read_table_locates_errors_raised_by_parse(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("1\t2\n3\tx\n", encoding="utf-8")
+    with pytest.raises(TableError, match=r":2: invalid literal") as err:
+        read_table(path, 2, lambda a, b: (int(a), int(b)))
+    assert type(err.value) is TableError
+
+
+@pytest.mark.parametrize("row", [("a\tb", "x"), ("a\nb", "x"), ("a", "b\rc"), ("", ""),
+                                 (" ", "#a"), ("#a", "x"), (" #a", "x")])
+def test_write_table_rejects_rows_that_would_not_read_back(tmp_path, row):
+    path = tmp_path / "t.tsv"
+    with pytest.raises(TableError) as err:
+        write_table(path, [("ok", "row"), row], header=("c1", "c2"))
+    assert err.value.line_no == 3
+    assert not path.exists()
+
+
+def test_save_plan_rejects_tab_in_input_path(tmp_path):
+    task = AugmentationTask(TaskKind.BACK_TRANSLATION, Path("mono\tcopy.txt"), "en", None,
+                            (Direction("en", "hr"),),
+                            (TaskOutput(Direction("hr", "en"), OriginPool.BACK_TRANSLATION),))
+    with pytest.raises(TableError, match="mono\\\\tcopy"):
+        save_plan(AugmentationPlan([task]), tmp_path / "plan.tsv")
+
+
+def test_write_table_header_and_fields(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_table(path, [(0, "hr", 1.5), ("x y", "#", "")], header=("a", "b", "c"))
+    assert path.read_bytes() == "# a\tb\tc\n0\thr\t1.5\nx y\t#\t\n".encode()
+    assert read_table(path, 3, lambda *f: f) == [("0", "hr", "1.5"), ("x y", "#", "")]
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("data, lines", [
+        (b"", []),
+        (b"\n", [""]),
+        (b"a\nb\n", ["a", "b"]),
+        (b"a\r\nb", ["a", "b"]),
+        (b"a\n\nb\r\n", ["a", "", "b"]),
+        ("a b\x85c\x1cd\tz\n".encode(), ["a b\x85c\x1cd\tz"]),
+    ])
+    def test_line_ends(self, tmp_path, data, lines):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        assert read_lines(path) == lines
+
+    @pytest.mark.parametrize("data, line_no", [
+        (b"a\rb\n", 1), (b"a\r\nb\r\r\n", 2), (b"a\nb\nc\r", 3), (b"\r\n\r", 2),
+    ])
+    def test_stray_cr(self, tmp_path, data, line_no):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(MalformedLineError, match=f":{line_no}: {STRAY_CR}") as err:
+            read_lines(path)
+        assert err.value.line_no == line_no
+
+
+def _policy_lines(text: str) -> list[str] | int:
+    """``read_lines`` one line at a time: the lines, or the number of the
+    first line holding a stray ``\\r``."""
+    *ended, last = text.split("\n")
+    lines = [line.removesuffix("\r") for line in ended] + ([last] if last else [])
+    for line_no, line in enumerate(lines, start=1):
+        if "\r" in line:
+            return line_no
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(pad=st.sampled_from([0, 2**18 - 2, 2**18 - 1, 2**18, 2**19 - 1]),
+       pieces=st.lists(st.sampled_from(["x", "é", "\x85", "\n", "\r\n", "\r"]), max_size=12))
+def test_read_lines_matches_per_line_policy(pad, pieces):
+    """Line ends and stray \\r found alike wherever a read chunk ends."""
+    text = "a" * pad + "".join(pieces)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = _policy_lines(text)
+        if isinstance(expected, int):
+            with pytest.raises(MalformedLineError) as err:
+                read_lines(path)
+            assert err.value.line_no == expected
+        else:
+            assert read_lines(path) == expected
+
+
+# --- save -> load round trips ------------------------------------------------
+
+_LANGS = st.from_regex(r"[a-z]{2,8}", fullmatch=True)
+_DIRECTIONS = st.tuples(_LANGS, _LANGS).filter(lambda p: p[0] != p[1]) \
+    .map(lambda p: Direction(*p))
+# Any text a field may hold: no tab, no line break that read_table splits on.
+_FIELD = st.text(st.characters(blacklist_categories=("Cs",),
+                               blacklist_characters="\t\n\r"), max_size=12)
+# A first field must not make its row read back as a comment.
+_FIRST_FIELD = _FIELD.filter(lambda f: not f.lstrip().startswith("#"))
+# Values on the six-decimal grid that the score formats write.
+_SCORES = st.integers(0, 100_000_000).map(lambda i: i / 1e6)
+
+
+def _round_trip(save, load):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.tsv"
+        save(path)
+        return load(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_FIRST_FIELD, _DIRECTIONS, st.sampled_from(OriginPool),
+                               st.integers(0, 2**63)),
+                     unique_by=lambda r: r[0], max_size=6))
+def test_manifest_round_trip(rows):
+    manifest = CorpusManifest([ShardEntry(raw, Path(raw), d, o, n) for raw, d, o, n in rows])
+    loaded = _round_trip(lambda p: write_manifest(manifest, p), load_manifest)
+    assert [(e.raw_path, e.direction, e.origin, e.declared_line_count)
+            for e in loaded.shards] == [(raw, d, o, n) for raw, d, o, n in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scores=st.dictionaries(_DIRECTIONS, st.builds(
+    BleuScore, _SCORES, st.tuples(_SCORES, _SCORES, _SCORES, _SCORES), _SCORES,
+    st.integers(0, 10**9), st.integers(0, 10**9)), max_size=6))
+def test_score_matrix_round_trip(scores):
+    matrix = ScoreMatrix(scores)
+    assert _round_trip(matrix.save, ScoreMatrix.load) == matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(pivot=_LANGS, data=st.data())
+def test_routing_table_round_trip(pivot, data):
+    entries = data.draw(st.dictionaries(_DIRECTIONS, st.builds(
+        RouteEntry, st.sampled_from([Direct(), PivotVia(pivot)]), _SCORES, _SCORES),
+        max_size=6))
+    table = RoutingTable(entries, pivot)
+    loaded = _round_trip(table.save, RoutingTable.load)
+    assert loaded == (table if entries else RoutingTable({}, "en"))
+
+
+_TASKS = st.builds(
+    lambda kind, path, meta, needed, outputs: AugmentationTask(
+        kind, Path(path), *meta, tuple(needed), tuple(outputs)),
+    st.sampled_from(TaskKind), _FIELD,
+    st.one_of(_LANGS.map(lambda lang: (lang, None)), _DIRECTIONS.map(lambda d: (None, d))),
+    st.lists(_DIRECTIONS, min_size=1, max_size=3),
+    st.lists(st.builds(TaskOutput, _DIRECTIONS, st.sampled_from(OriginPool)),
+             min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tasks=st.lists(_TASKS, max_size=5))
+def test_plan_round_trip(tasks):
+    plan = AugmentationPlan(tasks)
+    assert _round_trip(lambda p: save_plan(plan, p), load_plan) == plan
+
+
+def _stage_row(s: StageDescriptor) -> tuple:
+    """A schedule row as the README describes the format."""
+    tier = "noisy" if isinstance(s.data_tier, Noisy) else f"clean:{s.data_tier.ratio_limit}"
+    dirs = "all" if isinstance(s.direction_set, AllDirections) \
+        else ",".join(sorted(map(str, s.direction_set.directions)))
+    m = s.mixture
+    return (s.stage_id, tier, dirs, f"{m.bitext!r},{m.back_translation!r},{m.dual_pseudo!r}",
+            s.encoder_layers, s.decoder_layers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tier=st.one_of(st.just(Noisy()), st.sampled_from(RATIO_LADDER).map(Clean)),
+       dirs=st.one_of(st.just(AllDirections()), st.frozensets(
+           _DIRECTIONS, min_size=1, max_size=4).map(SelectedDirections)),
+       stages=st.lists(st.tuples(_FIRST_FIELD, st.tuples(*[st.integers(0, 1000)] * 3)
+                                 .filter(any)), min_size=1, max_size=4),
+       encoder=st.lists(st.integers(1, 48), min_size=4, max_size=4),
+       decoder=st.integers(1, 12))
+def test_schedule_round_trip(tier, dirs, stages, encoder, decoder):
+    """A schedule that only deepens the encoder is valid with any mixtures."""
+    schedule = [StageDescriptor(stage_id, tier, dirs, MixtureWeights(*weights), enc, decoder)
+                for (stage_id, weights), enc in zip(stages, sorted(encoder))]
+    header = "stage_id tier directions lambdas enc dec".split()
+
+    def save(path):
+        write_table(path, map(_stage_row, schedule), header)
+    assert _round_trip(save, load_schedule) == schedule
