@@ -269,6 +269,8 @@ def save_plan(plan: AugmentationPlan, path: str | Path) -> None:
 
 def _task(kind_text, input_path, meta, needed_text, outputs_text) -> AugmentationTask:
     kind = TaskKind(kind_text)
+    if not meta.startswith(("lang=", "dir=")):
+        raise ValueError(f"input_meta must start with lang= or dir=, got {meta!r}")
     input_lang = meta[5:] if meta.startswith("lang=") else None
     input_direction = Direction.parse(meta[4:]) if meta.startswith("dir=") else None
     needed = tuple(Direction.parse(d) for d in needed_text.split(","))

@@ -11,6 +11,7 @@ File formats:
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 from itertools import islice
@@ -29,6 +30,14 @@ def check_lang_code(code: str) -> str:
     if not _LANG_RE.fullmatch(code):
         raise ValueError(f"invalid language code: {code!r}")
     return code
+
+
+def finite_float(text: str) -> float:
+    """Parse a number field of a table; NaN and the infinities are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 @dataclass(frozen=True, order=True)

@@ -4,6 +4,14 @@ BLEU-4 with modified (clipped) n-gram precision, corpus-level brevity
 penalty, and add-one smoothing applied to zero counts of order >= 2. With
 ``tokenizer=None`` segments are split on whitespace (pre-tokenized input);
 otherwise the subword tokenizer defines the token stream.
+
+``corpus_bleu`` works in two steps, as sacreBLEU does. Each segment adds its
+sufficient statistics to corpus sums: clipped matches and n-gram counts per
+order, and the hypothesis and reference lengths. ``bleu_from_stats`` then
+turns the sums into a ``BleuScore``. A segment whose hypothesis equals its
+reference is tokenized once and counts no n-grams: a deterministic tokenizer
+gives both sides the same ``L`` tokens, so order ``n`` has ``L - n + 1``
+n-grams and every one of them matches.
 """
 
 from __future__ import annotations
@@ -11,10 +19,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .corpus import Direction, read_table, write_table
+from .corpus import Direction, finite_float, read_table, write_table
 from .errors import EmptyCorpusError, LengthMismatchError
 from .subword import SubwordTokenizer, default_tokenizer
 from .translator import (
@@ -39,10 +48,6 @@ class BleuScore:
     ref_len: int
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
-
-
 def corpus_bleu(
     hyps: Sequence[str],
     refs: Sequence[str],
@@ -59,18 +64,54 @@ def corpus_bleu(
     totals = [0] * MAX_ORDER
     hyp_len = ref_len = 0
     for hyp, ref in zip(hyps, refs):
+        if hyp == ref:
+            length = len(split(hyp))
+            hyp_len += length
+            ref_len += length
+            for n in range(min(length, MAX_ORDER)):
+                matches[n] += length - n
+                totals[n] += length - n
+            continue
         hyp_tokens = split(hyp)
         ref_tokens = split(ref)
         hyp_len += len(hyp_tokens)
         ref_len += len(ref_tokens)
-        for n in range(1, MAX_ORDER + 1):
-            hyp_counts = _ngrams(hyp_tokens, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngrams(ref_tokens, n)
-            totals[n - 1] += sum(hyp_counts.values())
-            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        _add_clipped_matches(hyp_tokens, ref_tokens, matches, totals)
+    return bleu_from_stats(matches, totals, hyp_len, ref_len)
 
+
+def _orders(tokens: Sequence[str]) -> list[Iterator[tuple[str, ...]]]:
+    """The n-grams of ``tokens`` for n = 1 .. MAX_ORDER, one iterator each."""
+    shifted = [tokens[i:] for i in range(MAX_ORDER)]
+    return [zip(*shifted[:n]) for n in range(1, MAX_ORDER + 1)]
+
+
+def _add_clipped_matches(hyp_tokens: Sequence[str], ref_tokens: Sequence[str],
+                         matches: list[int], totals: list[int]) -> None:
+    """Add one segment's clipped n-gram matches and n-gram counts per order.
+
+    One Counter holds every order of the reference: tuples of different
+    lengths never collide. Clipping runs in C through ``map``. Once an
+    order's n-grams are all distinct, so are those of every higher order,
+    and a match is then just membership in the reference.
+    """
+    ref_counts = Counter(chain.from_iterable(_orders(ref_tokens)))
+    distinct = False
+    for n, grams in enumerate(_orders(hyp_tokens)):
+        totals[n] += max(0, len(hyp_tokens) - n)
+        if distinct:
+            matches[n] += sum(map(ref_counts.__contains__, grams))
+            continue
+        hyp_counts = Counter(grams)
+        matches[n] += sum(map(min, hyp_counts.values(),
+                              map(ref_counts.get, hyp_counts, repeat(0))))
+        distinct = len(hyp_counts) == len(hyp_tokens) - n
+
+
+def bleu_from_stats(matches: Sequence[int], totals: Sequence[int],
+                    hyp_len: int, ref_len: int) -> BleuScore:
+    """Corpus BLEU from summed sufficient statistics: clipped matches and
+    n-gram counts per order, and the hypothesis and reference lengths."""
     precisions = []
     for n in range(1, MAX_ORDER + 1):
         m, t = matches[n - 1], totals[n - 1]
@@ -133,8 +174,8 @@ class ScoreMatrix:
     def load(cls, path: str | Path) -> "ScoreMatrix":
         def row(src, tgt, score, p1, p2, p3, p4, bp, hyp_len, ref_len):
             return Direction(src, tgt), BleuScore(
-                float(score), (float(p1), float(p2), float(p3), float(p4)),
-                float(bp), int(hyp_len), int(ref_len))
+                finite_float(score), tuple(map(finite_float, (p1, p2, p3, p4))),
+                finite_float(bp), int(hyp_len), int(ref_len))
         return cls(dict(read_table(path, 10, row)))
 
 

@@ -8,11 +8,12 @@ validation split and applied unchanged to test data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Direction, read_table, write_table
-from .errors import DirectionSetMismatchError, UnknownDirectionError
+from .corpus import Direction, finite_float, read_table, write_table
+from .errors import DirectionSetMismatchError, MTForgeError, UnknownDirectionError
 from .evaluation import ScoreMatrix
 from .translator import (
     DecodingConfig,
@@ -51,7 +52,7 @@ class RoutingTable:
                 raise ValueError(f"unknown strategy {kind!r}")
             strategy: Strategy = PivotVia(pivot_lang) if kind == "pivot" else Direct()
             return Direction(src, tgt), RouteEntry(
-                strategy, float(direct_text), float(pivot_text)), pivot_lang
+                strategy, finite_float(direct_text), finite_float(pivot_text)), pivot_lang
         rows = read_table(path, 6, row)
         return cls({d: e for d, e, _ in rows}, rows[-1][2] if rows else "en")
 
@@ -61,7 +62,11 @@ def build_routing_table(
     pivot: ScoreMatrix,
     pivot_lang: str = "en",
 ) -> RoutingTable:
-    """Pick the better strategy per direction from two validation matrices."""
+    """Pick the better strategy per direction from two validation matrices.
+
+    A score that is not finite raises MTForgeError: no comparison with NaN
+    holds, so a NaN direct score would otherwise route through the pivot.
+    """
     if set(direct.scores) != set(pivot.scores):
         raise DirectionSetMismatchError(
             "direct and pivot matrices cover different direction sets")
@@ -69,6 +74,9 @@ def build_routing_table(
     for direction in sorted(direct.scores):
         d = direct.scores[direction].score
         p = pivot.scores[direction].score
+        if not (math.isfinite(d) and math.isfinite(p)):
+            raise MTForgeError(
+                f"{direction}: scores must be finite, got direct {d} and pivot {p}")
         if pivot_lang in (direction.src, direction.tgt) or d >= p:
             strategy: Strategy = Direct()
         else:

@@ -23,6 +23,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .corpus import finite_float, read_lines
+from .errors import TableError
 from .wordlist import COMMON_WORDS
 
 _SUBWORD_PIECES = [
@@ -89,15 +91,21 @@ class SubwordTokenizer:
     @classmethod
     def from_file(cls, path: str | Path) -> "SubwordTokenizer":
         """Load a vocabulary file: one piece per line, optional tab-separated
-        score (ignored by greedy matching but preserved)."""
+        score (ignored by greedy matching but preserved).
+
+        Lines follow the table line policy of ``read_lines``, but ``#`` and
+        whitespace are pieces, not comments or blanks; only empty lines are
+        skipped. A score that is not a finite number raises TableError.
+        """
         pieces: dict[str, float] = {}
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                piece, _, score = line.partition("\t")
-                pieces[piece] = float(score) if score else 0.0
+        for line_no, line in enumerate(read_lines(path), start=1):
+            if not line:
+                continue
+            piece, _, score = line.partition("\t")
+            try:
+                pieces[piece] = finite_float(score) if score else 0.0
+            except ValueError as exc:
+                raise TableError(path, line_no, str(exc)) from None
         return cls(pieces)
 
 

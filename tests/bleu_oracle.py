@@ -17,7 +17,9 @@ def clipped_matches(hyp_tokens, ref_tokens, n):
     return matched, len(hyp_ngrams)
 
 
-def bleu_oracle(hyps, refs, tokenize=str.split):
+def bleu_oracle_full(hyps, refs, tokenize=str.split):
+    """``(score, precisions, brevity_penalty, hyp_len, ref_len)``; every
+    segment is tokenized on both sides, identical or not."""
     matches = [0, 0, 0, 0]
     totals = [0, 0, 0, 0]
     hyp_len = ref_len = 0
@@ -42,7 +44,12 @@ def bleu_oracle(hyps, refs, tokenize=str.split):
             precisions.append(0.0)
 
     if hyp_len == 0 or precisions[0] == 0.0:
-        return 0.0
+        bp = 0.0 if hyp_len < ref_len else 1.0
+        return 0.0, tuple(precisions), bp, hyp_len, ref_len
     bp = math.exp(1 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
     log_mean = sum(math.log(p) for p in precisions) / 4
-    return 100.0 * bp * math.exp(log_mean)
+    return 100.0 * bp * math.exp(log_mean), tuple(precisions), bp, hyp_len, ref_len
+
+
+def bleu_oracle(hyps, refs, tokenize=str.split):
+    return bleu_oracle_full(hyps, refs, tokenize)[0]

@@ -1,6 +1,12 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build_manifest
 
 from mtforge.cleaning import (
     FilterConfig,
@@ -190,6 +196,18 @@ def test_ratio_ladder_monotone():
             assert not tight or loose
 
 
+@settings(max_examples=300, deadline=None)
+@given(source=st.text(alphabet="ab z\u0301", min_size=1, max_size=40),
+       target=st.text(alphabet="ab z\u0301", min_size=1, max_size=40),
+       limits=st.lists(st.floats(1.0, 50.0, exclude_min=True), min_size=2, max_size=2))
+def test_ratio_ladder_monotone_property(source, target, limits):
+    """Kept at ratio limit r implies kept at every r' > r, on any text."""
+    tight, loose = sorted(limits)
+    kept = [apply_filters(pair(source, target), FilterConfig(length_ratio_limit=r), TOK).kept
+            for r in (tight, loose)]
+    assert not kept[0] or kept[1]
+
+
 class TestPrefixLanguageTag:
     def test_tag_encodes_target_language(self):
         tagged = prefix_language_tag(pair("dobar dan", "good day", "hr-en"))
@@ -304,6 +322,29 @@ class TestShuffleDataset:
         data = out.read_bytes()
         assert b"\r" not in data and data.count(b"\n") == 3
         assert sorted(data.decode().splitlines()) == ["s1\tt1", "s2\tt2", "s3\tt3"]
+
+
+_LINE_TEXT = st.text(alphabet="ab \u00e9\x85\u2028", max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shards=st.lists(st.lists(st.tuples(_LINE_TEXT, _LINE_TEXT), max_size=12),
+                       min_size=1, max_size=3),
+       seed=st.integers(0, 2**32), lines_per_chunk=st.integers(1, 5))
+def test_shuffle_is_a_seeded_permutation(shards, seed, lines_per_chunk):
+    """The output holds every input line once, and the same seed gives the
+    same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        manifest = build_manifest(root, [(f"s{i}.tsv", "hr-en", "bitext", rows)
+                                         for i, rows in enumerate(shards)])
+        outputs = [root / "o1.tsv", root / "o2.tsv"]
+        counts = [shuffle_dataset(manifest, seed, out, lines_per_chunk) for out in outputs]
+        data = [out.read_bytes() for out in outputs]
+    expected = [f"{s}\t{t}" for rows in shards for s, t in rows]
+    assert counts == [len(expected)] * 2
+    assert data[0] == data[1]
+    assert sorted(data[0].decode().split("\n")[:-1]) == sorted(expected)
 
 
 class TestFilterCorpus:

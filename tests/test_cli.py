@@ -256,6 +256,17 @@ class TestAugmentCli:
                      "--translator", "magic", "--out", str(tmp_path / "a")]) == 1
 
 
+    def test_plan_with_unknown_input_meta(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.tsv"
+        plan_path.write_text("tri\tm.txt\tfoo\tmk-hr\thr-mk:dp\n", encoding="utf-8")
+        rc = main(["augment", "run", "--plan", str(plan_path),
+                   "--translator", "cipher:1", "--out", str(tmp_path / "aug")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{plan_path}:1: input_meta must start with lang= or dir=" in err
+        assert "Traceback" not in err
+
+
 class TestRouteCli:
     def test_build_and_translate(self, tmp_path, capsys):
         direct = tmp_path / "direct.tsv"

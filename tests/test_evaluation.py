@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bleu_oracle import bleu_oracle
+from bleu_oracle import bleu_oracle, bleu_oracle_full
 from mtforge.corpus import Direction
-from mtforge.errors import EmptyCorpusError, LengthMismatchError
+from mtforge.errors import (
+    EmptyCorpusError,
+    LengthMismatchError,
+    MalformedLineError,
+    TableError,
+)
 from mtforge.evaluation import ScoreMatrix, corpus_bleu, evaluate_directions
 from mtforge.subword import SubwordTokenizer, default_tokenizer
 from mtforge.translator import (
@@ -66,6 +71,28 @@ class TestSubwordTokenizer:
         tok = SubwordTokenizer.from_file(path)
         assert tok.tokenize("hello world") == ["hello", " ", "world"]
         assert tok.vocab["hello"] == -1.5
+
+    def test_vocab_file_keeps_comment_and_space_pieces(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"#\t-2\r\n \n\n  \t0.5\nab\r\n")
+        assert SubwordTokenizer.from_file(path).vocab == {"#": -2.0, " ": 0.0,
+                                                          "  ": 0.5, "ab": 0.0}
+
+    def test_vocab_file_stray_carriage_return(self, tmp_path):
+        # One line by count_lines; universal newlines would read two pieces.
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"ab\rcd\t-1.5\n")
+        with pytest.raises(MalformedLineError) as err:
+            SubwordTokenizer.from_file(path)
+        assert (err.value.shard_id, err.value.line_no) == (path, 1)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "high"])
+    def test_vocab_file_bad_score_is_located(self, tmp_path, score):
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"a\t-1\n\nb\t{score}\n", encoding="utf-8")
+        with pytest.raises(TableError) as err:
+            SubwordTokenizer.from_file(path)
+        assert (err.value.path, err.value.line_no) == (path, 3)
 
 
 # Letters, every kind of whitespace the run splitter must treat alike
@@ -195,6 +222,60 @@ class TestCorpusBleu:
             else:
                 assert score < 100.0
         assert hits > 100  # both branches exercised
+
+
+class CountingTokenizer:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def tokenize(self, text):
+        self.calls += 1
+        return self.inner.tokenize(text)
+
+
+class TestIdenticalSegments:
+    def test_identical_pairs_tokenize_once_per_segment(self):
+        tok = CountingTokenizer(default_tokenizer())
+        refs = ["the cat sat", "good day to you", "", "x"]
+        assert corpus_bleu(list(refs), refs, tok).score == 100.0
+        assert tok.calls == len(refs)
+
+    def test_differing_pairs_tokenize_twice_per_segment(self):
+        tok = CountingTokenizer(default_tokenizer())
+        hyps = ["the cat sat", "good day", "a", "x y"]
+        refs = ["the cat sits", "good day to you", "b", "y x"]
+        corpus_bleu(hyps, refs, tok)
+        assert tok.calls == 2 * len(refs)
+
+    def test_identical_segment_counts(self):
+        # 5 subword tokens: 5 + 4 + 3 + 2 n-grams, every one matched
+        result = corpus_bleu(["the cat sat"], ["the cat sat"], default_tokenizer())
+        assert (result.hyp_len, result.ref_len) == (5, 5)
+        assert result.precisions == (1.0, 1.0, 1.0, 1.0)
+        # "a b" adds 2 matched unigrams and 1 matched bigram and no 3- or
+        # 4-grams to the 3/4, 1/3, 0/2 and 0/1 of the differing segment.
+        mixed = corpus_bleu(["a b", "c d e f"], ["a b", "c d x f"])
+        assert mixed.precisions == (5 / 6, 2 / 4, (0 + 1) / (2 + 1), (0 + 1) / (1 + 1))
+
+
+_TEXT = st.text(alphabet="ab c\u0301", max_size=16)
+_BLEU_TOKENIZERS = {"split": None, "subword": SubwordTokenizer(["ab", "ba", "abc", "c a", " "])}
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=st.lists(st.tuples(_TEXT, _TEXT, st.integers(0, 3)), min_size=1, max_size=8),
+       share=st.integers(0, 4), tokenizer=st.sampled_from(sorted(_BLEU_TOKENIZERS)))
+def test_corpus_bleu_matches_oracle_with_identical_segments(segments, share, tokenizer):
+    """A drawn share (0, 1/4, ... 4/4) of the segments has hyp == ref; every
+    field of the score equals the brute-force oracle's."""
+    refs = [ref for ref, _, _ in segments]
+    hyps = [ref if k < share else hyp for ref, hyp, k in segments]
+    tok = _BLEU_TOKENIZERS[tokenizer]
+    result = corpus_bleu(hyps, refs, tok)
+    expected = bleu_oracle_full(hyps, refs, tok.tokenize if tok else str.split)
+    assert (result.score, result.precisions, result.brevity_penalty,
+            result.hyp_len, result.ref_len) == expected
 
 
 @pytest.fixture(scope="module")

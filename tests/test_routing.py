@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mtforge.corpus import Direction
-from mtforge.errors import DirectionSetMismatchError, UnknownDirectionError
+from mtforge.errors import DirectionSetMismatchError, MTForgeError, UnknownDirectionError
 from mtforge.evaluation import BleuScore, ScoreMatrix, corpus_bleu, evaluate_directions
 from mtforge.routing import RouteEntry, RoutingTable, build_routing_table, route_translate
 from mtforge.translator import (
@@ -53,6 +53,14 @@ class TestBuildRoutingTable:
         b = Direction("hu", "hr")
         with pytest.raises(DirectionSetMismatchError):
             build_routing_table(matrix({a: 1.0}), matrix({b: 1.0}), "en")
+
+    @pytest.mark.parametrize("direct, pivot", [
+        (math.nan, 25.0), (25.0, math.nan), (math.inf, 25.0), (20.0, -math.inf)])
+    def test_non_finite_score_rejected(self, direct, pivot):
+        # A NaN direct score fails d >= p and would silently route via the pivot.
+        d = Direction("hr", "hu")
+        with pytest.raises(MTForgeError, match="hr-hu"):
+            build_routing_table(matrix({d: direct}), matrix({d: pivot}), "en")
 
     def test_hybrid_dominates_on_validation(self):
         """The routed strategy's stored score is max(direct, pivot) for every

@@ -99,6 +99,30 @@ def test_loader_errors_are_located(tmp_path, fmt, case):
         assert isinstance(err.value, ManifestError)
 
 
+@pytest.mark.parametrize("row", [
+    "hr\ten\tnan\t0.5\t0.4\t0.3\t0.2\t1.0\t10\t11",
+    "hr\ten\t12.5\t0.5\tinf\t0.3\t0.2\t1.0\t10\t11",
+    "hr\ten\t12.5\t0.5\t0.4\t0.3\t0.2\t-inf\t10\t11",
+])
+def test_score_matrix_rejects_non_finite(tmp_path, row):
+    path = tmp_path / "scores.tsv"
+    path.write_text(f"{GOOD_ROWS['scores'].replace('hr', 'hu')}\n{row}\n", encoding="utf-8")
+    with pytest.raises(TableError) as err:
+        ScoreMatrix.load(path)
+    assert (err.value.path, err.value.line_no) == (path, 2)
+    assert "not a finite number" in err.value.reason
+
+
+@pytest.mark.parametrize("direct, pivot", [("nan", "12.0"), ("10.0", "inf"), ("-inf", "NaN")])
+def test_routing_table_rejects_non_finite(tmp_path, direct, pivot):
+    path = tmp_path / "routing.tsv"
+    path.write_text(f"# header\nhr\thu\tdirect\ten\t{direct}\t{pivot}\n", encoding="utf-8")
+    with pytest.raises(TableError) as err:
+        RoutingTable.load(path)
+    assert (err.value.path, err.value.line_no) == (path, 2)
+    assert "not a finite number" in err.value.reason
+
+
 @pytest.mark.parametrize("fmt", sorted(LOADERS))
 def test_loaders_share_one_line_policy(tmp_path, fmt):
     """CRLF ends, an indented comment, blank and whitespace-only lines and a
