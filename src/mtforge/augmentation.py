@@ -11,23 +11,27 @@ pool:
   * triangulation: one side of an existing (X1, Y1) bitext is translated
     into a third language, yielding (X1, Y2) or (X2, Y1).
 
-Planning is pure; ``run_plan`` does the translation and I/O. Each en->X
-pass over a given input is computed once and reused across tasks.
+Planning is pure; ``run_plan`` does the translation and I/O. It streams
+each input file one chunk of lines at a time, so its memory does not grow
+with the input. Each en->X pass over a chunk is computed once and shared by
+the tasks on that input. The translator is therefore called once per chunk
+per direction (an ``exec:`` command is started that many times), and must
+translate each sentence independently of the others in the call.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, read_lines,
+from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, iter_line_chunks,
                      read_table, write_shard, write_table)
 from .errors import (
     EmptyMonolingualError,
     EnglishInPairError,
+    MTForgeError,
     NothingToDoError,
     UnsupportedDirectionError,
 )
@@ -175,6 +179,26 @@ def plan_triangulation(
     return AugmentationPlan(tasks)
 
 
+def _task_problem(task: AugmentationTask) -> str | None:
+    """Why the task's input or directions do not fit its kind, if they do
+    not. A plan file may pair any kind with any input meta, and ``run_plan``
+    would otherwise crash or translate the wrong text."""
+    tri = task.kind is TaskKind.TRIANGULATION
+    if tri and (task.input_direction is None or task.input_lang is not None):
+        return "needs a bitext input (dir=)"
+    if not tri and (task.input_lang is None or task.input_direction is not None):
+        return "needs a monolingual input (lang=)"
+    needed = 2 if task.kind is TaskKind.DUAL_PSEUDO else 1
+    if len(task.needed) != needed:
+        return f"needs {needed} needed direction(s), got {len(task.needed)}"
+    if task.kind is not TaskKind.BACK_TRANSLATION and len(task.outputs) != 1:
+        return f"needs 1 output, got {len(task.outputs)}"
+    sides = (task.input_direction.src, task.input_direction.tgt) if tri else (task.input_lang,)
+    if any(d.src not in sides for d in task.needed):
+        return f"needs directions from {' or '.join(sides)}"
+    return None
+
+
 def run_plan(
     plan: AugmentationPlan,
     translator: Translator,
@@ -183,73 +207,90 @@ def run_plan(
 ) -> CorpusManifest:
     """Execute a plan, writing one shard per task output.
 
-    Fails fast (before writing anything) if the translator is missing any
-    needed direction. Every en->X translation pass over a given input file
-    is computed once and shared between tasks.
+    Fails fast, before writing anything, if the translator is missing a
+    needed direction (UnsupportedDirectionError) or a task does not fit its
+    kind (MTForgeError naming the task).
+
+    Each input file is then read one chunk of lines at a time
+    (``corpus.iter_line_chunks``), and each chunk's rows are appended to the
+    input's shards, reopening a shard for each append. So memory does not
+    grow with the input, and no descriptor is held per shard. Every en->X
+    pass over a chunk is computed once and shared by the tasks on that
+    input. The translator is called once per chunk per direction, so it must
+    translate each sentence independently of the others in the call.
+
+    A malformed input line raises after the rows of the earlier chunks are
+    written, so the shards may then be partial.
     """
     missing = sorted(plan.needed_directions - translator.supported_directions)
     if missing:
         raise UnsupportedDirectionError(
             "translator does not support: " + ", ".join(str(d) for d in missing))
+    for number, task in enumerate(plan.tasks, start=1):
+        if problem := _task_problem(task):
+            raise MTForgeError(
+                f"plan task {number} ({task.kind.value} {task.input_path}): {problem}")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    input_lines = cache(read_lines)
-
-    @cache
-    def translated(path: Path, direction: Direction) -> list[str]:
-        return translator.translate(input_lines(path), direction, config)
-
-    entries: list[ShardEntry] = []
+    # Name each task's shards in plan order and start them empty.
+    shards: list[list[Path]] = []
     used_names: set[str] = set()
-
-    def emit(kind: TaskKind, direction: Direction, origin: OriginPool,
-             rows: Iterable[tuple[str, str]]) -> None:
-        name = f"{kind.value}.{direction}.tsv"
-        if name in used_names:
-            i = 2
-            while f"{kind.value}.{direction}.{i}.tsv" in used_names:
-                i += 1
-            name = f"{kind.value}.{direction}.{i}.tsv"
-        used_names.add(name)
-        count = write_shard(out_dir / name, rows)
-        entries.append(ShardEntry(name, out_dir / name, direction, origin, count))
-
     for task in plan.tasks:
-        lines = input_lines(task.input_path)
-        if task.kind == TaskKind.BACK_TRANSLATION:
-            lang = task.needed[0].tgt
-            synthetic = translated(task.input_path, task.needed[0])
-            for output in task.outputs:
-                if output.direction.src == lang:
-                    emit(task.kind, output.direction, output.origin,
-                         zip(synthetic, lines))
-                else:
-                    emit(task.kind, output.direction, output.origin,
-                         zip(lines, synthetic))
-        elif task.kind == TaskKind.DUAL_PSEUDO:
-            out = task.outputs[0]
-            to_src, to_tgt = task.needed
-            xs = translated(task.input_path, to_src)
-            ys = translated(task.input_path, to_tgt)
-            emit(task.kind, out.direction, out.origin, zip(xs, ys))
-        else:  # TRIANGULATION
-            sources, targets = [], []
-            for line in lines:
-                s, _, t = line.partition("\t")
-                sources.append(s)
-                targets.append(t)
-            out = task.outputs[0]
-            hop = task.needed[0]
-            if hop.src == task.input_direction.tgt:
-                new = translator.translate(targets, hop, config)
-                emit(task.kind, out.direction, out.origin, zip(sources, new))
-            else:
-                new = translator.translate(sources, hop, config)
-                emit(task.kind, out.direction, out.origin, zip(new, targets))
+        shards.append([])
+        for output in task.outputs:
+            name = f"{task.kind.value}.{output.direction}.tsv"
+            i = 2
+            while name in used_names:
+                name = f"{task.kind.value}.{output.direction}.{i}.tsv"
+                i += 1
+            used_names.add(name)
+            write_shard(out_dir / name, ())
+            shards[-1].append(out_dir / name)
+    counts = dict.fromkeys((path for paths in shards for path in paths), 0)
 
-    return CorpusManifest(entries, out_dir)
+    by_input: dict[Path, list[tuple[AugmentationTask, list[Path]]]] = {}
+    for task, paths in zip(plan.tasks, shards):
+        by_input.setdefault(task.input_path, []).append((task, paths))
+
+    for input_path, tasks in by_input.items():
+        # The en->X passes that the input's bt and dual tasks share.
+        shared = dict.fromkeys(d for task, _ in tasks if task.kind != TaskKind.TRIANGULATION
+                               for d in task.needed)
+        for lines in iter_line_chunks(input_path):
+            translated = {d: translator.translate(lines, d, config) for d in shared}
+            for task, paths in tasks:
+                if task.kind == TaskKind.BACK_TRANSLATION:
+                    lang = task.needed[0].tgt
+                    synthetic = translated[task.needed[0]]
+                    for output, path in zip(task.outputs, paths):
+                        rows = zip(synthetic, lines) if output.direction.src == lang \
+                            else zip(lines, synthetic)
+                        counts[path] += write_shard(path, rows, append=True)
+                elif task.kind == TaskKind.DUAL_PSEUDO:
+                    to_src, to_tgt = task.needed
+                    counts[paths[0]] += write_shard(
+                        paths[0], zip(translated[to_src], translated[to_tgt]), append=True)
+                else:  # TRIANGULATION
+                    sources, targets = [], []
+                    for line in lines:
+                        s, _, t = line.partition("\t")
+                        sources.append(s)
+                        targets.append(t)
+                    hop = task.needed[0]
+                    if hop.src == task.input_direction.tgt:
+                        rows = zip(sources, translator.translate(targets, hop, config))
+                    else:
+                        rows = zip(translator.translate(sources, hop, config), targets)
+                    counts[paths[0]] += write_shard(paths[0], rows, append=True)
+            del lines, translated   # before the next chunk is read and translated
+
+    return CorpusManifest(
+        [ShardEntry(path.name, path, output.direction, output.origin, counts[path])
+         for task, paths in zip(plan.tasks, shards)
+         for output, path in zip(task.outputs, paths)],
+        out_dir)
 
 
 # --- plan file serialization (TSV, one task per line) -----------------------

@@ -59,15 +59,16 @@ def _tokenizer(args) -> SubwordTokenizer:
     return default_tokenizer()
 
 
-def _make_translator(spec: str, langs, directions):
-    """Build a translator from a ``cipher:SEED`` or ``exec:CMD`` spec."""
+def _make_translator(spec: str, langs, directions, timeout: float | None):
+    """Build a translator from a ``cipher:SEED`` or ``exec:CMD`` spec;
+    ``timeout`` limits each call of an ``exec:`` command."""
     if spec.startswith("cipher:"):
         seed = int(spec[len("cipher:"):])
         ciphers = [CipherLanguage.from_seed(lang, derive_language_seed(seed, lang))
                    for lang in sorted(set(langs) - {"en"})]
         return make_cipher_translator(ciphers)
     if spec.startswith("exec:"):
-        return LineProtocolTranslator(spec[len("exec:"):], directions)
+        return LineProtocolTranslator(spec[len("exec:"):], directions, timeout)
     raise MTForgeError(f"unknown translator spec {spec!r} (use cipher:SEED or exec:CMD)")
 
 
@@ -173,7 +174,8 @@ def _cmd_augment_run(args) -> int:
     plan = augmentation.load_plan(args.plan)
     langs = {d.src for d in plan.needed_directions} | \
             {d.tgt for d in plan.needed_directions}
-    translator = _make_translator(args.translator, langs, plan.needed_directions)
+    translator = _make_translator(args.translator, langs, plan.needed_directions,
+                                  args.timeout)
     manifest = augmentation.run_plan(plan, translator, None, args.out)
     write_manifest(manifest, Path(args.out) / "manifest.tsv")
     print(f"shards\t{len(manifest.shards)}")
@@ -201,7 +203,7 @@ def _cmd_route_translate(args) -> int:
     if table.pivot_lang not in (direction.src, direction.tgt):
         directions.add(Direction(direction.src, table.pivot_lang))
         directions.add(Direction(table.pivot_lang, direction.tgt))
-    translator = _make_translator(args.translator, langs, directions)
+    translator = _make_translator(args.translator, langs, directions, args.timeout)
     sentences = read_lines(args.input)
     _write_lines(args.out, route_translate(translator, table, sentences, direction))
     print(f"sentences\t{len(sentences)}")
@@ -222,6 +224,9 @@ def _cmd_demo(args) -> int:
 
 
 # --- parser ------------------------------------------------------------------
+
+_TIMEOUT_HELP = "kill an exec: translator call that runs longer than this"
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="mtforge", description=__doc__)
@@ -288,6 +293,7 @@ def build_parser() -> _Parser:
     pr = aug.add_parser("run")
     pr.add_argument("--plan", required=True)
     pr.add_argument("--translator", required=True, metavar="cipher:SEED|exec:CMD")
+    pr.add_argument("--timeout", type=float, metavar="SECONDS", help=_TIMEOUT_HELP)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_augment_run)
 
@@ -302,6 +308,7 @@ def build_parser() -> _Parser:
     rt = route.add_parser("translate")
     rt.add_argument("--table", required=True)
     rt.add_argument("--translator", required=True, metavar="cipher:SEED|exec:CMD")
+    rt.add_argument("--timeout", type=float, metavar="SECONDS", help=_TIMEOUT_HELP)
     rt.add_argument("--direction", required=True)
     rt.add_argument("--input", required=True)
     rt.add_argument("--out", required=True)

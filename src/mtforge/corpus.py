@@ -14,7 +14,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -22,6 +22,7 @@ from .errors import DuplicateShardPathError, MalformedLineError, ManifestError, 
 
 _LANG_RE = re.compile(r"[a-z]{2,8}\Z")
 _ROWS_PER_WRITE = 512
+_CHARS_PER_READ = 1 << 18
 STRAY_CR = "carriage return outside a CRLF line end"
 
 
@@ -208,29 +209,37 @@ def write_table(path: str | Path, rows: Iterable[Iterable[object]],
         fh.write("".join(line + "\n" for line in lines))
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a plain text file without their ends, under the table
-    line policy: ``\\n`` or ``\\r\\n`` ends, the last line may have none,
-    and any other ``\\r`` raises MalformedLineError naming its line. Reads
-    256k characters at a time, so the text is never held next to its lines.
+def iter_line_chunks(path: str | Path) -> Iterator[list[str]]:
+    """The lines of a plain text file without their ends, one list per read
+    of ``_CHARS_PER_READ`` characters: each list holds the lines that read
+    completes, and none is empty. The table line policy holds: ``\\n`` or
+    ``\\r\\n`` ends, the last line may have none, and any other ``\\r`` raises
+    MalformedLineError naming its line, once the lines of the earlier reads
+    have been yielded.
     """
-    lines: list[str] = []
-    rest = ""   # the start of a line the next chunk ends
+    line_no = 0   # lines yielded so far
+    rest = ""     # the start of a line the next read ends
     with Path(path).open(encoding="utf-8", newline="\n") as fh:
-        while chunk := fh.read(1 << 18):
+        while chunk := fh.read(_CHARS_PER_READ):
             text = rest + chunk
             if "\r" in text:
                 text = text.replace("\r\n", "\n")
-                # A last \r may begin a \r\n that the next chunk ends.
+                # A last \r may begin a \r\n that the next read ends.
                 if (cr := text.find("\r", 0, len(text) - 1)) >= 0:
-                    raise MalformedLineError(path, len(lines) + text.count("\n", 0, cr) + 1, STRAY_CR)
+                    raise MalformedLineError(path, line_no + text.count("\n", 0, cr) + 1, STRAY_CR)
             *done, rest = text.split("\n")
-            lines += done
+            if done:
+                line_no += len(done)
+                yield done
     if "\r" in rest:
-        raise MalformedLineError(path, len(lines) + 1, STRAY_CR)
+        raise MalformedLineError(path, line_no + 1, STRAY_CR)
     if rest:
-        lines.append(rest)
-    return lines
+        yield [rest]
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """Every line of ``iter_line_chunks(path)``, in one list."""
+    return list(chain.from_iterable(iter_line_chunks(path)))
 
 
 def load_manifest(path: str | Path, verify: bool = False) -> CorpusManifest:
@@ -328,17 +337,20 @@ def corpus_stats(manifest: CorpusManifest) -> LanguageStats:
     )
 
 
-def write_shard(path: str | Path, rows: Iterable[tuple[str, str]]) -> int:
-    """Write ``source<TAB>target`` lines; returns the number written.
+def write_shard(path: str | Path, rows: Iterable[tuple[str, str]],
+                append: bool = False) -> int:
+    """Write ``source<TAB>target`` lines, after the file's present lines
+    when ``append`` is set; returns the number written.
 
     Rows are formatted and written ``_ROWS_PER_WRITE`` at a time, which
     saves the call overhead of one ``write`` per row; a larger batch only
-    adds memory.
+    adds memory. Each row is joined as it is drawn, so a row tuple that
+    ``zip`` reuses is never kept.
     """
     n = 0
-    rows = iter(rows)
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        while batch := list(islice(rows, _ROWS_PER_WRITE)):
-            fh.write("".join([f"{source}\t{target}\n" for source, target in batch]))
+    lines = map("\t".join, rows)
+    with Path(path).open("a" if append else "w", encoding="utf-8", newline="\n") as fh:
+        while batch := list(islice(lines, _ROWS_PER_WRITE)):
+            fh.write("\n".join(batch) + "\n")
             n += len(batch)
     return n

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import math
 import random
 import shlex
 import subprocess
@@ -249,7 +250,9 @@ class NoisyTranslator(Translator):
     Corruption replaces a token with a marker rather than deleting it, so
     lengths (and the BLEU brevity penalty) are unaffected. Each (sentence
     index, token index) position corrupts independently, keyed only by the
-    seed and position, never by call order.
+    seed and position, never by call order. The sentence index counts from
+    the start of each call, so a caller that splits its sentences over
+    several calls, as ``run_plan`` does, gets other noise than one call.
     """
 
     def __init__(self, inner: Translator, noise_rate: float, seed: int,
@@ -321,12 +324,18 @@ class LineProtocolTranslator(Translator):
     one ``\\r`` before it stripped; no other character ends a line, so a
     source sentence holding ``\\n`` or ``\\r`` is rejected before the command
     runs. ``{src}`` and ``{tgt}`` placeholders in the command are
-    substituted with the direction's language codes.
+    substituted with the direction's language codes. With ``timeout``, a
+    call whose command runs longer than that many seconds kills it and
+    raises MTForgeError.
     """
 
-    def __init__(self, command: str | Sequence[str], directions: Iterable[Direction]):
+    def __init__(self, command: str | Sequence[str], directions: Iterable[Direction],
+                 timeout: float | None = None):
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
         self._command = shlex.split(command) if isinstance(command, str) else list(command)
         self._supported = frozenset(directions)
+        self._timeout = timeout
 
     @property
     def supported_directions(self) -> frozenset[Direction]:
@@ -340,9 +349,13 @@ class LineProtocolTranslator(Translator):
             if "\n" in sentence or "\r" in sentence:
                 raise MTForgeError(f"sentence {i + 1} contains a line break")
         argv = [a.format(src=direction.src, tgt=direction.tgt) for a in self._command]
-        proc = subprocess.run(
-            argv, input=("\n".join(sentences) + "\n").encode(),
-            capture_output=True)
+        try:
+            proc = subprocess.run(
+                argv, input=("\n".join(sentences) + "\n").encode(),
+                capture_output=True, timeout=self._timeout)
+        except subprocess.TimeoutExpired:
+            raise MTForgeError(
+                f"translator command killed after {self._timeout} s: {argv[0]}") from None
         if proc.returncode != 0:
             raise MTForgeError(
                 f"translator command failed ({proc.returncode}): "

@@ -1,10 +1,17 @@
+import os
+import random
+import tracemalloc
+
 import pytest
 
+from mtforge import corpus
 from mtforge.augmentation import (
     AugmentationPlan,
+    AugmentationTask,
     BitextCorpusRef,
     MonoCorpusRef,
     TaskKind,
+    TaskOutput,
     all_ordered_pairs,
     load_plan,
     plan_backtranslation,
@@ -13,15 +20,17 @@ from mtforge.augmentation import (
     run_plan,
     save_plan,
 )
-from mtforge.corpus import Direction, OriginPool
+from mtforge.corpus import Direction, OriginPool, write_manifest
 from mtforge.errors import (
     EmptyMonolingualError,
     EnglishInPairError,
     MalformedLineError,
+    MTForgeError,
     NothingToDoError,
     UnsupportedDirectionError,
 )
-from mtforge.translator import CipherLanguage, make_cipher_translator
+from mtforge.translator import CipherLanguage, Translator, make_cipher_translator
+from mtforge.wordlist import COMMON_WORDS
 
 
 @pytest.fixture
@@ -191,6 +200,144 @@ class TestRunPlan:
         for shard in manifest.shards:
             actual = len(shard.path.read_text(encoding="utf-8").splitlines())
             assert actual == shard.declared_line_count == 3
+
+
+_BITEXT = Direction("hr", "hu")
+_BT, _DUAL, _TRI = TaskKind.BACK_TRANSLATION, TaskKind.DUAL_PSEUDO, TaskKind.TRIANGULATION
+
+
+class TestTaskKindChecks:
+    """A plan file may pair any kind with any input meta; ``run_plan``
+    refuses a task that does not fit its kind before it writes anything."""
+
+    @pytest.mark.parametrize("kind, meta, needed, outputs, problem", [
+        (_TRI, "en", ["mk-hr"], ["hr-mk"], "needs a bitext input"),
+        (_BT, _BITEXT, ["hr-hu"], ["hu-hr", "hr-hu"], "needs a monolingual input"),
+        (_DUAL, _BITEXT, ["en-hr", "en-hu"], ["hr-hu"], "needs a monolingual input"),
+        (_DUAL, "en", ["en-hr"], ["hr-hu"], "needs 2 needed direction"),
+        (_BT, "en", ["en-hr", "en-hu"], ["hr-en"], "needs 1 needed direction"),
+        (_DUAL, "en", ["en-hr", "en-hu"], ["hr-hu", "hu-hr"], "needs 1 output"),
+        (_BT, "en", ["hr-hu"], ["hu-en"], "needs directions from en"),
+        (_TRI, _BITEXT, ["mk-en"], ["hr-en"], "needs directions from hr or hu"),
+    ])
+    def test_mismatched_task_fails_before_output(self, mono, translator, tmp_path,
+                                                 kind, meta, needed, outputs, problem):
+        bitext = tmp_path / "b.tsv"
+        bitext.write_text("hr words\thu words\n", encoding="utf-8")
+        lang, direction = (meta, None) if isinstance(meta, str) else (None, meta)
+        task = AugmentationTask(
+            kind, bitext, lang, direction, tuple(map(Direction.parse, needed)),
+            tuple(TaskOutput(Direction.parse(d), OriginPool.DUAL_PSEUDO) for d in outputs))
+        plan = plan_backtranslation(mono, ["hr"]).extend(AugmentationPlan([task]))
+        out = tmp_path / "out"
+        with pytest.raises(MTForgeError, match=rf"plan task 2 \({kind.value} .*\): {problem}"):
+            run_plan(plan, translator, None, out)
+        assert not out.exists()
+
+
+def _english(n: int, seed: int = 0) -> list[str]:
+    rng = random.Random(seed)
+    return [" ".join(rng.choices(COMMON_WORDS, k=rng.randint(4, 20))) for _ in range(n)]
+
+
+class _Recorder(Translator):
+    """Passes calls through, noting each call's direction, size and the
+    number of descriptors the process has open during it."""
+
+    def __init__(self, inner: Translator):
+        self._inner = inner
+        self.calls: list[tuple[Direction, int, int]] = []
+
+    @property
+    def supported_directions(self):
+        return self._inner.supported_directions
+
+    def translate(self, sentences, direction, config=None):
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+        self.calls.append((direction, len(sentences), fds))
+        return self._inner.translate(sentences, direction, config)
+
+
+def _outputs(plan, translator, out) -> dict[str, bytes]:
+    manifest = run_plan(plan, translator, None, out)
+    write_manifest(manifest, out / "manifest.tsv")
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestStreaming:
+    @pytest.fixture
+    def mixed_plan(self, tmp_path, translator):
+        """bt (one language twice, so a shard name is numbered), dual over
+        three languages and tri on both sides, over inputs with CRLF ends
+        and no last line end."""
+        english = _english(300)
+        mono = tmp_path / "mono.en.txt"
+        mono.write_bytes("".join(line + ("\r\n" if i % 7 == 0 else "\n")
+                                 for i, line in enumerate(english)).encode()[:-1])
+        hr = translator.translate(english[:120], Direction("en", "hr"))
+        hu = translator.translate(english[:120], Direction("en", "hu"))
+        bitext = tmp_path / "b.tsv"
+        bitext.write_text("".join(f"{x}\t{y}\r\n" for x, y in zip(hr, hu)), encoding="utf-8")
+        ref = MonoCorpusRef(mono, "en")
+        return (plan_backtranslation(ref, ["hr", "mk"])
+                .extend(plan_dual_pseudo(ref, all_ordered_pairs(["hr", "hu", "mk"])))
+                .extend(plan_backtranslation(ref, ["hr"]))
+                .extend(plan_triangulation(BitextCorpusRef(bitext, _BITEXT),
+                                           new_src="mk", new_tgt="mk")))
+
+    def test_chunked_run_equals_single_chunk_run(self, mixed_plan, translator, tmp_path,
+                                                 monkeypatch):
+        whole = _outputs(mixed_plan, translator, tmp_path / "whole")
+        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 97)
+        recorder = _Recorder(translator)
+        chunked = _outputs(mixed_plan, recorder, tmp_path / "chunked")
+        assert chunked == whole
+        assert len(whole) == 3 * 2 + 6 + 2 + 1   # shards and the manifest
+        assert "bt.hr-en.2.tsv" in whole
+        # Each en->X pass is computed once per chunk and shared by its tasks.
+        per_direction = {}
+        for direction, n, _ in recorder.calls:
+            per_direction.setdefault(direction, []).append(n)
+        assert sum(per_direction[Direction("en", "hr")]) == 300
+        assert len(per_direction[Direction("en", "hr")]) > 50
+        assert sum(per_direction[Direction("hu", "mk")]) == 120
+
+    @staticmethod
+    def _traced_peak(tmp_path, translator, n: int) -> int:
+        mono = tmp_path / f"mono{n}.en.txt"
+        mono.write_text("".join(line + "\n" for line in _english(n, seed=n)), encoding="utf-8")
+        ref = MonoCorpusRef(mono, "en")
+        plan = plan_backtranslation(ref, ["hr", "hu", "mk"]).extend(
+            plan_dual_pseudo(ref, all_ordered_pairs(["hr", "hu", "mk"])))
+        tracemalloc.start()
+        try:
+            run_plan(plan, translator, None, tmp_path / f"out{n}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_input(self, translator, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 4096)
+        self._traced_peak(tmp_path, translator, 100)   # one-time allocations
+        small = self._traced_peak(tmp_path, translator, 1000)
+        large = self._traced_peak(tmp_path, translator, 4000)
+        assert large < 1.5 * small
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_descriptors_do_not_grow_with_shards(self, tmp_path, monkeypatch):
+        langs = ["hr", "hu", "mk", "sr", "bs", "sl"]
+        recorder = _Recorder(make_cipher_translator(
+            CipherLanguage.from_seed(lang, i) for i, lang in enumerate(langs)))
+        mono = tmp_path / "mono.en.txt"
+        mono.write_text("".join(line + "\n" for line in _english(200)), encoding="utf-8")
+        plan = plan_dual_pseudo(MonoCorpusRef(mono, "en"), all_ordered_pairs(langs))
+        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 512)
+        before = len(os.listdir("/proc/self/fd"))
+        manifest = run_plan(plan, recorder, None, tmp_path / "out")
+        assert len(manifest.shards) == 30
+        assert len(recorder.calls) > 6 * 10
+        # Only the input file is open while translating, whatever the shard count.
+        assert max(fds for _, _, fds in recorder.calls) <= before + 1
 
 
 class TestPlanSerialization:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from conftest import build_manifest
+from mtforge import corpus
 from mtforge.cli import main
 from mtforge.corpus import Direction, load_manifest
 from mtforge.translator import CipherLanguage, derive_language_seed, make_cipher_translator
@@ -265,6 +266,52 @@ class TestAugmentCli:
         assert rc == 1
         assert f"{plan_path}:1: input_meta must start with lang= or dir=" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("row", [
+        "tri\tb.tsv\tlang=en\tmk-hr\thr-mk:dp",
+        "bt\tb.tsv\tdir=hr-hu\thr-hu\thu-hr:bt,hr-hu:bt",
+    ])
+    def test_task_that_does_not_fit_its_kind(self, tmp_path, capsys, monkeypatch, row):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b.tsv").write_text("hr words\thu words\n", encoding="utf-8")
+        (tmp_path / "plan.tsv").write_text(row + "\n", encoding="utf-8")
+        rc = main(["augment", "run", "--plan", "plan.tsv",
+                   "--translator", "cipher:1", "--out", "aug"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: plan task 1 (" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "aug").exists()
+
+    def test_stray_carriage_return_past_the_first_chunk(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 64)
+        mono = tmp_path / "mono.en.txt"
+        lines = ["the cat sat on the mat"] * 40
+        lines[34] = "the cat\rsat"
+        mono.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="")
+        plan_path = tmp_path / "plan.tsv"
+        main(["augment", "plan", "--kind", "bt", "--mono", str(mono),
+              "--langs", "hr", "--out", str(plan_path)])
+        out = tmp_path / "aug"
+        rc = main(["augment", "run", "--plan", str(plan_path),
+                   "--translator", "cipher:1", "--out", str(out)])
+        assert rc == 1
+        assert f"{mono}:35: " in capsys.readouterr().err
+        assert not (out / "manifest.tsv").exists()
+        # The rows of the chunks before the bad line are already written.
+        assert (out / "bt.hr-en.tsv").read_text(encoding="utf-8").count("\n") > 0
+
+    def test_timeout_must_be_positive_and_finite(self, tmp_path, capsys):
+        mono = tmp_path / "mono.en.txt"
+        mono.write_text("hello\n", encoding="utf-8")
+        plan_path = tmp_path / "plan.tsv"
+        main(["augment", "plan", "--kind", "bt", "--mono", str(mono),
+              "--langs", "de", "--out", str(plan_path)])
+        rc = main(["augment", "run", "--plan", str(plan_path), "--timeout", "nan",
+                   "--translator", "exec:/nonexistent-binary", "--out", str(tmp_path / "aug")])
+        assert rc == 1
+        assert "timeout must be a positive number" in capsys.readouterr().err
 
 
 class TestRouteCli:

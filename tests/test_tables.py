@@ -3,12 +3,15 @@ built on them (manifest, score matrix, routing table, augmentation plan,
 schedule), plus the plain-line reader ``read_lines``."""
 
 import tempfile
+from itertools import chain
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtforge import corpus
 from mtforge.augmentation import (
     AugmentationPlan,
     AugmentationTask,
@@ -23,6 +26,7 @@ from mtforge.corpus import (
     Direction,
     OriginPool,
     ShardEntry,
+    iter_line_chunks,
     load_manifest,
     read_lines,
     read_table,
@@ -202,6 +206,12 @@ class TestReadLines:
             read_lines(path)
         assert err.value.line_no == line_no
 
+    def test_crlf_split_between_reads(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"ab\r\ncd\r\n")
+        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 3)   # reads "ab\r", "\ncd", "\r\n"
+        assert list(iter_line_chunks(path)) == [["ab"], ["cd"]]
+
 
 def _policy_lines(text: str) -> list[str] | int:
     """``read_lines`` one line at a time: the lines, or the number of the
@@ -215,21 +225,36 @@ def _policy_lines(text: str) -> list[str] | int:
 
 
 @settings(max_examples=150, deadline=None)
-@given(pad=st.sampled_from([0, 2**18 - 2, 2**18 - 1, 2**18, 2**19 - 1]),
+@given(read=st.sampled_from([2**18, 1, 2, 3, 5]),
+       pad=st.sampled_from([(0, 0), (1, -2), (1, -1), (1, 0), (2, -1)]),
        pieces=st.lists(st.sampled_from(["x", "é", "\x85", "\n", "\r\n", "\r"]), max_size=12))
-def test_read_lines_matches_per_line_policy(pad, pieces):
-    """Line ends and stray \\r found alike wherever a read chunk ends."""
-    text = "a" * pad + "".join(pieces)
+def test_read_lines_matches_per_line_policy(read, pad, pieces):
+    """Line ends and stray \\r found alike wherever a read ends, including
+    between the \\r and the \\n of a CRLF; ``iter_line_chunks`` at any read
+    size yields non-empty chunks that join to the same lines. The pieces
+    start ``reads * read + shift`` characters in."""
+    reads, shift = pad
+    text = "a" * max(0, reads * read + shift) + "".join(pieces)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.txt"
         path.write_text(text, encoding="utf-8", newline="")
         expected = _policy_lines(text)
+        with patch.object(corpus, "_CHARS_PER_READ", read):
+            chunks = []
+            try:
+                for chunk in iter_line_chunks(path):
+                    chunks.append(chunk)
+            except MalformedLineError as exc:
+                chunks.append(exc.line_no)
+        assert all(chunk for chunk in chunks)
         if isinstance(expected, int):
             with pytest.raises(MalformedLineError) as err:
                 read_lines(path)
-            assert err.value.line_no == expected
+            assert err.value.line_no == expected == chunks[-1]
+            chunks.pop()
+            assert len(list(chain(*chunks))) < expected
         else:
-            assert read_lines(path) == expected
+            assert read_lines(path) == expected == list(chain(*chunks))
 
 
 # --- save -> load round trips ------------------------------------------------

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -245,6 +246,19 @@ class TestLineProtocolTranslator:
         t = LineProtocolTranslator(["/nonexistent-binary"], [Direction("en", "de")])
         with pytest.raises(MTForgeError, match="sentence 2 contains a line break"):
             t.translate(["fine", sentence], Direction("en", "de"))
+
+    def test_timeout_kills_a_hung_command(self):
+        t = LineProtocolTranslator(["sleep", "30"], [Direction("en", "de")], timeout=0.2)
+        start = time.monotonic()
+        with pytest.raises(MTForgeError, match="killed after 0.2 s: sleep"):
+            t.translate(["a"], Direction("en", "de"))
+        assert time.monotonic() - start < 10
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a positive number"):
+            LineProtocolTranslator(["/nonexistent-binary"], [Direction("en", "de")],
+                                   timeout=timeout)
 
 
 class OracleCipherTranslator(Translator):
