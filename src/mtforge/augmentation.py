@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, iter_line_chunks,
-                     read_table, write_shard, write_table)
+from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, check_tabs,
+                     iter_line_chunks, read_table, write_shard, write_table)
 from .errors import (
     EmptyMonolingualError,
     EnglishInPairError,
@@ -219,8 +220,12 @@ def run_plan(
     input. The translator is called once per chunk per direction, so it must
     translate each sentence independently of the others in the call.
 
-    A malformed input line raises after the rows of the earlier chunks are
-    written, so the shards may then be partial.
+    Input lines follow the line rule of ``iter_line_chunks``; a bitext line
+    must hold exactly one tab and a monolingual line none, as a shard row
+    would otherwise be misaligned. A malformed input line raises
+    MalformedLineError at its ``path:line`` before its chunk's rows are
+    written, but after those of the earlier chunks, so the shards may then
+    be partial.
     """
     missing = sorted(plan.needed_directions - translator.supported_directions)
     if missing:
@@ -258,7 +263,13 @@ def run_plan(
         # The en->X passes that the input's bt and dual tasks share.
         shared = dict.fromkeys(d for task, _ in tasks if task.kind != TaskKind.TRIANGULATION
                                for d in task.needed)
+        # Tabs per line: 1 in a bitext input, 0 in a monolingual one.
+        tabs = {int(task.kind == TaskKind.TRIANGULATION) for task, _ in tasks}
+        line_no = 0
         for lines in iter_line_chunks(input_path):
+            for n in tabs:
+                check_tabs(lines, n, input_path, line_no)
+            line_no += len(lines)
             translated = {d: translator.translate(lines, d, config) for d in shared}
             for task, paths in tasks:
                 if task.kind == TaskKind.BACK_TRANSLATION:
@@ -273,11 +284,7 @@ def run_plan(
                     counts[paths[0]] += write_shard(
                         paths[0], zip(translated[to_src], translated[to_tgt]), append=True)
                 else:  # TRIANGULATION
-                    sources, targets = [], []
-                    for line in lines:
-                        s, _, t = line.partition("\t")
-                        sources.append(s)
-                        targets.append(t)
+                    sources, targets = zip(*map(str.split, lines, repeat("\t")))
                     hop = task.needed[0]
                     if hop.src == task.input_direction.tgt:
                         rows = zip(sources, translator.translate(targets, hop, config))

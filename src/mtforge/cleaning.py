@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import (STRAY_CR, CorpusManifest, SentencePair, ShardEntry, count_lines,
+from .corpus import (CorpusManifest, SentencePair, ShardEntry, count_lines, iter_line_chunks,
                      read_lines, read_pairs, write_manifest)
-from .errors import AlreadyTaggedError, LengthMismatchError, MalformedLineError
+from .errors import AlreadyTaggedError, LengthMismatchError
 from .subword import SubwordTokenizer
 
 # ISO 15924-ish names -> Unicode character-name prefixes.
@@ -192,8 +192,7 @@ def shuffle_dataset(
     seeded RNG, then each chunk is shuffled in memory and concatenated, so
     peak RAM is bounded by the chunk size rather than the corpus size.
     Same seed, same inputs -> byte-identical output. Returns the line count.
-    Lines are the ones ``count_lines`` counts, written with ``\\n`` ends; a
-    ``\\r`` outside a CRLF line end raises MalformedLineError.
+    Lines are those of ``iter_line_chunks``, written with ``\\n`` ends.
     """
     rng = random.Random(seed)
     out_path = Path(out_path)
@@ -206,11 +205,8 @@ def shuffle_dataset(
         handles = [p.open("w", encoding="utf-8", newline="\n") for p in chunk_paths]
         try:
             for entry in manifest.shards:
-                with entry.path.open(encoding="utf-8", newline="\n") as fh:
-                    for line_no, line in enumerate(fh, start=1):
-                        line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
-                        if "\r" in line:
-                            raise MalformedLineError(entry.shard_id, line_no, STRAY_CR)
+                for shard_lines in iter_line_chunks(entry.path, entry.shard_id):
+                    for line in shard_lines:
                         handles[rng.randrange(n_chunks)].write(line + "\n")
         finally:
             for h in handles:

@@ -14,7 +14,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -24,6 +24,7 @@ _LANG_RE = re.compile(r"[a-z]{2,8}\Z")
 _ROWS_PER_WRITE = 512
 _CHARS_PER_READ = 1 << 18
 STRAY_CR = "carriage return outside a CRLF line end"
+ONE_TAB = "expected exactly one tab separator"
 
 
 def check_lang_code(code: str) -> str:
@@ -160,20 +161,17 @@ def read_table(path: str | Path, arity: int, parse: Callable[..., object],
                error: type[TableError] = TableError) -> list:
     """``parse(*fields)`` of every row of a TSV table, in file order.
 
-    A line ends at ``\\n`` or ``\\r\\n`` and the last may have no end; any
-    other ``\\r`` is an error. Blank lines and lines whose first non-blank
-    character is ``#`` are skipped; every other line must have ``arity``
-    tab-separated fields. A ValueError on a row, from these checks or from
-    ``parse``, becomes ``error(path, line_no, reason)``; a TableError raised
-    by ``parse`` keeps its own class and gets the row's location.
+    Lines are those of ``iter_line_chunks``. Blank lines and lines whose
+    first non-blank character is ``#`` are skipped; every other line must
+    have ``arity`` tab-separated fields. A ValueError on a row, from these
+    checks or from ``parse``, and a stray ``\\r`` become
+    ``error(path, line_no, reason)``; a TableError raised by ``parse`` keeps
+    its own class and gets the row's location.
     """
     rows = []
-    with Path(path).open(encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+    try:
+        for line_no, line in enumerate(chain.from_iterable(iter_line_chunks(path)), start=1):
             try:
-                if "\r" in line:
-                    raise ValueError(STRAY_CR)
                 if not line.strip() or line.lstrip().startswith("#"):
                     continue
                 fields = line.split("\t")
@@ -184,6 +182,8 @@ def read_table(path: str | Path, arity: int, parse: Callable[..., object],
                 raise type(exc)(path, line_no, exc.reason) from None
             except ValueError as exc:
                 raise error(path, line_no, str(exc)) from None
+    except MalformedLineError as exc:
+        raise error(path, exc.line_no, exc.reason) from None
     return rows
 
 
@@ -209,32 +209,57 @@ def write_table(path: str | Path, rows: Iterable[Iterable[object]],
         fh.write("".join(line + "\n" for line in lines))
 
 
-def iter_line_chunks(path: str | Path) -> Iterator[list[str]]:
-    """The lines of a plain text file without their ends, one list per read
-    of ``_CHARS_PER_READ`` characters: each list holds the lines that read
-    completes, and none is empty. The table line policy holds: ``\\n`` or
-    ``\\r\\n`` ends, the last line may have none, and any other ``\\r`` raises
-    MalformedLineError naming its line, once the lines of the earlier reads
-    have been yielded.
+def split_lines(text: str, name, line_no: int = 0, final: bool = True) -> list[str]:
+    """The lines of ``text``, each ended by ``\\n`` or ``\\r\\n``: the one line
+    rule of every text reader and of the ``exec:`` protocol. Any other ``\\r``
+    raises MalformedLineError(name, its line's number, STRAY_CR), numbering
+    from ``line_no + 1``. Unless ``final``, a later text continues this one:
+    the last item is the unended rest, and a ``\\r`` ending it is let be.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if (cr := text.find("\r", 0, len(text) if final else len(text) - 1)) >= 0:
+            raise MalformedLineError(name, line_no + text.count("\n", 0, cr) + 1, STRAY_CR)
+    lines = text.split("\n")
+    if final and not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def iter_line_chunks(path: str | Path, name=None) -> Iterator[list[str]]:
+    """The lines of a UTF-8 text file by ``split_lines``, one non-empty list
+    per read of ``_CHARS_PER_READ`` characters. A stray ``\\r`` raises at
+    ``name`` (default ``path``) after the lines before it, so a reader with
+    its own line checks still fails at the first bad line."""
+    name = path if name is None else name
     line_no = 0   # lines yielded so far
     rest = ""     # the start of a line the next read ends
     with Path(path).open(encoding="utf-8", newline="\n") as fh:
         while chunk := fh.read(_CHARS_PER_READ):
-            text = rest + chunk
-            if "\r" in text:
-                text = text.replace("\r\n", "\n")
-                # A last \r may begin a \r\n that the next read ends.
-                if (cr := text.find("\r", 0, len(text) - 1)) >= 0:
-                    raise MalformedLineError(path, line_no + text.count("\n", 0, cr) + 1, STRAY_CR)
-            *done, rest = text.split("\n")
-            if done:
-                line_no += len(done)
-                yield done
-    if "\r" in rest:
-        raise MalformedLineError(path, line_no + 1, STRAY_CR)
-    if rest:
-        yield [rest]
+            try:
+                *lines, rest = split_lines(rest + chunk, name, line_no, final=False)
+            except MalformedLineError as exc:
+                if before := (rest + chunk).split("\n", exc.line_no - line_no - 1)[:-1]:
+                    yield split_lines("\n".join(before) + "\n", name, line_no)
+                raise
+            if lines:
+                line_no += len(lines)
+                yield lines
+                del lines   # the reader then holds the only reference during the next read
+    if lines := split_lines(rest, name, line_no):
+        yield lines
+
+
+def check_tabs(lines: list[str], tabs: int, name, line_no: int = 0) -> None:
+    """Raise MalformedLineError(name, its number) at the first of ``lines``,
+    numbered from ``line_no + 1``, that does not hold exactly ``tabs`` tabs:
+    1 for a pair line, 0 for a monolingual line. The count is one
+    C-level pass over the lines.
+    """
+    counts = list(map(str.count, lines, repeat("\t")))
+    if counts.count(tabs) != len(counts):
+        bad = next(i for i, n in enumerate(counts, start=line_no + 1) if n != tabs)
+        raise MalformedLineError(name, bad, ONE_TAB if tabs else "expected no tab")
 
 
 def read_lines(path: str | Path) -> list[str]:
@@ -294,21 +319,18 @@ def count_lines(path: Path) -> int:
 def read_pairs(entry: ShardEntry) -> Iterator[SentencePair]:
     """Stream the pairs of one shard in file order.
 
-    Yields lazily, so memory stays bounded regardless of shard size. A line
-    ends at ``\\n`` or ``\\r\\n`` and the last may have no end, so lines are
-    the ones ``count_lines`` counts. Raises MalformedLineError for any other
-    ``\\r`` and for any line without exactly one tab.
+    Reads a chunk of lines at a time (``iter_line_chunks``), so memory stays
+    bounded. Raises MalformedLineError, named by the shard id, at the first
+    line holding a stray ``\\r`` or not exactly one tab.
     """
-    with entry.path.open(encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
-            if "\r" in line:
-                raise MalformedLineError(entry.shard_id, line_no, STRAY_CR)
-            if line.count("\t") != 1:
-                raise MalformedLineError(entry.shard_id, line_no)
+    line_no = 0
+    for lines in iter_line_chunks(entry.path, entry.shard_id):
+        check_tabs(lines, 1, entry.shard_id, line_no)
+        for line_no, line in enumerate(lines, line_no + 1):
             source, target = line.split("\t")
             yield SentencePair(source, target, entry.direction, entry.origin,
                                entry.shard_id, line_no)
+        del lines   # before the next chunk is read
 
 
 def iter_all_pairs(manifest: CorpusManifest) -> Iterator[SentencePair]:

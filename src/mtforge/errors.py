@@ -28,14 +28,13 @@ class DuplicateShardPathError(ManifestError):
     """The same shard path is listed twice in one manifest."""
 
 
-class MalformedLineError(MTForgeError):
-    """A shard line does not hold exactly one tab, or a line of a shard or of a
-    plain-text file (then ``shard_id`` is its path) holds a stray ``\\r``."""
+class MalformedLineError(TableError):
+    """A line of a text file or a command's output breaks the line rule, or
+    holds the wrong number of tabs; ``shard_id`` is the ``path``."""
 
-    def __init__(self, shard_id, line_no, reason="expected exactly one tab separator"):
-        super().__init__(f"{shard_id}:{line_no}: {reason}")
-        self.shard_id = shard_id
-        self.line_no = line_no
+    @property
+    def shard_id(self):
+        return self.path
 
 
 class AlreadyTaggedError(MTForgeError):

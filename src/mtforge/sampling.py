@@ -21,7 +21,7 @@ from itertools import accumulate, repeat
 from pathlib import Path
 from typing import BinaryIO, Mapping
 
-from .corpus import (STRAY_CR, CorpusManifest, Direction, LanguageStats, OriginPool,
+from .corpus import (ONE_TAB, STRAY_CR, CorpusManifest, Direction, LanguageStats, OriginPool,
                      SentencePair, write_table)
 from .errors import EmptyPoolError, MalformedLineError
 
@@ -119,8 +119,8 @@ def _index_lines(fh: BinaryIO, shard_id: str) -> array:
     followed by its size, built in one pass.
 
     Every line must hold exactly one tab and be strict UTF-8, as
-    ``read_pairs`` requires. A line ends at ``\\n`` or ``\\r\\n``; the last
-    line may have no end. Any other ``\\r`` raises MalformedLineError.
+    ``read_pairs`` requires, under the rule of ``corpus.split_lines``: its one
+    byte-level copy, kept as the scheduler needs byte offsets for ``os.pread``.
     """
     offsets = array("Q", [0])
     line_no = 1
@@ -151,7 +151,7 @@ def _check_lines(lines: list[bytes], shard_id: str, first_line_no: int) -> None:
         if b"\r" in body:
             raise MalformedLineError(shard_id, line_no, STRAY_CR)
         if body.count(b"\t") != 1:
-            raise MalformedLineError(shard_id, line_no)
+            raise MalformedLineError(shard_id, line_no, ONE_TAB)
         try:
             body.decode()
         except UnicodeDecodeError as exc:
@@ -299,7 +299,10 @@ class BatchScheduler:
 
 def write_composition(scheduler: BatchScheduler, batches: int, path: str | Path) -> None:
     """Draw ``batches`` batches and write the composition report: per batch,
-    one ``batch language origin count`` row per (language, pool), sorted."""
+    one ``batch language origin count`` row per (language, pool), sorted.
+    A negative ``batches`` raises ValueError before anything is drawn."""
+    if batches < 0:
+        raise ValueError(f"batches must be >= 0, got {batches}")
     rows = []
     for b in range(batches):
         composition = scheduler.next_batch().composition

@@ -20,7 +20,7 @@ import subprocess
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .corpus import Direction, check_lang_code
+from .corpus import Direction, check_lang_code, split_lines
 from .errors import DuplicateLanguageError, MTForgeError, UnsupportedDirectionError
 from .wordlist import COMMON_WORDS
 
@@ -320,13 +320,12 @@ class LineProtocolTranslator(Translator):
     """Adapter for external translators speaking a line protocol.
 
     Runs a subprocess per call: one sentence per line on stdin, one
-    translation per line on stdout, both UTF-8. A line ends at ``\\n``, with
-    one ``\\r`` before it stripped; no other character ends a line, so a
-    source sentence holding ``\\n`` or ``\\r`` is rejected before the command
-    runs. ``{src}`` and ``{tgt}`` placeholders in the command are
-    substituted with the direction's language codes. With ``timeout``, a
-    call whose command runs longer than that many seconds kills it and
-    raises MTForgeError.
+    translation per line on stdout, both UTF-8. ``split_lines`` splits the
+    output, named ``translator output``; a source sentence holding ``\\n`` or
+    ``\\r`` is rejected before the command runs. Each ``{src}`` and ``{tgt}``
+    in the command is replaced by the direction's language code, and no
+    other text. With ``timeout``, a call whose command runs longer than that
+    many seconds kills it and raises MTForgeError.
     """
 
     def __init__(self, command: str | Sequence[str], directions: Iterable[Direction],
@@ -348,7 +347,8 @@ class LineProtocolTranslator(Translator):
         for i, sentence in enumerate(sentences):
             if "\n" in sentence or "\r" in sentence:
                 raise MTForgeError(f"sentence {i + 1} contains a line break")
-        argv = [a.format(src=direction.src, tgt=direction.tgt) for a in self._command]
+        argv = [a.replace("{src}", direction.src).replace("{tgt}", direction.tgt)
+                for a in self._command]
         try:
             proc = subprocess.run(
                 argv, input=("\n".join(sentences) + "\n").encode(),
@@ -361,13 +361,9 @@ class LineProtocolTranslator(Translator):
                 f"translator command failed ({proc.returncode}): "
                 f"{proc.stderr.decode(errors='replace').strip()}")
         try:
-            lines = proc.stdout.decode().split("\n")
+            lines = split_lines(proc.stdout.decode(), "translator output")
         except UnicodeDecodeError as exc:
             raise MTForgeError(f"translator output is not UTF-8: {exc}") from None
-        last = lines.pop()
-        lines = [line.removesuffix("\r") for line in lines]
-        if last:
-            lines.append(last)
         if len(lines) != len(sentences):
             raise MTForgeError(
                 f"translator returned {len(lines)} lines for {len(sentences)} sentences")

@@ -194,6 +194,31 @@ class TestRunPlan:
             run_plan(plan, translator, None, tmp_path / "out")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("kind, data, line_no", [
+        ("bt", "the cat sat\ngood\tday\n", 2),      # would be a row with two tabs
+        ("dual", "good\tday\n", 1),
+        ("tri", "x\ty\nno tab here\n", 2),         # would be read as ("no tab here", "")
+        ("tri", "x\ty\nx\ty\tz\n", 2),             # would put the second tab in the target
+    ])
+    def test_input_line_that_would_misalign_rows(self, translator, tmp_path,
+                                                 kind, data, line_no):
+        path = tmp_path / "input.txt"
+        path.write_text(data, encoding="utf-8")
+        if kind == "tri":
+            plan = plan_triangulation(BitextCorpusRef(path, Direction("hr", "hu")),
+                                      new_tgt="mk")
+        elif kind == "bt":
+            plan = plan_backtranslation(MonoCorpusRef(path, "en"), ["hr"])
+        else:
+            plan = plan_dual_pseudo(MonoCorpusRef(path, "en"), [Direction("hr", "hu")])
+        out = tmp_path / "out"
+        with pytest.raises(MalformedLineError) as err:
+            run_plan(plan, translator, None, out)
+        assert (err.value.path, err.value.line_no) == (path, line_no)
+        assert str(err.value).startswith(f"{path}:{line_no}: expected ")
+        # The chunk holding the bad line wrote no row.
+        assert all(shard.read_bytes() == b"" for shard in out.iterdir())
+
     def test_manifest_counts_match_files(self, mono, translator, tmp_path):
         plan = plan_backtranslation(mono, ["hr", "hu"])
         manifest = run_plan(plan, translator, None, tmp_path / "out")

@@ -183,6 +183,18 @@ class TestSampleCli:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    def test_negative_batches_is_validation_error(self, tmp_path, capsys):
+        build_manifest(tmp_path, [("bx.tsv", "hr-en", "bitext", [("s", "t")])])
+        report = tmp_path / "r.tsv"
+        rc = main(["sample", "--manifest", str(tmp_path / "manifest.tsv"),
+                   "--lambda", "1,0,0", "--batches", "-3", "--seed", "1",
+                   "--report", str(report)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "batches must be >= 0, got -3" in captured.err
+        assert "batches\t" not in captured.out
+        assert not report.exists()
+
     def test_stray_carriage_return_is_validation_error(self, tmp_path, capsys):
         (tmp_path / "bx.tsv").write_bytes(b"s1\tt1\rs2\tt2\ns3\tt3\n")
         (tmp_path / "manifest.tsv").write_text("bx.tsv\thr\ten\tbitext\t2\n",
@@ -301,6 +313,20 @@ class TestAugmentCli:
         assert not (out / "manifest.tsv").exists()
         # The rows of the chunks before the bad line are already written.
         assert (out / "bt.hr-en.tsv").read_text(encoding="utf-8").count("\n") > 0
+
+    def test_tab_in_monolingual_line(self, tmp_path, capsys):
+        mono = tmp_path / "mono.en.txt"
+        mono.write_text("the cat sat\ngood\tday\n", encoding="utf-8")
+        plan_path = tmp_path / "plan.tsv"
+        main(["augment", "plan", "--kind", "bt", "--mono", str(mono),
+              "--langs", "hr", "--out", str(plan_path)])
+        out = tmp_path / "aug"
+        rc = main(["augment", "run", "--plan", str(plan_path),
+                   "--translator", "cipher:1", "--out", str(out)])
+        assert rc == 1
+        assert f"{mono}:2: expected no tab" in capsys.readouterr().err
+        assert (out / "bt.hr-en.tsv").read_bytes() == b""
+        assert not (out / "manifest.tsv").exists()
 
     def test_timeout_must_be_positive_and_finite(self, tmp_path, capsys):
         mono = tmp_path / "mono.en.txt"

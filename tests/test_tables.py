@@ -1,9 +1,9 @@
 """The shared TSV table layer: ``read_table``/``write_table`` and every format
 built on them (manifest, score matrix, routing table, augmentation plan,
-schedule), plus the plain-line reader ``read_lines``."""
+schedule), plus the line rule that every text reader shares."""
 
 import tempfile
-from itertools import chain
+from itertools import pairwise
 from pathlib import Path
 from unittest.mock import patch
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtforge import corpus
+from mtforge import corpus, sampling
 from mtforge.augmentation import (
     AugmentationPlan,
     AugmentationTask,
@@ -20,15 +20,18 @@ from mtforge.augmentation import (
     load_plan,
     save_plan,
 )
+from mtforge.cleaning import shuffle_dataset
 from mtforge.corpus import (
     STRAY_CR,
     CorpusManifest,
     Direction,
     OriginPool,
     ShardEntry,
+    count_lines,
     iter_line_chunks,
     load_manifest,
     read_lines,
+    read_pairs,
     read_table,
     write_manifest,
     write_table,
@@ -51,7 +54,7 @@ from mtforge.errors import (
 from mtforge.evaluation import BleuScore, ScoreMatrix
 from mtforge.routing import RouteEntry, RoutingTable
 from mtforge.sampling import MixtureWeights
-from mtforge.translator import Direct, PivotVia
+from mtforge.translator import Direct, LineProtocolTranslator, PivotVia
 
 # One good row per format, as its loader reads it.
 GOOD_ROWS = {
@@ -213,48 +216,104 @@ class TestReadLines:
         assert list(iter_line_chunks(path)) == [["ab"], ["cd"]]
 
 
-def _policy_lines(text: str) -> list[str] | int:
-    """``read_lines`` one line at a time: the lines, or the number of the
-    first line holding a stray ``\\r``."""
+def _policy_lines(text: str, tabs: int | None = None) -> tuple[list[str], int | None]:
+    """The line rule applied one line at a time: the lines before the first
+    bad one, and that line's number (None when every line is good). A bad
+    line holds a stray ``\\r`` or, with ``tabs``, not exactly that many tabs."""
     *ended, last = text.split("\n")
     lines = [line.removesuffix("\r") for line in ended] + ([last] if last else [])
     for line_no, line in enumerate(lines, start=1):
-        if "\r" in line:
-            return line_no
-    return lines
+        if "\r" in line or (tabs is not None and line.count("\t") != tabs):
+            return lines[:line_no - 1], line_no
+    return lines, None
 
 
+def _chunked_lines(path):
+    for chunk in iter_line_chunks(path):
+        assert chunk
+        yield from chunk
+
+
+def _pair_lines(path):
+    entry = ShardEntry("s.tsv", path, Direction("hr", "en"), OriginPool.BITEXT, 0)
+    for line_no, pair in enumerate(read_pairs(entry), start=1):
+        assert (pair.shard_id, pair.line_no) == ("s.tsv", line_no)
+        yield f"{pair.source}\t{pair.target}"
+
+
+def _counted_lines(path):
+    """As many lines as ``count_lines`` counts; it checks nothing."""
+    return [None] * count_lines(path)
+
+
+def _shuffled_lines(path):
+    entry = ShardEntry("s.tsv", path, Direction("hr", "en"), OriginPool.BITEXT, 0)
+    out = path.with_name("shuffled.tsv")
+    n = shuffle_dataset(CorpusManifest([entry], path.parent), 7, out)
+    lines = read_lines(out)
+    assert n == len(lines)
+    return sorted(lines)
+
+
+def _indexed_lines(path):
+    """The lines at the byte offsets that ``BatchScheduler`` indexes."""
+    data = path.read_bytes()
+    with path.open("rb") as fh:
+        offsets = sampling._index_lines(fh, "s.tsv")
+    return [data[start:end].removesuffix(b"\n").removesuffix(b"\r").decode()
+            for start, end in pairwise(offsets)]
+
+
+def _exec_output_lines(path):
+    translator = LineProtocolTranslator(["cat", str(path)], [Direction("hr", "en")])
+    return translator.translate(["s"] * count_lines(path), Direction("hr", "en"))
+
+
+# Each reader gives the lines it reads, or raises MalformedLineError at a bad
+# one: shuffle_dataset gives them sorted, count_lines only as many. The pair
+# readers also apply the one-tab rule.
+READERS = {"iter_line_chunks": _chunked_lines, "read_lines": read_lines,
+           "read_pairs": _pair_lines, "count_lines": _counted_lines,
+           "shuffle_dataset": _shuffled_lines, "scheduler_index": _indexed_lines,
+           "exec_output": _exec_output_lines}
+PAIR_READERS = {"read_pairs", "scheduler_index"}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
 @settings(max_examples=150, deadline=None)
 @given(read=st.sampled_from([2**18, 1, 2, 3, 5]),
        pad=st.sampled_from([(0, 0), (1, -2), (1, -1), (1, 0), (2, -1)]),
-       pieces=st.lists(st.sampled_from(["x", "é", "\x85", "\n", "\r\n", "\r"]), max_size=12))
-def test_read_lines_matches_per_line_policy(read, pad, pieces):
-    """Line ends and stray \\r found alike wherever a read ends, including
-    between the \\r and the \\n of a CRLF; ``iter_line_chunks`` at any read
-    size yields non-empty chunks that join to the same lines. The pieces
-    start ``reads * read + shift`` characters in."""
+       pieces=st.lists(st.sampled_from(["x", "é", "\x85", "\t", "\n", "\r\n", "\r"]),
+                       max_size=12))
+def test_readers_match_per_line_policy(reader, read, pad, pieces):
+    """Every text reader, and the ``exec:`` output splitter, gives the lines
+    of the one-line-at-a-time oracle or fails at its first bad line,
+    wherever a read ends, including between the \\r and the \\n of a CRLF.
+    ``iter_line_chunks`` yields non-empty chunks, and every line before a
+    stray \\r. The pieces start ``reads * read + shift`` characters in."""
     reads, shift = pad
     text = "a" * max(0, reads * read + shift) + "".join(pieces)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.txt"
+    lines, bad = _policy_lines(text, 1 if reader in PAIR_READERS else None)
+    got = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch.object(corpus, "_CHARS_PER_READ", read), \
+            patch.object(sampling, "_INDEX_READ_HINT", read):
+        path = Path(tmp) / "s.tsv"
         path.write_text(text, encoding="utf-8", newline="")
-        expected = _policy_lines(text)
-        with patch.object(corpus, "_CHARS_PER_READ", read):
-            chunks = []
-            try:
-                for chunk in iter_line_chunks(path):
-                    chunks.append(chunk)
-            except MalformedLineError as exc:
-                chunks.append(exc.line_no)
-        assert all(chunk for chunk in chunks)
-        if isinstance(expected, int):
-            with pytest.raises(MalformedLineError) as err:
-                read_lines(path)
-            assert err.value.line_no == expected == chunks[-1]
-            chunks.pop()
-            assert len(list(chain(*chunks))) < expected
+        try:
+            for line in READERS[reader](path):
+                got.append(line)
+        except MalformedLineError as exc:
+            assert bad is not None and exc.line_no == bad, (exc, bad)
         else:
-            assert read_lines(path) == expected == list(chain(*chunks))
+            if reader == "count_lines":   # a counter counts bad lines too
+                assert len(got) == len(lines) if bad is None else len(got) >= bad
+                return
+            assert bad is None
+    if reader == "iter_line_chunks" or bad is None:
+        assert got == (sorted(lines) if reader == "shuffle_dataset" else lines)
+    else:
+        assert got == lines[:len(got)]
 
 
 # --- save -> load round trips ------------------------------------------------

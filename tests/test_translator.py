@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mtforge.corpus import Direction
 from mtforge.errors import (
     DuplicateLanguageError,
+    MalformedLineError,
     MTForgeError,
     UnsupportedDirectionError,
 )
@@ -202,6 +203,28 @@ class TestLineProtocolTranslator:
                    "    sys.stdout.write('{src}-{tgt} ' + line)"]
         t = LineProtocolTranslator(command, [Direction("en", "de")])
         assert t.translate(["x"], Direction("en", "de")) == ["en-de x"]
+
+    def test_only_placeholders_substituted(self):
+        # str.format would take {'a': ...} and {print} for fields.
+        command = [sys.executable, "-c",
+                   "import sys\n"
+                   "d = {'a': '{src}{tgt}', 'b': '{{x}}{print}'}\n"
+                   "for line in sys.stdin:\n"
+                   "    sys.stdout.write(d['a'] + d['b'] + ' ' + line)"]
+        t = LineProtocolTranslator(command, [Direction("en", "de")])
+        assert t.translate(["x"], Direction("en", "de")) == ["ende{{x}}{print} x"]
+
+    @pytest.mark.parametrize("output, line_no", [
+        (b"a\rb\nc\n", 1), (b"a\r\nb\r\r\n", 2), (b"a\nb\r", 2),
+    ])
+    def test_stray_carriage_return_in_output(self, output, line_no):
+        command = [sys.executable, "-c",
+                   f"import sys; sys.stdin.read(); sys.stdout.buffer.write({output!r})"]
+        t = LineProtocolTranslator(command, [Direction("en", "de")])
+        with pytest.raises(MalformedLineError) as err:
+            t.translate(["a", "b"], Direction("en", "de"))
+        assert str(err.value) == \
+            f"translator output:{line_no}: carriage return outside a CRLF line end"
 
     def test_empty_input_spawns_nothing(self):
         t = LineProtocolTranslator(["/nonexistent-binary"], [Direction("en", "de")])
