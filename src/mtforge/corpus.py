@@ -228,14 +228,22 @@ def split_lines(text: str, name, line_no: int = 0, final: bool = True) -> list[s
 
 def iter_line_chunks(path: str | Path, name=None) -> Iterator[list[str]]:
     """The lines of a UTF-8 text file by ``split_lines``, one non-empty list
-    per read of ``_CHARS_PER_READ`` characters. A stray ``\\r`` raises at
-    ``name`` (default ``path``) after the lines before it, so a reader with
-    its own line checks still fails at the first bad line."""
+    per read of ``_CHARS_PER_READ`` characters. A stray ``\\r``, or a line
+    that is not UTF-8, raises MalformedLineError at ``name`` (default
+    ``path``) after the lines before it, so a reader with its own line
+    checks still fails at the first bad line."""
     name = path if name is None else name
     line_no = 0   # lines yielded so far
     rest = ""     # the start of a line the next read ends
     with Path(path).open(encoding="utf-8", newline="\n") as fh:
-        while chunk := fh.read(_CHARS_PER_READ):
+        while True:
+            try:
+                chunk, bad = fh.read(_CHARS_PER_READ), None
+            except UnicodeDecodeError:
+                chunk, bad = _until_bad_utf8(path, name, line_no)
+                rest = ""   # chunk starts at the line rest began
+            if not chunk and bad is None:
+                break
             try:
                 *lines, rest = split_lines(rest + chunk, name, line_no, final=False)
             except MalformedLineError as exc:
@@ -246,8 +254,28 @@ def iter_line_chunks(path: str | Path, name=None) -> Iterator[list[str]]:
                 line_no += len(lines)
                 yield lines
                 del lines   # the reader then holds the only reference during the next read
+            if bad is not None:
+                raise bad
     if lines := split_lines(rest, name, line_no):
         yield lines
+
+
+def _until_bad_utf8(path: str | Path, name, line_no: int) -> tuple[str, MalformedLineError]:
+    """The text of the lines after line ``line_no`` of ``path`` up to the
+    first that is not UTF-8, and the error that names that line. A ``\\n``
+    byte is never part of a multi-byte character, so the lines are decoded
+    one by one. If all of them decode, the file changed while it was read,
+    and the error names the line after the last."""
+    good = []
+    with Path(path).open("rb") as fh:
+        for n, raw in enumerate(fh, start=1):
+            if n > line_no:
+                try:
+                    good.append(raw.decode())
+                except UnicodeDecodeError as exc:
+                    return "".join(good), MalformedLineError(
+                        name, n, f"not UTF-8 at byte {exc.start + 1} ({exc.reason})")
+    raise MalformedLineError(name, line_no + len(good) + 1, "not UTF-8")
 
 
 def check_tabs(lines: list[str], tabs: int, name, line_no: int = 0) -> None:

@@ -213,7 +213,10 @@ class BatchScheduler:
     The scheduler keeps one read-only descriptor open per non-empty shard
     of a pool with positive weight, so shards must not change while it is
     open. ``close()`` (or leaving a ``with`` block) releases them, as does
-    garbage collection.
+    garbage collection. The process's descriptor limit (``ulimit -n``) thus
+    caps the number of such shards: past it, construction fails with
+    ``OSError`` (``EMFILE``, CLI exit code 2) and closes the descriptors it
+    opened.
     """
 
     def __init__(

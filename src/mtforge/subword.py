@@ -11,9 +11,16 @@ When no multi-character piece contains a whitespace character, a match can
 never cross a whitespace boundary. The text is then handled one run at a
 time: each whitespace character is one token, a non-whitespace run that is
 a piece (or a single character) is one token, and any other run is matched
-greedily on its own. A vocabulary with a multi-character piece that holds
-whitespace (``"a b"``, ``"  "``) falls back to greedy matching over the
-whole string. Both paths give the same tokens.
+greedily on its own. Text whose runs are all pieces is returned as the
+list of runs, checked in one C-level pass. A vocabulary with a
+multi-character piece that holds whitespace (``"a b"``, ``"  "``) falls back
+to greedy matching over the whole string. Both paths give the same tokens.
+
+Greedy matching probes windows only at a start that some piece begins with;
+any other character is its own token. The tokens of a run matched
+greedily are kept for its next occurrence: at most ``_MEMO_RUNS`` runs of
+at most ``_MEMO_RUN_CHARS`` characters, under 1.6 KB a run and 2 MB in all.
+The memo is emptied when it is full.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ _SUBWORD_PIECES = [
 DEFAULT_VOCAB = tuple(dict.fromkeys(COMMON_WORDS + _SUBWORD_PIECES))
 
 _RUNS = re.compile(r"\s+|\S+")
+_MEMO_RUNS = 1024
+_MEMO_RUN_CHARS = 16
 _SPACE = re.compile(r"\s")
 
 
@@ -49,35 +58,48 @@ class SubwordTokenizer:
             pieces = {p: 0.0 for p in vocab if p}
         self.vocab = pieces
         self._max_len = max((len(p) for p in pieces), default=1)
+        self._firsts = {p[0] for p in pieces}
         self._by_runs = not _SPACE.search("".join(p for p in pieces if len(p) > 1))
+        self._memo: dict[str, tuple[str, ...]] = {}   # run -> _greedy(run)
 
     def tokenize(self, text: str) -> list[str]:
         if not self._by_runs:
             return self._greedy(text)
         vocab = self.vocab
+        runs = _RUNS.findall(text)
+        if all(map(vocab.__contains__, runs)):
+            return runs
+        memo = self._memo
         tokens: list[str] = []
-        for run in _RUNS.findall(text):
+        for run in runs:
             if run in vocab or len(run) == 1:
                 tokens.append(run)
             elif run[0].isspace():
                 tokens.extend(run)
             else:
-                tokens.extend(self._greedy(run))
+                pieces = memo.get(run)
+                if pieces is None:
+                    pieces = self._greedy(run)
+                    if len(run) <= _MEMO_RUN_CHARS:
+                        if len(memo) >= _MEMO_RUNS:
+                            memo.clear()
+                        memo[run] = tuple(pieces)
+                tokens.extend(pieces)
         return tokens
 
     def _greedy(self, text: str) -> list[str]:
+        vocab, firsts = self.vocab, self._firsts
         tokens: list[str] = []
         i = 0
         n = len(text)
         while i < n:
-            piece = None
-            for length in range(min(self._max_len, n - i), 0, -1):
-                candidate = text[i:i + length]
-                if candidate in self.vocab:
-                    piece = candidate
-                    break
-            if piece is None:
-                piece = text[i]
+            piece = text[i]
+            if piece in firsts:
+                for length in range(min(self._max_len, n - i), 1, -1):
+                    candidate = text[i:i + length]
+                    if candidate in vocab:
+                        piece = candidate
+                        break
             tokens.append(piece)
             i += len(piece)
         return tokens

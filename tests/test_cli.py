@@ -1,5 +1,8 @@
 import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +43,31 @@ class TestExitCodes:
         bad = tmp_path / "m.tsv"
         bad.write_text("a.tsv\ten\ten\tbitext\t1\n", encoding="utf-8")
         assert main(["stats", "--manifest", str(bad)]) == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "mtforge", "stats"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "usage: mtforge stats" in proc.stderr
+        assert "--manifest" in proc.stderr
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("command", ["filter", "shuffle"])
+    def test_bad_line_past_the_first_read_is_located(self, tmp_path, capsys, command):
+        # The decoder's position would be 137,856, not the file offset
+        # 400,000 of line 100,001.
+        (tmp_path / "a.tsv").write_bytes(b"s\tt\n" * 100_000 + b"\xff\tbad\n")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("a.tsv\thr\ten\tbitext\t100001\n", encoding="utf-8")
+        assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     *(["--seed", "1"] if command == "shuffle" else [])]) == 1
+        assert "error: a.tsv:100001: not UTF-8" in capsys.readouterr().err
 
 
 class TestStats:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bleu_oracle import bleu_oracle, bleu_oracle_full
+from greedy_oracle import greedy_oracle
+from mtforge import subword
 from mtforge.corpus import Direction
 from mtforge.errors import (
     EmptyCorpusError,
@@ -97,7 +99,7 @@ class TestSubwordTokenizer:
 
 # Letters, every kind of whitespace the run splitter must treat alike
 # (ASCII, the \x1c-\x1f separators, NEL, NBSP, LINE SEPARATOR) and a
-# combining mark.
+# combining mark. Texts also draw "x", which starts no piece.
 _LETTERS = "abc\u0301"
 _SPACES = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2028"
 _word_pieces = st.text(alphabet=_LETTERS, min_size=1, max_size=4)
@@ -112,13 +114,67 @@ _vocabs = st.one_of(
 )
 
 
+@st.composite
+def _vocab_and_texts(draw):
+    """A vocabulary and texts that are either pieces of it, one whitespace
+    character apart (the all-piece path when that character is a piece), or
+    any text of the letters, "x" and whitespace (runs that start no piece,
+    and the per-run fallback)."""
+    vocab = draw(_vocabs)
+    of_pieces = st.lists(
+        st.tuples(st.sampled_from(vocab or ["a"]), st.sampled_from(_SPACES)),
+        max_size=8).map(lambda pairs: "".join(p + space for p, space in pairs))
+    any_text = st.text(alphabet=_LETTERS + "x" + _SPACES, max_size=40)
+    return vocab, draw(st.lists(st.one_of(of_pieces, any_text), min_size=1, max_size=4))
+
+
 @settings(max_examples=400, deadline=None)
-@given(vocab=_vocabs, text=st.text(alphabet=_LETTERS + _SPACES, max_size=40))
-def test_tokenize_matches_greedy_and_round_trips(vocab, text):
+@given(case=_vocab_and_texts())
+def test_tokenize_matches_greedy_and_round_trips(case):
+    """``tokenize`` and ``_greedy`` equal the window-scan oracle, also when
+    one tokenizer sees the texts a second time (runs then come from the
+    memo)."""
+    vocab, texts = case
     tok = SubwordTokenizer(vocab)
-    tokens = tok.tokenize(text)
-    assert tokens == tok._greedy(text)
-    assert tok.detokenize(tokens) == text
+    for text in texts + texts:
+        tokens = tok.tokenize(text)
+        assert tokens == tok._greedy(text) == greedy_oracle(set(vocab), text)
+        assert tok.detokenize(tokens) == text
+
+
+class _Probes(dict):
+    """A vocabulary that records every window looked up in it."""
+
+    def __init__(self, pieces):
+        super().__init__(pieces)
+        self.probes = []
+
+    def __contains__(self, key):
+        self.probes.append(key)
+        return super().__contains__(key)
+
+
+class TestTokenizePaths:
+    def test_all_piece_text_is_its_runs(self):
+        tok = SubwordTokenizer(["kafo", "bi", " ", "zu"])
+        tok._greedy = None   # any greedy call would fail
+        assert tok.tokenize("kafo bi zu kafo") == ["kafo", " ", "bi", " ", "zu", " ", "kafo"]
+
+    def test_start_that_begins_no_piece_is_not_probed(self):
+        tok = SubwordTokenizer(["no", "is", "e"])
+        tok.vocab = _Probes(tok.vocab)
+        assert tok._greedy("<noise>") == ["<", "no", "is", "e", ">"]
+        assert tok.vocab.probes
+        assert not any(probe[0] in "<>" for probe in tok.vocab.probes)
+
+    def test_memo_is_bounded_in_runs_and_run_length(self):
+        tok = SubwordTokenizer(["a", " "])
+        long_run = "ab" * subword._MEMO_RUN_CHARS
+        for i in range(2 * subword._MEMO_RUNS):
+            assert tok.tokenize(f"a{i:x}q {long_run}") == greedy_oracle({"a", " "},
+                                                                       f"a{i:x}q {long_run}")
+            assert len(tok._memo) <= subword._MEMO_RUNS
+        assert long_run not in tok._memo
 
 
 class TestCorpusBleu:

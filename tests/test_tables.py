@@ -2,6 +2,7 @@
 built on them (manifest, score matrix, routing table, augmentation plan,
 schedule), plus the line rule that every text reader shares."""
 
+import re
 import tempfile
 from itertools import pairwise
 from pathlib import Path
@@ -55,6 +56,8 @@ from mtforge.evaluation import BleuScore, ScoreMatrix
 from mtforge.routing import RouteEntry, RoutingTable
 from mtforge.sampling import MixtureWeights
 from mtforge.translator import Direct, LineProtocolTranslator, PivotVia
+
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 # One good row per format, as its loader reads it.
 GOOD_ROWS = {
@@ -209,6 +212,15 @@ class TestReadLines:
             read_lines(path)
         assert err.value.line_no == line_no
 
+    def test_not_utf8_past_the_first_read(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_bytes(b"s\tt\n" * 100_000 + b"\xff\tbad\n")
+        got = []
+        with pytest.raises(MalformedLineError, match="^a.tsv:100001: not UTF-8 at byte 1 "):
+            for chunk in iter_line_chunks(path, "a.tsv"):
+                got.extend(chunk)
+        assert got == ["s\tt"] * 100_000
+
     def test_crlf_split_between_reads(self, tmp_path, monkeypatch):
         path = tmp_path / "t.txt"
         path.write_bytes(b"ab\r\ncd\r\n")
@@ -219,11 +231,13 @@ class TestReadLines:
 def _policy_lines(text: str, tabs: int | None = None) -> tuple[list[str], int | None]:
     """The line rule applied one line at a time: the lines before the first
     bad one, and that line's number (None when every line is good). A bad
-    line holds a stray ``\\r`` or, with ``tabs``, not exactly that many tabs."""
+    line holds a stray ``\\r``, a byte that is not UTF-8 (decoded with
+    ``surrogateescape``) or, with ``tabs``, not exactly that many tabs."""
     *ended, last = text.split("\n")
     lines = [line.removesuffix("\r") for line in ended] + ([last] if last else [])
     for line_no, line in enumerate(lines, start=1):
-        if "\r" in line or (tabs is not None and line.count("\t") != tabs):
+        if ("\r" in line or _NOT_UTF8.search(line)
+                or (tabs is not None and line.count("\t") != tabs)):
             return lines[:line_no - 1], line_no
     return lines, None
 
@@ -309,6 +323,40 @@ def test_readers_match_per_line_policy(reader, read, pad, pieces):
             if reader == "count_lines":   # a counter counts bad lines too
                 assert len(got) == len(lines) if bad is None else len(got) >= bad
                 return
+            assert bad is None
+    if reader == "iter_line_chunks" or bad is None:
+        assert got == (sorted(lines) if reader == "shuffle_dataset" else lines)
+    else:
+        assert got == lines[:len(got)]
+
+
+@pytest.mark.parametrize("reader", ["iter_line_chunks", "read_lines", "read_pairs",
+                                    "shuffle_dataset"])
+@settings(max_examples=100, deadline=None)
+@given(read=st.sampled_from([2**18, 1, 2, 3, 5]),
+       pad=st.sampled_from([(0, 0), (1, -1), (1, 0), (2, -1)]),
+       pieces=st.lists(st.sampled_from([b"x", "\u00e9".encode(), b"\t", b"\n", b"\r\n",
+                                        b"\r", b"\xff", b"\xc3"]), max_size=12))
+def test_readers_locate_the_first_line_not_utf8(reader, read, pad, pieces):
+    """Every reader that decodes through ``iter_line_chunks`` fails at the
+    first line holding a byte that is not UTF-8, a stray ``\\r`` or a bad tab
+    count, wherever a read ends; ``iter_line_chunks`` gives every line
+    before it."""
+    reads, shift = pad
+    data = b"a" * max(0, reads * read + shift) + b"".join(pieces)
+    lines, bad = _policy_lines(data.decode(errors="surrogateescape"),
+                               1 if reader in PAIR_READERS else None)
+    got = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch.object(corpus, "_CHARS_PER_READ", read):
+        path = Path(tmp) / "s.tsv"
+        path.write_bytes(data)
+        try:
+            for line in READERS[reader](path):
+                got.append(line)
+        except MalformedLineError as exc:
+            assert bad is not None and exc.line_no == bad, (exc, bad)
+        else:
             assert bad is None
     if reader == "iter_line_chunks" or bad is None:
         assert got == (sorted(lines) if reader == "shuffle_dataset" else lines)

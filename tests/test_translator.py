@@ -20,6 +20,7 @@ from mtforge.translator import (
     DecodingConfig,
     LineProtocolTranslator,
     Translator,
+    _noise_draw,
     make_cipher_translator,
     pivot_translate,
     with_noise,
@@ -174,6 +175,40 @@ class TestNoise:
     def test_bad_rate(self, ciphers):
         with pytest.raises(ValueError):
             with_noise(ciphers, 1.5, seed=0)
+
+
+_NOISE_DIRECTIONS = [Direction(a, b) for a in ("en", "xx", "yy")
+                     for b in ("en", "xx", "yy") if a != b]
+_SENTENCES = st.lists(st.sampled_from(["the", "cat", "sat", "good", "day", "qwerty"]),
+                      max_size=12).map(" ".join)
+
+
+def _noise_reference(out, rate, seed):
+    """Each token of ``out`` replaced by the marker where its position's
+    draw falls below ``rate``; computed afresh, with no flags kept."""
+    return [" ".join(NOISE_TOKEN if _noise_draw(seed, i, j) < rate else token
+                     for j, token in enumerate(sentence.split()))
+            for i, sentence in enumerate(out)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+       seed=st.integers(0, 2**64),
+       noisy_directions=st.one_of(st.none(), st.sets(st.sampled_from(_NOISE_DIRECTIONS))),
+       calls=st.lists(st.tuples(st.sampled_from(_NOISE_DIRECTIONS),
+                                st.lists(_SENTENCES, max_size=8)), min_size=1, max_size=6))
+def test_noise_is_the_same_on_every_call(ciphers, rate, seed, noisy_directions, calls):
+    """One instance, through calls of mixed directions, sizes and sentence
+    lengths, and the same calls again in reverse order, gives what a fresh
+    instance per call gives, and the per-position draw."""
+    noisy = with_noise(ciphers, rate, seed, noisy_directions)
+    for direction, sentences in calls + calls[::-1]:
+        got = noisy.translate(sentences, direction)
+        assert got == with_noise(ciphers, rate, seed, noisy_directions).translate(
+            sentences, direction)
+        out = ciphers.translate(sentences, direction)
+        noised = noisy_directions is None or direction in noisy_directions
+        assert got == (_noise_reference(out, rate, seed) if noised and rate else out)
 
 
 class TestDecodingConfig:
