@@ -212,9 +212,9 @@ def shuffle_dataset(
             for h in handles:
                 h.close()
         written = 0
-        with out_path.open("w", encoding="utf-8", newline="\n") as out:
+        with out_path.open("wb") as out:
             for p in chunk_paths:
-                with p.open(encoding="utf-8") as fh:
+                with p.open("rb") as fh:
                     lines = fh.readlines()
                 rng.shuffle(lines)
                 out.writelines(lines)

@@ -22,7 +22,7 @@ from .errors import DuplicateShardPathError, MalformedLineError, ManifestError, 
 
 _LANG_RE = re.compile(r"[a-z]{2,8}\Z")
 _ROWS_PER_WRITE = 512
-_CHARS_PER_READ = 1 << 18
+_BYTES_PER_READ = 1 << 18
 STRAY_CR = "carriage return outside a CRLF line end"
 ONE_TAB = "expected exactly one tab separator"
 
@@ -209,73 +209,75 @@ def write_table(path: str | Path, rows: Iterable[Iterable[object]],
         fh.write("".join(line + "\n" for line in lines))
 
 
-def split_lines(text: str, name, line_no: int = 0, final: bool = True) -> list[str]:
-    """The lines of ``text``, each ended by ``\\n`` or ``\\r\\n``: the one line
-    rule of every text reader and of the ``exec:`` protocol. Any other ``\\r``
-    raises MalformedLineError(name, its line's number, STRAY_CR), numbering
-    from ``line_no + 1``. Unless ``final``, a later text continues this one:
-    the last item is the unended rest, and a ``\\r`` ending it is let be.
+def line_text(data: bytes) -> str | None:
+    """``data`` decoded, or None when it is not UTF-8 or holds a ``\\r``
+    outside a ``\\r\\n``: the check of ``decode_lines`` without its split."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        return None
+    return text if b"\r" not in data or data.count(b"\r") == data.count(b"\r\n") else None
+
+
+def decode_lines(data: bytes, name, line_no: int = 0) -> list[str]:
+    """The lines of ``data``, whole lines of UTF-8 text each ended by ``\\n``
+    or ``\\r\\n`` but the last, which may be unended: the one line rule of
+    every text reader and of the ``exec:`` protocol. Numbering from
+    ``line_no + 1``, the first line that holds any other ``\\r``, or bytes
+    that are not UTF-8, raises MalformedLineError(name, its number, reason).
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if (cr := text.find("\r", 0, len(text) if final else len(text) - 1)) >= 0:
-            raise MalformedLineError(name, line_no + text.count("\n", 0, cr) + 1, STRAY_CR)
-    lines = text.split("\n")
-    if final and not lines[-1]:
-        lines.pop()
-    return lines
+    if (text := line_text(data)) is not None:
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        return lines
+    # Walk to the first bad line; a \n byte is never part of a multi-byte character.
+    *ended, last = data.split(b"\n")
+    for n, line in enumerate([line.removesuffix(b"\r") for line in ended] + [last], line_no + 1):
+        if b"\r" in line:
+            raise MalformedLineError(name, n, STRAY_CR)
+        try:
+            line.decode()
+        except UnicodeDecodeError as exc:
+            raise MalformedLineError(
+                name, n, f"not UTF-8 at byte {exc.start + 1} ({exc.reason})") from None
+    raise AssertionError("decode_lines found no bad line")
 
 
 def iter_line_chunks(path: str | Path, name=None) -> Iterator[list[str]]:
-    """The lines of a UTF-8 text file by ``split_lines``, one non-empty list
-    per read of ``_CHARS_PER_READ`` characters. A stray ``\\r``, or a line
-    that is not UTF-8, raises MalformedLineError at ``name`` (default
-    ``path``) after the lines before it, so a reader with its own line
-    checks still fails at the first bad line."""
+    """The lines of a text file by ``decode_lines``, one non-empty list per
+    read of ``_BYTES_PER_READ`` bytes that ends a line. A bad line raises
+    MalformedLineError at ``name`` (default ``path``) after the lines before
+    it, so a reader with its own line checks still fails at the first bad
+    line. A ``\\r`` that no ``\\n`` follows fails at the read that shows it.
+    """
     name = path if name is None else name
     line_no = 0   # lines yielded so far
-    rest = ""     # the start of a line the next read ends
-    with Path(path).open(encoding="utf-8", newline="\n") as fh:
-        while True:
-            try:
-                chunk, bad = fh.read(_CHARS_PER_READ), None
-            except UnicodeDecodeError:
-                chunk, bad = _until_bad_utf8(path, name, line_no)
-                rest = ""   # chunk starts at the line rest began
-            if not chunk and bad is None:
-                break
-            try:
-                *lines, rest = split_lines(rest + chunk, name, line_no, final=False)
-            except MalformedLineError as exc:
-                if before := (rest + chunk).split("\n", exc.line_no - line_no - 1)[:-1]:
-                    yield split_lines("\n".join(before) + "\n", name, line_no)
-                raise
-            if lines:
+    rest = []     # the pieces of a line that no read has ended yet
+    with Path(path).open("rb") as fh:
+        while block := fh.read(_BYTES_PER_READ):
+            if end := block.rfind(b"\n") + 1:
+                rest.append(block[:end])
+                try:
+                    lines = decode_lines(b"".join(rest), name, line_no)
+                except MalformedLineError as exc:
+                    if good := exc.line_no - line_no - 1:   # yield the lines before it
+                        *before, _ = b"".join(rest).split(b"\n", good)
+                        yield decode_lines(b"\n".join(before) + b"\n", name, line_no)
+                    raise
+                rest = []
                 line_no += len(lines)
                 yield lines
                 del lines   # the reader then holds the only reference during the next read
-            if bad is not None:
-                raise bad
-    if lines := split_lines(rest, name, line_no):
-        yield lines
-
-
-def _until_bad_utf8(path: str | Path, name, line_no: int) -> tuple[str, MalformedLineError]:
-    """The text of the lines after line ``line_no`` of ``path`` up to the
-    first that is not UTF-8, and the error that names that line. A ``\\n``
-    byte is never part of a multi-byte character, so the lines are decoded
-    one by one. If all of them decode, the file changed while it was read,
-    and the error names the line after the last."""
-    good = []
-    with Path(path).open("rb") as fh:
-        for n, raw in enumerate(fh, start=1):
-            if n > line_no:
-                try:
-                    good.append(raw.decode())
-                except UnicodeDecodeError as exc:
-                    return "".join(good), MalformedLineError(
-                        name, n, f"not UTF-8 at byte {exc.start + 1} ({exc.reason})")
-    raise MalformedLineError(name, line_no + len(good) + 1, "not UTF-8")
+                block = block[end:]
+            if block.find(b"\r", 0, -1) >= 0 or (rest and rest[-1].endswith(b"\r")):
+                decode_lines(b"".join(rest) + block, name, line_no)   # raises: a stray \r
+            if block:
+                rest.append(block)
+    if rest:
+        yield decode_lines(b"".join(rest), name, line_no)
 
 
 def check_tabs(lines: list[str], tabs: int, name, line_no: int = 0) -> None:

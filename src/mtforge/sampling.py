@@ -21,12 +21,10 @@ from itertools import accumulate, repeat
 from pathlib import Path
 from typing import BinaryIO, Mapping
 
-from .corpus import (ONE_TAB, STRAY_CR, CorpusManifest, Direction, LanguageStats, OriginPool,
-                     SentencePair, write_table)
-from .errors import EmptyPoolError, MalformedLineError
-
-# Bytes of whole lines validated per step of the index pass.
-_INDEX_READ_HINT = 1 << 18
+from . import corpus
+from .corpus import (CorpusManifest, Direction, LanguageStats, OriginPool,
+                     SentencePair, check_tabs, decode_lines, line_text, write_table)
+from .errors import EmptyPoolError
 
 
 @dataclass(frozen=True)
@@ -118,45 +116,22 @@ def _index_lines(fh: BinaryIO, shard_id: str) -> array:
     """Byte offsets of the line starts of a shard opened in binary mode,
     followed by its size, built in one pass.
 
-    Every line must hold exactly one tab and be strict UTF-8, as
-    ``read_pairs`` requires, under the rule of ``corpus.split_lines``: its one
-    byte-level copy, kept as the scheduler needs byte offsets for ``os.pread``.
+    Every line must hold exactly one tab and follow ``corpus.decode_lines``,
+    as ``read_pairs`` requires; the scheduler reads bytes itself because it
+    needs their offsets for ``os.pread``.
     """
     offsets = array("Q", [0])
-    line_no = 1
-    while lines := fh.readlines(_INDEX_READ_HINT):
+    line_no = 0   # lines indexed so far
+    while lines := fh.readlines(corpus._BYTES_PER_READ):
         # Fast path: checks over the whole chunk; the per-line walk below
         # finds the first bad line only when one of them fails.
-        data = b"".join(lines)
-        if not ((b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))
-                and set(map(bytes.count, lines, repeat(b"\t"))) == {1}
-                and _is_utf8(data)):
-            _check_lines(lines, shard_id, line_no)
+        data = b"".join(lines)   # bound until the next read, which is faster
+        if line_text(data) is None or set(map(bytes.count, lines, repeat(b"\t"))) != {1}:
+            for n, line in enumerate(lines, line_no):
+                check_tabs(decode_lines(line, shard_id, n), 1, shard_id, n)
         offsets.extend(accumulate(map(len, lines), initial=offsets.pop()))
         line_no += len(lines)
     return offsets
-
-
-def _is_utf8(data: bytes) -> bool:
-    try:
-        data.decode()
-    except UnicodeDecodeError:
-        return False
-    return True
-
-
-def _check_lines(lines: list[bytes], shard_id: str, first_line_no: int) -> None:
-    for line_no, line in enumerate(lines, first_line_no):
-        body = line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
-        if b"\r" in body:
-            raise MalformedLineError(shard_id, line_no, STRAY_CR)
-        if body.count(b"\t") != 1:
-            raise MalformedLineError(shard_id, line_no, ONE_TAB)
-        try:
-            body.decode()
-        except UnicodeDecodeError as exc:
-            exc.reason = f"{shard_id}:{line_no}: {exc.reason}"
-            raise
 
 
 class _OffsetPairs:

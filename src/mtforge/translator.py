@@ -20,7 +20,7 @@ import subprocess
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .corpus import Direction, check_lang_code, split_lines
+from .corpus import Direction, check_lang_code, decode_lines
 from .errors import DuplicateLanguageError, MTForgeError, UnsupportedDirectionError
 from .wordlist import COMMON_WORDS
 
@@ -334,12 +334,13 @@ class LineProtocolTranslator(Translator):
     """Adapter for external translators speaking a line protocol.
 
     Runs a subprocess per call: one sentence per line on stdin, one
-    translation per line on stdout, both UTF-8. ``split_lines`` splits the
-    output, named ``translator output``; a source sentence holding ``\\n`` or
-    ``\\r`` is rejected before the command runs. Each ``{src}`` and ``{tgt}``
-    in the command is replaced by the direction's language code, and no
-    other text. With ``timeout``, a call whose command runs longer than that
-    many seconds kills it and raises MTForgeError.
+    translation per line on stdout, both UTF-8. ``decode_lines`` decodes and
+    splits the output, named ``translator output``; a source sentence
+    holding ``\\n`` or ``\\r`` is rejected before the command runs. Each
+    ``{src}`` and ``{tgt}`` in the command is replaced by the direction's
+    language code, and no other text. With ``timeout``, a call whose
+    command runs longer than that many seconds kills it and raises
+    MTForgeError.
     """
 
     def __init__(self, command: str | Sequence[str], directions: Iterable[Direction],
@@ -374,10 +375,7 @@ class LineProtocolTranslator(Translator):
             raise MTForgeError(
                 f"translator command failed ({proc.returncode}): "
                 f"{proc.stderr.decode(errors='replace').strip()}")
-        try:
-            lines = split_lines(proc.stdout.decode(), "translator output")
-        except UnicodeDecodeError as exc:
-            raise MTForgeError(f"translator output is not UTF-8: {exc}") from None
+        lines = decode_lines(proc.stdout, "translator output")
         if len(lines) != len(sentences):
             raise MTForgeError(
                 f"translator returned {len(lines)} lines for {len(sentences)} sentences")

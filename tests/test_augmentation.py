@@ -313,7 +313,7 @@ class TestStreaming:
     def test_chunked_run_equals_single_chunk_run(self, mixed_plan, translator, tmp_path,
                                                  monkeypatch):
         whole = _outputs(mixed_plan, translator, tmp_path / "whole")
-        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 97)
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 97)
         recorder = _Recorder(translator)
         chunked = _outputs(mixed_plan, recorder, tmp_path / "chunked")
         assert chunked == whole
@@ -342,7 +342,7 @@ class TestStreaming:
             tracemalloc.stop()
 
     def test_memory_does_not_grow_with_input(self, translator, tmp_path, monkeypatch):
-        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 4096)
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 4096)
         self._traced_peak(tmp_path, translator, 100)   # one-time allocations
         small = self._traced_peak(tmp_path, translator, 1000)
         large = self._traced_peak(tmp_path, translator, 4000)
@@ -356,7 +356,7 @@ class TestStreaming:
         mono = tmp_path / "mono.en.txt"
         mono.write_text("".join(line + "\n" for line in _english(200)), encoding="utf-8")
         plan = plan_dual_pseudo(MonoCorpusRef(mono, "en"), all_ordered_pairs(langs))
-        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 512)
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 512)
         before = len(os.listdir("/proc/self/fd"))
         manifest = run_plan(plan, recorder, None, tmp_path / "out")
         assert len(manifest.shards) == 30

@@ -146,6 +146,18 @@ class TestFilterCli:
         assert rc == 1
         assert "length_ratio_limit" in capsys.readouterr().err
 
+    def test_bad_later_line_leaves_no_manifest(self, tmp_path, capsys):
+        # The shards and kept lines before the bad line are already written.
+        build_manifest(tmp_path, [("a.tsv", "hr-en", "bitext", [("s", "t")] * 3),
+                                  ("b.tsv", "hr-en", "bitext", [("s", "t")] * 3)])
+        with (tmp_path / "b.tsv").open("ab") as fh:
+            fh.write(b"\xff\tbad\n")
+        out_dir = tmp_path / "clean"
+        assert main(["filter", "--manifest", str(tmp_path / "manifest.tsv"),
+                     "--out", str(out_dir)]) == 1
+        assert "error: b.tsv:4: not UTF-8" in capsys.readouterr().err
+        assert not (out_dir / "manifest.tsv").exists()
+
     def test_script_rule_flag(self, tmp_path, capsys):
         build_manifest(tmp_path, [("a.tsv", "sr-en", "bitext", [
             ("latinica ovde", "latin here"),
@@ -325,7 +337,7 @@ class TestAugmentCli:
         assert not (tmp_path / "aug").exists()
 
     def test_stray_carriage_return_past_the_first_chunk(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 64)
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 64)
         mono = tmp_path / "mono.en.txt"
         lines = ["the cat sat on the mat"] * 40
         lines[34] = "the cat\rsat"

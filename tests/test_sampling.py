@@ -306,8 +306,9 @@ class TestLineIndex:
     def test_invalid_utf8_fails_at_build(self, tmp_path):
         manifest = raw_corpus(tmp_path, [
             ("bx.tsv", "hr-en", "bitext", b"a\tb\nc\t\xc3\nd\te\n")])
-        with pytest.raises(UnicodeDecodeError, match="bx.tsv:2"):
+        with pytest.raises(MalformedLineError, match="^bx.tsv:2: not UTF-8 at byte 3 ") as err:
             draw_all(manifest)
+        assert err.value.line_no == 2
 
     @pytest.mark.parametrize("data, line_no", [
         (b"a\tb\nno tab\n", 2), (b"a\tb\tc\n", 1), (b"a\tb\n\nc\td\n", 2),

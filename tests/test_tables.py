@@ -2,16 +2,21 @@
 built on them (manifest, score matrix, routing table, augmentation plan,
 schedule), plus the line rule that every text reader shares."""
 
+import ast
+import io
 import re
 import tempfile
+import time
 from itertools import pairwise
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtforge
 from mtforge import corpus, sampling
 from mtforge.augmentation import (
     AugmentationPlan,
@@ -221,10 +226,36 @@ class TestReadLines:
                 got.extend(chunk)
         assert got == ["s\tt"] * 100_000
 
+    def test_long_line_in_linear_time(self, tmp_path, monkeypatch):
+        # The pieces of an unended line are joined once, when a read ends it.
+        # Copying the line so far at each of these 8,192 reads takes seconds.
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"x" * (2 << 20) + b"\ty\n")
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 256)
+        start = time.perf_counter()
+        assert read_lines(path) == ["x" * (2 << 20) + "\ty"]
+        assert time.perf_counter() - start < 0.5
+
+    def test_cr_line_ends_fail_at_the_first_read(self, tmp_path, monkeypatch):
+        # No \n ever comes, so waiting for one would read the whole file.
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"one line\r" * 200_000)
+        reads = []
+
+        class Reader(io.BufferedReader):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+        monkeypatch.setattr(corpus, "Path", lambda p: SimpleNamespace(
+            open=lambda mode: Reader(io.FileIO(p))))
+        with pytest.raises(MalformedLineError, match=f"^t.txt:1: {STRAY_CR}$"):
+            list(iter_line_chunks(path, "t.txt"))
+        assert reads == [corpus._BYTES_PER_READ]
+
     def test_crlf_split_between_reads(self, tmp_path, monkeypatch):
         path = tmp_path / "t.txt"
         path.write_bytes(b"ab\r\ncd\r\n")
-        monkeypatch.setattr(corpus, "_CHARS_PER_READ", 3)   # reads "ab\r", "\ncd", "\r\n"
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 3)   # reads "ab\r", "\ncd", "\r\n"
         assert list(iter_line_chunks(path)) == [["ab"], ["cd"]]
 
 
@@ -310,8 +341,7 @@ def test_readers_match_per_line_policy(reader, read, pad, pieces):
     lines, bad = _policy_lines(text, 1 if reader in PAIR_READERS else None)
     got = []
     with tempfile.TemporaryDirectory() as tmp, \
-            patch.object(corpus, "_CHARS_PER_READ", read), \
-            patch.object(sampling, "_INDEX_READ_HINT", read):
+            patch.object(corpus, "_BYTES_PER_READ", read):
         path = Path(tmp) / "s.tsv"
         path.write_text(text, encoding="utf-8", newline="")
         try:
@@ -331,15 +361,15 @@ def test_readers_match_per_line_policy(reader, read, pad, pieces):
 
 
 @pytest.mark.parametrize("reader", ["iter_line_chunks", "read_lines", "read_pairs",
-                                    "shuffle_dataset"])
+                                    "shuffle_dataset", "scheduler_index", "exec_output"])
 @settings(max_examples=100, deadline=None)
 @given(read=st.sampled_from([2**18, 1, 2, 3, 5]),
        pad=st.sampled_from([(0, 0), (1, -1), (1, 0), (2, -1)]),
        pieces=st.lists(st.sampled_from([b"x", "\u00e9".encode(), b"\t", b"\n", b"\r\n",
                                         b"\r", b"\xff", b"\xc3"]), max_size=12))
 def test_readers_locate_the_first_line_not_utf8(reader, read, pad, pieces):
-    """Every reader that decodes through ``iter_line_chunks`` fails at the
-    first line holding a byte that is not UTF-8, a stray ``\\r`` or a bad tab
+    """Every reader that decodes through ``decode_lines`` fails at the first
+    line holding a byte that is not UTF-8, a stray ``\\r`` or a bad tab
     count, wherever a read ends; ``iter_line_chunks`` gives every line
     before it."""
     reads, shift = pad
@@ -348,7 +378,7 @@ def test_readers_locate_the_first_line_not_utf8(reader, read, pad, pieces):
                                1 if reader in PAIR_READERS else None)
     got = []
     with tempfile.TemporaryDirectory() as tmp, \
-            patch.object(corpus, "_CHARS_PER_READ", read):
+            patch.object(corpus, "_BYTES_PER_READ", read):
         path = Path(tmp) / "s.tsv"
         path.write_bytes(data)
         try:
@@ -362,6 +392,44 @@ def test_readers_locate_the_first_line_not_utf8(reader, read, pad, pieces):
         assert got == (sorted(lines) if reader == "shuffle_dataset" else lines)
     else:
         assert got == lines[:len(got)]
+
+
+def _text_reads(source: str) -> list[int]:
+    """The line numbers of the calls in ``source`` that may read a file in
+    text mode: ``read_text``, and ``open`` with a mode other than ``"rb"``
+    that may read (no mode, ``r`` or ``+``) or that is not a literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":
+            at = 1 if isinstance(func, ast.Name) else 0   # open(file, mode), Path.open(mode)
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            modes = [n.value for n in ast.walk(mode)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            if not modes or any(m != "rb" and ("r" in m or "+" in m) for m in modes):
+                found.append(node.lineno)
+        elif name == "read_text":
+            found.append(node.lineno)
+    return found
+
+
+def test_text_reads_are_found():
+    assert _text_reads("open(p)\nopen(p, 'rb')\nopen(p, mode)\nopen(p, 'w')") == [1, 3]
+    assert _text_reads("p.open(encoding='utf-8')\np.open('rb')\np.open('r+b')\n"
+                       "p.open('a' if x else 'w')\np.open(mode='r')\np.read_text()") \
+        == [1, 3, 5, 6]
+
+
+def test_no_module_reads_a_file_in_text_mode():
+    """Every text file is read as bytes and decoded by ``corpus.decode_lines``,
+    so no reader can follow another line rule."""
+    found = {path.name: lines for path in sorted(Path(mtforge.__file__).parent.glob("*.py"))
+             if (lines := _text_reads(path.read_text(encoding="utf-8")))}
+    assert found == {}
 
 
 # --- save -> load round trips ------------------------------------------------
