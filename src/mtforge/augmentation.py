@@ -13,10 +13,12 @@ pool:
 
 Planning is pure; ``run_plan`` does the translation and I/O. It streams
 each input file one chunk of lines at a time, so its memory does not grow
-with the input. Each en->X pass over a chunk is computed once and shared by
-the tasks on that input. The translator is therefore called once per chunk
-per direction (an ``exec:`` command is started that many times), and must
-translate each sentence independently of the others in the call.
+with the input. The en->X passes over a chunk come from one
+``Translator.translate_many`` call and are shared by the tasks on that
+input. The cipher translator splits each line once for all of them; a
+translator that implements only ``translate`` is called once per chunk per
+direction (an ``exec:`` command is started that many times). A translator
+must translate each sentence independently of the others in the call.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import (
     EnglishInPairError,
     MTForgeError,
     NothingToDoError,
+    TableError,
     UnsupportedDirectionError,
 )
 from .translator import DecodingConfig, Translator
@@ -200,6 +203,24 @@ def _task_problem(task: AugmentationTask) -> str | None:
     return None
 
 
+def _check_translations(column: list[str] | None, direction: Direction,
+                        lines: list[str], path: Path, line_no: int) -> None:
+    """Raise TableError at ``path:line`` unless ``column`` holds one
+    translation per line of the chunk, numbered from ``line_no + 1``, and
+    none holds a tab or line break, which would misalign its shard row.
+    The whole column is tested at once; it is walked only to find a bad
+    translation."""
+    if column is None or len(column) != len(lines):
+        got = "no" if column is None else len(column)
+        raise TableError(path, line_no + 1, f"the translator returned {got} {direction} "
+                         f"translations for the {len(lines)} lines from here")
+    joined = "".join(column)
+    if "\t" in joined or "\n" in joined or "\r" in joined:
+        bad = next(i for i, text in enumerate(column, start=line_no + 1)
+                   if "\t" in text or "\n" in text or "\r" in text)
+        raise TableError(path, bad, f"its {direction} translation holds a tab or line break")
+
+
 def run_plan(
     plan: AugmentationPlan,
     translator: Translator,
@@ -215,10 +236,17 @@ def run_plan(
     Each input file is then read one chunk of lines at a time
     (``corpus.iter_line_chunks``), and each chunk's rows are appended to the
     input's shards, reopening a shard for each append. So memory does not
-    grow with the input, and no descriptor is held per shard. Every en->X
-    pass over a chunk is computed once and shared by the tasks on that
-    input. The translator is called once per chunk per direction, so it must
-    translate each sentence independently of the others in the call.
+    grow with the input, and no descriptor is held per shard. The en->X
+    passes over a chunk are computed by one ``translator.translate_many``
+    call and shared by the tasks on that input; a triangulation hop is one
+    ``translate`` call per chunk. So the translator must translate each
+    sentence independently of the others in the call.
+
+    Before a chunk's rows are written, each of its translated columns must
+    hold one translation per input line, none with a tab, ``\n`` or
+    ``\r``, as its shard row would otherwise be misaligned. A column that
+    does not raises TableError at the input's ``path:line``, naming the
+    direction (and both counts when the size is wrong).
 
     Input lines follow the line rule of ``iter_line_chunks``; a bitext line
     must hold exactly one tab and a monolingual line none, as a shard row
@@ -269,8 +297,9 @@ def run_plan(
         for lines in iter_line_chunks(input_path):
             for n in tabs:
                 check_tabs(lines, n, input_path, line_no)
-            line_no += len(lines)
-            translated = {d: translator.translate(lines, d, config) for d in shared}
+            translated = translator.translate_many(lines, shared, config) if shared else {}
+            for d in shared:
+                _check_translations(translated.get(d), d, lines, input_path, line_no)
             for task, paths in tasks:
                 if task.kind == TaskKind.BACK_TRANSLATION:
                     lang = task.needed[0].tgt
@@ -286,11 +315,13 @@ def run_plan(
                 else:  # TRIANGULATION
                     sources, targets = zip(*map(str.split, lines, repeat("\t")))
                     hop = task.needed[0]
-                    if hop.src == task.input_direction.tgt:
-                        rows = zip(sources, translator.translate(targets, hop, config))
-                    else:
-                        rows = zip(translator.translate(sources, hop, config), targets)
+                    keep_sources = hop.src == task.input_direction.tgt
+                    synthetic = translator.translate(targets if keep_sources else sources,
+                                                     hop, config)
+                    _check_translations(synthetic, hop, lines, input_path, line_no)
+                    rows = zip(sources, synthetic) if keep_sources else zip(synthetic, targets)
                     counts[paths[0]] += write_shard(paths[0], rows, append=True)
+            line_no += len(lines)
             del lines, translated   # before the next chunk is read and translated
 
     return CorpusManifest(

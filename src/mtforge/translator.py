@@ -18,6 +18,7 @@ import random
 import shlex
 import subprocess
 from dataclasses import dataclass
+from itertools import islice
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import Direction, check_lang_code, decode_lines
@@ -64,7 +65,14 @@ Strategy = Direct | PivotVia
 
 
 class Translator(abc.ABC):
-    """Batch sentence translator for a fixed set of directions."""
+    """Batch sentence translator for a fixed set of directions.
+
+    ``translate_many`` translates the same sentences in several directions
+    at once. Each direction's list keeps the order and count of the
+    sentences and equals what ``translate`` gives for that direction. The
+    default calls ``translate`` once per direction; a translator that can
+    share work between directions overrides it.
+    """
 
     @property
     @abc.abstractmethod
@@ -78,6 +86,15 @@ class Translator(abc.ABC):
         config: DecodingConfig | None = None,
     ) -> list[str]:
         """Translate sentences, preserving order and count."""
+
+    def translate_many(
+        self,
+        sentences: Sequence[str],
+        directions: Iterable[Direction],
+        config: DecodingConfig | None = None,
+    ) -> dict[Direction, list[str]]:
+        """``translate`` of the sentences in each direction, by direction."""
+        return {d: self.translate(sentences, d, config) for d in directions}
 
     def _check_direction(self, direction: Direction) -> None:
         if direction not in self.supported_directions:
@@ -181,11 +198,34 @@ class _ComposedTable(dict):
         return mapped
 
 
+# Sentences split at a time by CipherTranslator.translate_many. Only their
+# tokens are held at once, and a block amortizes the loop over directions.
+_SPLIT_BLOCK = 64
+
+
+def _translate_into(block: list[list[str]], jobs) -> None:
+    """Append the translation of each split sentence of ``block`` to every
+    job's ``out`` list.
+
+    A job is ``(lookup, fallback, out)``: ``lookup`` maps one token, and
+    ``fallback`` translates the tokens of a sentence whose lookup raised
+    _NotOneToken.
+    """
+    for lookup, fallback, out in jobs:
+        for tokens in block:
+            try:
+                sentence = " ".join(map(lookup, tokens))
+            except _NotOneToken:
+                sentence = fallback(tokens)
+            out.append(sentence)
+
+
 class CipherTranslator(Translator):
     """Exact translator over {en} plus a set of cipher languages.
 
     English is the interlingua: en->X encodes, X->en decodes, and X->Y is
     the composition decode-then-encode. All ordered pairs are supported.
+    ``translate_many`` splits each sentence once for all its directions.
     """
 
     def __init__(self, languages: Iterable[CipherLanguage]):
@@ -207,24 +247,29 @@ class CipherTranslator(Translator):
         return dict(self._ciphers)
 
     def translate(self, sentences, direction, config=None):
-        self._check_direction(direction)
+        return self.translate_many(sentences, (direction,), config)[direction]
+
+    def translate_many(self, sentences, directions, config=None):
+        outs = {}
+        for direction in directions:
+            self._check_direction(direction)
+            outs[direction] = []
+        jobs = [(*self._job(d), out) for d, out in outs.items()]
+        split = map(str.split, sentences)
+        while block := list(islice(split, _SPLIT_BLOCK)):
+            _translate_into(block, jobs)
+        return outs
+
+    def _job(self, direction: Direction):
+        """The token lookup of one direction and its whole-sentence fallback."""
         src = self._ciphers.get(direction.src)
         tgt = self._ciphers.get(direction.tgt)
         if src is None:
-            table = tgt._encode
-        elif tgt is None:
-            table = src._decode
-        else:
-            table = _ComposedTable(src, tgt)
-        lookup = table.__getitem__
-        out = []
-        for sentence in sentences:
-            try:
-                sentence = " ".join(map(lookup, sentence.split()))
-            except _NotOneToken:
-                sentence = tgt.encode(src.decode(sentence))
-            out.append(sentence)
-        return out
+            return tgt._encode.__getitem__, None
+        if tgt is None:
+            return src._decode.__getitem__, None
+        return (_ComposedTable(src, tgt).__getitem__,
+                lambda tokens: tgt.encode(src.decode(" ".join(tokens))))
 
 
 def make_cipher_translator(languages: Iterable[CipherLanguage]) -> CipherTranslator:

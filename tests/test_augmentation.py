@@ -27,9 +27,11 @@ from mtforge.errors import (
     MalformedLineError,
     MTForgeError,
     NothingToDoError,
+    TableError,
     UnsupportedDirectionError,
 )
-from mtforge.translator import CipherLanguage, Translator, make_cipher_translator
+from mtforge.translator import (CipherLanguage, CipherTranslator, Translator,
+                                make_cipher_translator)
 from mtforge.wordlist import COMMON_WORDS
 
 
@@ -219,6 +221,60 @@ class TestRunPlan:
         # The chunk holding the bad line wrote no row.
         assert all(shard.read_bytes() == b"" for shard in out.iterdir())
 
+    @pytest.mark.parametrize("kind", ["bt", "dual", "tri"])
+    @pytest.mark.parametrize("bad", ["\t", "\n", "\r"])
+    def test_translation_that_would_misalign_rows(self, translator, tmp_path, monkeypatch,
+                                                  kind, bad):
+        path = tmp_path / "input.txt"
+        row = "the cat\tsat down" if kind == "tri" else "the cat sat down"
+        path.write_text(f"{row}\n" * 40, encoding="utf-8")
+        if kind == "tri":
+            plan = plan_triangulation(BitextCorpusRef(path, _BITEXT), new_src="mk")
+        elif kind == "bt":
+            plan = plan_backtranslation(MonoCorpusRef(path, "en"), ["hr"])
+        else:
+            plan = plan_dual_pseudo(MonoCorpusRef(path, "en"), [Direction("hr", "hu")])
+        direction = plan.tasks[0].needed[-1]
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 100)   # line 31 is in a later chunk
+        faulty = _Rewriting(translator, direction, lambda out, start: [
+            text + bad if start + i == 31 else text for i, text in enumerate(out)])
+        with pytest.raises(TableError) as err:
+            run_plan(plan, faulty, None, tmp_path / "out")
+        assert (err.value.path, err.value.line_no) == (path, 31)
+        assert str(err.value) == \
+            f"{path}:31: its {direction} translation holds a tab or line break"
+
+    @pytest.mark.parametrize("kind", ["bt", "tri"])
+    def test_translation_of_the_wrong_size(self, translator, tmp_path, kind):
+        path = tmp_path / "input.txt"
+        if kind == "tri":
+            path.write_text("x\ty\nz\tw\n", encoding="utf-8")
+            plan = plan_triangulation(BitextCorpusRef(path, _BITEXT), new_tgt="mk")
+        else:
+            path.write_text("the cat\ngood day\n", encoding="utf-8")
+            plan = plan_backtranslation(MonoCorpusRef(path, "en"), ["hr"])
+        direction = plan.tasks[0].needed[0]
+        short = _Rewriting(translator, direction, lambda out, start: out[:-1])
+        with pytest.raises(MTForgeError, match=(
+                f"^{path}:1: the translator returned 1 {direction} translations "
+                "for the 2 lines from here$")):
+            run_plan(plan, short, None, tmp_path / "out")
+        assert all(shard.read_bytes() == b"" for shard in (tmp_path / "out").iterdir())
+
+    def test_translation_of_a_missing_direction(self, mono, tmp_path):
+        class Forgetful(CipherTranslator):
+            def translate_many(self, sentences, directions, config=None):
+                out = super().translate_many(sentences, directions, config)
+                del out[Direction("en", "hu")]
+                return out
+
+        forgetful = Forgetful(CipherLanguage.from_seed(lang, 1) for lang in ("hr", "hu"))
+        plan = plan_dual_pseudo(mono, [Direction("hr", "hu")])
+        with pytest.raises(MTForgeError, match=(
+                f"^{mono.path}:1: the translator returned no en-hu translations "
+                "for the 3 lines from here$")):
+            run_plan(plan, forgetful, None, tmp_path / "out")
+
     def test_manifest_counts_match_files(self, mono, translator, tmp_path):
         plan = plan_backtranslation(mono, ["hr", "hu"])
         manifest = run_plan(plan, translator, None, tmp_path / "out")
@@ -283,6 +339,39 @@ class _Recorder(Translator):
         return self._inner.translate(sentences, direction, config)
 
 
+class _Rewriting(_Recorder):
+    """Passes calls through, with each translation list of ``direction``
+    rewritten by ``rewrite(out, start)``; ``start`` numbers the call's first
+    sentence from 1 across calls."""
+
+    def __init__(self, inner: Translator, direction: Direction, rewrite):
+        super().__init__(inner)
+        self._direction = direction
+        self._rewrite = rewrite
+        self._start = 1
+
+    def translate(self, sentences, direction, config=None):
+        out = super().translate(sentences, direction, config)
+        if direction != self._direction:
+            return out
+        start, self._start = self._start, self._start + len(sentences)
+        return self._rewrite(out, start)
+
+
+class _ManyRecorder(_Recorder):
+    """A _Recorder that also passes ``translate_many`` through, noting each
+    call's size and directions."""
+
+    def __init__(self, inner: Translator):
+        super().__init__(inner)
+        self.many: list[tuple[int, list[Direction]]] = []
+
+    def translate_many(self, sentences, directions, config=None):
+        directions = list(directions)
+        self.many.append((len(sentences), directions))
+        return self._inner.translate_many(sentences, directions, config)
+
+
 def _outputs(plan, translator, out) -> dict[str, bytes]:
     manifest = run_plan(plan, translator, None, out)
     write_manifest(manifest, out / "manifest.tsv")
@@ -326,6 +415,22 @@ class TestStreaming:
         assert sum(per_direction[Direction("en", "hr")]) == 300
         assert len(per_direction[Direction("en", "hr")]) > 50
         assert sum(per_direction[Direction("hu", "mk")]) == 120
+
+    def test_translate_many_once_per_mono_chunk(self, mixed_plan, translator, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 97)
+        cipher = _outputs(mixed_plan, translator, tmp_path / "cipher")
+        # _Recorder implements only translate: one call per chunk and direction.
+        assert _outputs(mixed_plan, _Recorder(translator), tmp_path / "translate") == cipher
+        recorder = _ManyRecorder(translator)
+        assert _outputs(mixed_plan, recorder, tmp_path / "many") == cipher
+        chunks = [len(lines) for lines in corpus.iter_line_chunks(mixed_plan.tasks[0].input_path)]
+        assert len(chunks) > 1
+        shared = [Direction("en", "hr"), Direction("en", "mk"), Direction("en", "hu")]
+        assert recorder.many == [(n, shared) for n in chunks]
+        # Only the triangulation hops go through translate.
+        assert {direction for direction, _, _ in recorder.calls} == \
+            {Direction("hu", "mk"), Direction("hr", "mk")}
 
     @staticmethod
     def _traced_peak(tmp_path, translator, n: int) -> int:

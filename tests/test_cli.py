@@ -368,6 +368,24 @@ class TestAugmentCli:
         assert (out / "bt.hr-en.tsv").read_bytes() == b""
         assert not (out / "manifest.tsv").exists()
 
+    def test_tab_in_translation(self, tmp_path, capsys):
+        mono = tmp_path / "mono.en.txt"
+        mono.write_text("hello world\ngood day\n", encoding="utf-8")
+        plan_path = tmp_path / "plan.tsv"
+        main(["augment", "plan", "--kind", "bt", "--mono", str(mono),
+              "--langs", "hr", "--out", str(plan_path)])
+        # Like `tr o '\t'`: every "o" becomes a tab.
+        command = (f"exec:{sys.executable} -c "
+                   "'import sys\n"
+                   "for line in sys.stdin: sys.stdout.write(line.replace(chr(111), chr(9)))'")
+        out = tmp_path / "aug"
+        rc = main(["augment", "run", "--plan", str(plan_path),
+                   "--translator", command, "--out", str(out)])
+        assert rc == 1
+        assert f"{mono}:1: its en-hr translation holds a tab" in capsys.readouterr().err
+        assert (out / "bt.hr-en.tsv").read_bytes() == b""
+        assert not (out / "manifest.tsv").exists()
+
     def test_timeout_must_be_positive_and_finite(self, tmp_path, capsys):
         mono = tmp_path / "mono.en.txt"
         mono.write_text("hello\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 
@@ -16,6 +17,7 @@ from mtforge.translator import (
     NOISE_TOKEN,
     OOV_CLOSE,
     OOV_OPEN,
+    _SPLIT_BLOCK,
     CipherLanguage,
     DecodingConfig,
     LineProtocolTranslator,
@@ -361,7 +363,7 @@ class OracleCipherTranslator(Translator):
         return out
 
 
-_SEPARATORS = [" ", "  ", "\t", "\x1c", "\x85", "\u2028"]
+_SEPARATORS = [" ", "  ", "\t", "\xa0", "\x1c", "\x85", "\u2028"]
 # Short words over a tiny alphabet, so vocabularies and sentences collide;
 # words may hold whitespace, be empty or carry the OOV markers.
 _WORDS = st.text(alphabet="ab" + OOV_OPEN + OOV_CLOSE + " \u2028", max_size=4)
@@ -409,3 +411,72 @@ def test_cipher_round_trip(data, xx):
     assume(not any(t.startswith(OOV_OPEN) for t in sentence.split()))
     encoded = ciphers.translate([sentence], Direction("en", "xx"))
     assert ciphers.translate(encoded, Direction("xx", "en")) == [" ".join(sentence.split())]
+
+
+_DIRECTIONS = [Direction(a, b) for a in ("en", "xx", "yy") for b in ("en", "xx", "yy") if a != b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), xx=_vocab(_WORDS, _WORDS), yy=_vocab(_WORDS, _WORDS))
+def test_translate_many_equals_translate(data, xx, yy):
+    """Empty sentences, tabs and other whitespace, OOV tokens and markers;
+    vocabulary keys holding whitespace send X->Y sentences down the
+    whole-sentence fallback."""
+    ciphers = make_cipher_translator([CipherLanguage("xx", 0, xx), CipherLanguage("yy", 0, yy)])
+    words = sorted({*xx, *xx.values(), *yy, *yy.values()})
+    sentences = data.draw(st.lists(st.just("") | _sentences(words), max_size=6))
+    directions = data.draw(st.lists(st.sampled_from(_DIRECTIONS), max_size=8))
+    got = ciphers.translate_many(sentences, directions)
+    assert list(got) == list(dict.fromkeys(directions))
+    for direction in directions:
+        assert got[direction] == ciphers.translate(sentences, direction), direction
+
+
+def test_translate_many_falls_back_per_sentence_and_direction():
+    # "p" decodes to "a b", two English tokens, so xx->yy must take the
+    # long way for the sentences holding it, and only for that direction.
+    xx = CipherLanguage("xx", 0, {"a b": "p", "c": "q"})
+    yy = CipherLanguage("yy", 0, {"a": "r", "b": "s", "c": "t"})
+    ciphers = make_cipher_translator([xx, yy])
+    sentences = ["p q", "q", "", "q  p"]
+    directions = [Direction("xx", "yy"), Direction("xx", "en"), Direction("en", "yy")]
+    assert ciphers.translate_many(sentences, directions) == {
+        Direction("xx", "yy"): ["r s t", "t", "", "t r s"],
+        Direction("xx", "en"): ["a b c", "c", "", "c a b"],
+        Direction("en", "yy"): [f"{OOV_OPEN}p{OOV_CLOSE} {OOV_OPEN}q{OOV_CLOSE}",
+                                f"{OOV_OPEN}q{OOV_CLOSE}", "",
+                                f"{OOV_OPEN}q{OOV_CLOSE} {OOV_OPEN}p{OOV_CLOSE}"],
+    }
+    for direction in directions:
+        assert ciphers.translate(sentences, direction) == \
+            OracleCipherTranslator([xx, yy]).translate(sentences, direction)
+
+
+def test_translate_many_across_split_blocks():
+    # More sentences than one split block holds, the fallback ones among
+    # them; translating each sentence alone never crosses a block.
+    xx = CipherLanguage("xx", 0, {"a b": "p", "c": "q"})
+    yy = CipherLanguage("yy", 0, {"a": "r", "b": "s", "c": "t"})
+    ciphers = make_cipher_translator([xx, yy])
+    rng = random.Random(0)
+    sentences = [" ".join(rng.choices(["p", "q", "z", "⟨p⟩"], k=rng.randint(0, 5)))
+                 for _ in range(3 * _SPLIT_BLOCK + 5)]
+    got = ciphers.translate_many(sentences, _DIRECTIONS)
+    for direction in _DIRECTIONS:
+        assert got[direction] == [ciphers.translate([s], direction)[0] for s in sentences]
+
+
+def test_translate_many_checks_every_direction_first(ciphers):
+    with pytest.raises(UnsupportedDirectionError):
+        ciphers.translate_many(["the cat"], [Direction("en", "xx"), Direction("en", "zz")])
+    assert ciphers.translate_many(["the cat"], []) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rate=st.floats(0, 1), seed=st.integers(0, 2**64),
+       sentences=st.lists(_SENTENCES, max_size=8),
+       directions=st.lists(st.sampled_from(_NOISE_DIRECTIONS), max_size=6))
+def test_default_translate_many_calls_translate(ciphers, rate, seed, sentences, directions):
+    noisy = with_noise(ciphers, rate, seed, _NOISE_DIRECTIONS[:3])
+    assert noisy.translate_many(sentences, directions) == \
+        {d: noisy.translate(sentences, d) for d in directions}
