@@ -14,7 +14,7 @@ import math
 import random
 import tempfile
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -137,7 +137,7 @@ def apply_filters(
         # combining marks to zero tokens): no non-blank prefix that ends on
         # a grapheme boundary fits in max_tokens.
         return FilterVerdict(False, RejectReason.TOO_LONG)
-    return FilterVerdict(True, transformed=replace(pair, source=source, target=target))
+    return FilterVerdict(True, transformed=pair._replace(source=source, target=target))
 
 
 def language_tag(direction) -> str:
@@ -151,7 +151,7 @@ def prefix_language_tag(pair: SentencePair) -> SentencePair:
     head = pair.source.split(" ", 1)[0]
     if len(head) > 4 and head.startswith("__") and head.endswith("__"):
         raise AlreadyTaggedError(f"source already tagged: {head}")
-    return replace(pair, source=f"{language_tag(pair.direction)} {pair.source}")
+    return pair._replace(source=f"{language_tag(pair.direction)} {pair.source}")
 
 
 def _starts_with_combining(token: str) -> bool:

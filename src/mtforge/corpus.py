@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateShardPathError, MalformedLineError, ManifestError, TableError
 
@@ -94,9 +94,13 @@ _ORIGIN_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(NamedTuple):
     """One aligned sentence pair with its provenance.
+
+    A named tuple: immutable, hashable, and it compares equal to a plain
+    tuple of its six fields, iterates over them and orders like a tuple.
+    Assigning a field raises ``AttributeError``; derive a changed pair with
+    ``pair._replace(...)``, not ``dataclasses.replace``.
 
     Construction does not require the sides to be non-empty; the filter
     pipeline establishes that invariant (empty pairs are rejected there,

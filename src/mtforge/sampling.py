@@ -19,6 +19,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from pathlib import Path
+from types import MappingProxyType
 from typing import BinaryIO, Mapping
 
 from . import corpus
@@ -29,18 +30,35 @@ from .errors import EmptyPoolError
 
 @dataclass(frozen=True)
 class SamplingDistribution:
-    """Temperature-rescaled language probabilities."""
+    """Temperature-rescaled language probabilities.
+
+    The temperature must be finite and positive, and every ``q`` finite and
+    non-negative with a positive, finite sum; anything else raises
+    ValueError. ``q`` is kept as a read-only copy. ``sample`` makes the one
+    RNG call of ``random.choices``.
+    """
 
     temperature: float
     q: Mapping[str, float]
 
     def __post_init__(self):
-        langs = sorted(self.q)
+        # A read-only copy, so later changes to the caller's mapping cannot
+        # bypass these checks or split ``q`` from ``sample``'s weights.
+        q = MappingProxyType(dict(self.q))
+        object.__setattr__(self, "q", q)
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be positive and finite")
+        if not all(math.isfinite(v) and v >= 0 for v in q.values()):
+            raise ValueError("language probabilities must be finite and non-negative")
+        if not 0 < sum(q.values()) < math.inf:
+            raise ValueError("language probabilities must have a positive, finite sum")
+        langs = sorted(q)
         object.__setattr__(self, "_langs", langs)
-        object.__setattr__(self, "_weights", [self.q[l] for l in langs])
+        object.__setattr__(self, "_cumulative", _cumulative([q[l] for l in langs]))
 
     def sample(self, rng: random.Random) -> str:
-        return rng.choices(self._langs, weights=self._weights)[0]
+        cum, total, hi = self._cumulative
+        return self._langs[bisect(cum, rng.random() * total, 0, hi)]
 
 
 @dataclass(frozen=True)
@@ -179,6 +197,12 @@ class BatchScheduler:
     stream is reproducible from the seed, and draws make exactly the RNG
     calls of ``random.choices`` and ``randrange``.
 
+    A batch's ``composition`` counts its pairs per (language, pool), once
+    for the source and once for the target language of each pair. It is
+    tallied per (pool, direction) as pairs are drawn and expanded once per
+    batch. Its keys are in the order they first occur in the batch, taking
+    each pair's source language before its target language.
+
     Construction reads every shard once in binary mode and keeps only an
     ``array('Q')`` of line-start byte offsets per shard (8 bytes a pair);
     each draw reads its one line with ``os.pread``. Lines are validated as
@@ -255,24 +279,27 @@ class BatchScheduler:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _draw(self) -> SentencePair:
-        rand = self._rng.random
-        cum, total, hi, by_dir = self._pools[
-            bisect(self._pool_cum, rand() * self._pool_total, 0, self._pool_hi)]
-        pairs = by_dir[bisect(cum, rand() * total, 0, hi)]
+    def _draw(self, pairs: _OffsetPairs) -> SentencePair:
         return pairs[self._rng.randrange(len(pairs))]
 
     def next_batch(self) -> Batch:
         if not self._finalizer.alive:
             raise ValueError("the scheduler is closed")
-        draw = self._draw
-        pairs = [draw() for _ in repeat(None, self.batch_size)]
+        rand, draw, pools = self._rng.random, self._draw, self._pools
+        pool_cum, pool_total, pool_hi = self._pool_cum, self._pool_total, self._pool_hi
+        batch = []
+        drawn: dict[_OffsetPairs, int] = {}   # draws per (pool, direction)
+        for _ in repeat(None, self.batch_size):
+            cum, total, hi, by_dir = pools[bisect(pool_cum, rand() * pool_total, 0, pool_hi)]
+            pairs = by_dir[bisect(cum, rand() * total, 0, hi)]
+            batch.append(draw(pairs))
+            drawn[pairs] = drawn.get(pairs, 0) + 1
         composition: dict[tuple[str, OriginPool], int] = {}
-        for pair in pairs:
-            for lang in (pair.direction.src, pair.direction.tgt):
-                key = (lang, pair.origin)
-                composition[key] = composition.get(key, 0) + 1
-        return Batch(pairs, composition)
+        for pairs, n in drawn.items():
+            for lang in (pairs.direction.src, pairs.direction.tgt):
+                key = (lang, pairs.origin)
+                composition[key] = composition.get(key, 0) + n
+        return Batch(batch, composition)
 
 
 def write_composition(scheduler: BatchScheduler, batches: int, path: str | Path) -> None:

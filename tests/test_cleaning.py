@@ -30,6 +30,28 @@ def pair(source, target, direction="hr-en", origin=OriginPool.BITEXT, line_no=1)
                         "test.tsv", line_no)
 
 
+class TestProvenanceKept:
+    PAIR = SentencePair("a " * 10, "b " * 10, Direction.parse("mk-sl"),
+                        OriginPool.DUAL_PSEUDO, "dp/mk-sl.tsv", 17)
+
+    @staticmethod
+    def provenance(p):
+        return p.direction, p.origin, p.shard_id, p.line_no
+
+    def test_apply_filters(self):
+        verdict = apply_filters(self.PAIR, FilterConfig(max_tokens=3), TOK)
+        assert verdict.kept and type(verdict.transformed) is SentencePair
+        assert verdict.transformed.source != self.PAIR.source   # truncated
+        assert self.provenance(verdict.transformed) == self.provenance(self.PAIR)
+
+    def test_prefix_language_tag(self):
+        tagged = prefix_language_tag(self.PAIR)
+        assert type(tagged) is SentencePair
+        assert tagged.source == "__sl__ " + self.PAIR.source
+        assert tagged.target == self.PAIR.target
+        assert self.provenance(tagged) == self.provenance(self.PAIR)
+
+
 class TestApplyFilters:
     def test_too_long_source(self):
         p = pair(" ".join(["word"] * 1025), "short")

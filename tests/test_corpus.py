@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_manifest, write_shard
 from mtforge import corpus
@@ -9,6 +11,8 @@ from mtforge.corpus import (
     CorpusManifest,
     Direction,
     OriginPool,
+    SentencePair,
+    ShardEntry,
     corpus_stats,
     count_lines,
     load_manifest,
@@ -216,6 +220,55 @@ class TestWriteShard:
         write_shard(tmp_path / "ref.tsv", rows)  # conftest: one write per row
         assert corpus.write_shard(tmp_path / "out.tsv", (row for row in rows)) == n
         assert (tmp_path / "out.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+
+_FIELD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                 max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_FIELD, _FIELD), max_size=20),
+       direction=st.sampled_from(["hr-en", "en-hu", "mk-sl"]),
+       origin=st.sampled_from(list(OriginPool)))
+def test_write_shard_read_pairs_round_trip(tmp_path_factory, rows, direction, origin):
+    path = tmp_path_factory.mktemp("shard") / "s.tsv"
+    assert corpus.write_shard(path, rows) == len(rows)
+    entry = ShardEntry("s.tsv", path, Direction.parse(direction), origin, len(rows))
+    pairs = list(read_pairs(entry))
+    assert all(type(p) is SentencePair for p in pairs)
+    assert [(p.source, p.target) for p in pairs] == rows
+    assert {(p.direction, p.origin, p.shard_id) for p in pairs} <= \
+        {(entry.direction, origin, "s.tsv")}
+    assert [p.line_no for p in pairs] == list(range(1, len(rows) + 1))
+
+
+class TestSentencePair:
+    PAIR = SentencePair("izvor", "target", Direction("hr", "en"), OriginPool.BITEXT, "a.tsv", 3)
+
+    @pytest.mark.parametrize("name", SentencePair._fields)
+    def test_fields_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.PAIR, name, None)
+
+    def test_hashable_and_equal_by_field(self):
+        twin = SentencePair(*self.PAIR)
+        other = self.PAIR._replace(line_no=4)
+        assert twin == self.PAIR and hash(twin) == hash(self.PAIR)
+        assert {self.PAIR, twin, other} == {self.PAIR, other}
+
+    def test_is_a_tuple_of_its_fields(self):
+        assert self.PAIR == ("izvor", "target", Direction("hr", "en"), OriginPool.BITEXT,
+                             "a.tsv", 3)
+        assert self.PAIR < self.PAIR._replace(line_no=4)
+        assert repr(self.PAIR) == ("SentencePair(source='izvor', target='target', "
+                                   "direction=Direction(src='hr', tgt='en'), "
+                                   "origin=<OriginPool.BITEXT: 'bitext'>, "
+                                   "shard_id='a.tsv', line_no=3)")
+
+    def test_replace_returns_a_pair(self):
+        changed = self.PAIR._replace(source="novo")
+        assert type(changed) is SentencePair
+        assert changed.source == "novo" and changed[1:] == self.PAIR[1:]
 
 
 class TestCorpusStats:

@@ -25,6 +25,7 @@ from mtforge.sampling import (
     Batch,
     BatchScheduler,
     MixtureWeights,
+    SamplingDistribution,
     language_distribution,
 )
 
@@ -95,6 +96,42 @@ class TestLanguageDistribution:
         draws1 = [dist.sample(random.Random(42)) for _ in range(1)]
         draws2 = [dist.sample(random.Random(42)) for _ in range(1)]
         assert draws1 == draws2
+
+
+class TestSamplingDistribution:
+    @pytest.mark.parametrize("q", [
+        {"en": 1, "hr": 1, "hu": -0.2},
+        {"en": 1, "hr": math.nan},
+        {"en": 1, "hr": math.inf},
+        {"en": 1, "hr": -math.inf},
+        {"en": 0, "hr": 0},
+        {},
+        {"en": 1e308, "hr": 1e308},   # each finite, the sum is not
+    ])
+    def test_bad_probabilities_rejected(self, q):
+        with pytest.raises(ValueError):
+            SamplingDistribution(1.0, q)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_temperature_rejected(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            SamplingDistribution(t, {"en": 0.5, "hr": 0.5})
+
+    def test_q_is_a_read_only_copy(self):
+        q = {"en": 0.5, "hr": 0.5}
+        dist = SamplingDistribution(1.0, q)
+        q["hr"] = -0.2
+        assert dist.q == {"en": 0.5, "hr": 0.5}
+        with pytest.raises(TypeError):
+            dist.q["hr"] = -0.2
+
+    def test_sample_is_random_choices(self):
+        q = {"hu": 0.25, "en": 0.0, "hr": 0.5, "mk": 0.125}
+        dist = SamplingDistribution(5.0, q)
+        got, want = random.Random(11), random.Random(11)
+        for _ in range(500):
+            assert dist.sample(got) == want.choices(sorted(q), [q[l] for l in sorted(q)])[0]
+        assert got.getstate() == want.getstate()
 
 
 class TestMixtureWeights:
