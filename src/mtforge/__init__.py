@@ -36,7 +36,6 @@ from .corpus import (
     SentencePair,
     ShardEntry,
     corpus_stats,
-    iter_all_pairs,
     load_manifest,
     read_pairs,
     write_manifest,

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, check_tabs,
-                     iter_line_chunks, read_table, write_shard, write_table)
+                     iter_line_chunks, read_table, unused_name, write_shard, write_table)
 from .errors import (
     EmptyMonolingualError,
     EnglishInPairError,
@@ -267,21 +267,11 @@ def run_plan(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Name each task's shards in plan order and start them empty.
-    shards: list[list[Path]] = []
-    used_names: set[str] = set()
-    for task in plan.tasks:
-        shards.append([])
-        for output in task.outputs:
-            name = f"{task.kind.value}.{output.direction}.tsv"
-            i = 2
-            while name in used_names:
-                name = f"{task.kind.value}.{output.direction}.{i}.tsv"
-                i += 1
-            used_names.add(name)
-            write_shard(out_dir / name, ())
-            shards[-1].append(out_dir / name)
-    counts = dict.fromkeys((path for paths in shards for path in paths), 0)
+    # Name each task's shards in plan order and start them empty, at 0 rows.
+    taken: set[str] = set()
+    shards = [[out_dir / unused_name(f"{task.kind.value}.{output.direction}.tsv", taken)
+               for output in task.outputs] for task in plan.tasks]
+    counts = {path: write_shard(path, ()) for paths in shards for path in paths}
 
     by_input: dict[Path, list[tuple[AugmentationTask, list[Path]]]] = {}
     for task, paths in zip(plan.tasks, shards):

@@ -15,14 +15,17 @@ import random
 import tempfile
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import (CorpusManifest, SentencePair, ShardEntry, count_lines, iter_line_chunks,
-                     read_lines, read_pairs, write_manifest)
+from .corpus import (CorpusManifest, SentencePair, ShardEntry, check_tabs, count_lines,
+                     iter_line_chunks, read_lines, read_pairs, unused_name,
+                     write_manifest, write_shard)
 from .errors import AlreadyTaggedError, LengthMismatchError
 from .subword import SubwordTokenizer
 
+_PAIRS_PER_WRITE = 4096   # pairs that filter_corpus filters per append of their rows
 # ISO 15924-ish names -> Unicode character-name prefixes.
 _SCRIPT_PREFIXES = {
     "cyrl": "CYRILLIC", "cyrillic": "CYRILLIC",
@@ -232,55 +235,52 @@ def filter_corpus(
 ) -> tuple[CorpusManifest, dict[str, int]]:
     """Filter every shard of a manifest into ``out_dir``.
 
-    Writes one filtered shard per input shard (same basename), an
-    ``out_dir/manifest.tsv`` describing the kept shards, and, when
+    Writes one filtered shard per input shard, named by its basename or, if
+    that is taken (``manifest.tsv`` always is), by ``corpus.unused_name``;
+    an ``out_dir/manifest.tsv`` of the kept shards; and, when
     ``rejects_dir`` is given, per-shard reject files with a reason column.
-    Language-id verdicts are read from ``langid_dir/<shard-name>.langid``
-    sidecar files (``src<TAB>tgt`` per corpus line) when present; a sidecar
-    whose line count differs from its shard's raises LengthMismatchError
-    before that shard is filtered.
+    Each batch of ``_PAIRS_PER_WRITE`` pairs is appended by ``write_shard``
+    once filtered, so a bad shard line raises MalformedLineError after the
+    earlier batches are written. Language-id verdicts come from
+    ``langid_dir/<shard-name>.langid`` sidecars (``src<TAB>tgt`` per shard
+    line) when present; a sidecar line without exactly one tab, or a
+    sidecar whose line count differs from its shard's, raises
+    MalformedLineError or LengthMismatchError before that shard is filtered.
 
     Returns the filtered manifest and a counter of kept/rejected lines.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if rejects_dir is not None:
-        rejects_dir = Path(rejects_dir)
-        rejects_dir.mkdir(parents=True, exist_ok=True)
+    rejects_dir = None if rejects_dir is None else Path(rejects_dir)
+    for directory in filter(None, (out_dir, rejects_dir)):
+        directory.mkdir(parents=True, exist_ok=True)
 
-    counts: dict[str, int] = {"kept": 0}
-    for reason in RejectReason:
-        counts[f"rejected_{reason.value}"] = 0
+    counts = {"kept": 0} | {f"rejected_{reason.value}": 0 for reason in RejectReason}
 
     entries: list[ShardEntry] = []
-    seen_names: set[str] = set()
-    for idx, entry in enumerate(manifest.shards):
-        name = Path(entry.raw_path).name
-        if name in seen_names:
-            name = f"{idx:03d}_{name}"
-        seen_names.add(name)
-
+    taken = {"manifest.tsv"}   # the output manifest's own name
+    for entry in manifest.shards:
+        name = unused_name(Path(entry.raw_path).name, taken)
         verdicts = _shard_langid(langid_dir, entry) if langid_dir else None
         kept = 0
         out_file = out_dir / name
-        rej_fh = (rejects_dir / name).open("w", encoding="utf-8", newline="\n") \
-            if rejects_dir is not None else None
-        try:
-            with out_file.open("w", encoding="utf-8", newline="\n") as out_fh:
-                for pair in read_pairs(entry):
-                    langid = verdicts[pair.line_no - 1] if verdicts is not None else None
-                    verdict = apply_filters(pair, cfg, tokenizer, langid)
-                    if verdict.kept:
-                        out_fh.write(f"{verdict.transformed.source}\t{verdict.transformed.target}\n")
-                        kept += 1
-                        counts["kept"] += 1
-                    else:
-                        counts[f"rejected_{verdict.reason.value}"] += 1
-                        if rej_fh is not None:
-                            rej_fh.write(f"{pair.source}\t{pair.target}\t{verdict.reason.value}\n")
-        finally:
-            if rej_fh is not None:
-                rej_fh.close()
+        rej_file = rejects_dir / name if rejects_dir is not None else None
+        for path in filter(None, (out_file, rej_file)):
+            write_shard(path, ())   # start empty; batches are appended
+        pairs = read_pairs(entry)
+        while batch := list(islice(pairs, _PAIRS_PER_WRITE)):
+            kept_rows, rejected_rows = [], []
+            for pair in batch:
+                langid = verdicts[pair.line_no - 1] if verdicts is not None else None
+                verdict = apply_filters(pair, cfg, tokenizer, langid)
+                if verdict.kept:
+                    kept_rows.append(verdict.transformed[:2])   # (source, target)
+                else:
+                    counts[f"rejected_{verdict.reason.value}"] += 1
+                    rejected_rows.append((pair.source, pair.target, verdict.reason.value))
+            kept += write_shard(out_file, kept_rows, append=True)
+            if rej_file is not None:
+                write_shard(rej_file, rejected_rows, append=True)
+        counts["kept"] += kept
         entries.append(ShardEntry(name, out_file, entry.direction, entry.origin, kept))
 
     filtered = CorpusManifest(entries, out_dir)
@@ -292,10 +292,11 @@ def _shard_langid(langid_dir, entry) -> list[tuple[str, str]] | None:
     sidecar = Path(langid_dir) / (Path(entry.raw_path).name + ".langid")
     if not sidecar.exists():
         return None
-    verdicts = [line.partition("\t")[::2] for line in read_lines(sidecar)]
+    lines = read_lines(sidecar)
+    check_tabs(lines, 1, sidecar)
     shard_lines = count_lines(entry.path)
-    if len(verdicts) != shard_lines:
+    if len(lines) != shard_lines:
         raise LengthMismatchError(
-            f"{sidecar}: {len(verdicts)} langid lines, but shard {entry.path} "
+            f"{sidecar}: {len(lines)} langid lines, but shard {entry.path} "
             f"has {shard_lines} lines")
-    return verdicts
+    return [line.partition("\t")[::2] for line in lines]

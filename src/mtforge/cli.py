@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from . import augmentation, cleaning, curriculum, demo
-from .corpus import Direction, corpus_stats, load_manifest, read_lines, write_manifest
+from .corpus import (Direction, corpus_stats, load_manifest, read_lines, write_manifest,
+                     write_shard, write_table)
 from .errors import MTForgeError
 from .evaluation import ScoreMatrix, corpus_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
@@ -37,12 +38,6 @@ class _Parser(argparse.ArgumentParser):
     # error handling so usage problems map to exit code 1.
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: {message}")
-
-
-def _write_lines(path: str | Path, lines) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def _resolve_seed(args) -> int:
@@ -77,12 +72,12 @@ def _make_translator(spec: str, langs, directions, timeout: float | None):
 def _cmd_stats(args) -> int:
     manifest = load_manifest(args.manifest, verify=args.verify)
     stats = corpus_stats(manifest)
-    lines = [f"language\t{lang}\t{n}" for lang, n in stats.per_language.items()]
-    lines += [f"direction\t{d.src}\t{d.tgt}\t{n}" for d, n in stats.per_direction.items()]
+    rows = [("language", lang, n) for lang, n in stats.per_language.items()]
+    rows += [("direction", d.src, d.tgt, n) for d, n in stats.per_direction.items()]
     if args.out:
-        _write_lines(args.out, lines)
+        write_table(args.out, rows)
     else:
-        print("\n".join(lines))
+        print("\n".join("\t".join(map(str, row)) for row in rows))
     return 0
 
 
@@ -205,7 +200,7 @@ def _cmd_route_translate(args) -> int:
         directions.add(Direction(table.pivot_lang, direction.tgt))
     translator = _make_translator(args.translator, langs, directions, args.timeout)
     sentences = read_lines(args.input)
-    _write_lines(args.out, route_translate(translator, table, sentences, direction))
+    write_shard(args.out, zip(route_translate(translator, table, sentences, direction)))
     print(f"sentences\t{len(sentences)}")
     return 0
 

@@ -1,5 +1,6 @@
-"""Corpus domain types, manifest ingestion, streaming pair readers, and the
-TSV table reader and writer that every table format and report goes through.
+"""Corpus domain types, manifest ingestion, streaming pair readers, the TSV
+table reader and writer that every table format and report goes through,
+and ``write_shard``, through which every text file is written.
 
 File formats:
   * Manifest: a table of ``path<TAB>src<TAB>tgt<TAB>origin<TAB>count`` rows.
@@ -16,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DuplicateShardPathError, MalformedLineError, ManifestError, TableError
 
@@ -209,8 +210,7 @@ def write_table(path: str | Path, rows: Iterable[Iterable[object]],
             raise TableError(path, len(lines) + 1,
                              f"row would not read back as written: {fields!r}")
         lines.append(line)
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+    write_shard(path, zip(lines))
 
 
 def line_text(data: bytes) -> str | None:
@@ -367,12 +367,6 @@ def read_pairs(entry: ShardEntry) -> Iterator[SentencePair]:
         del lines   # before the next chunk is read
 
 
-def iter_all_pairs(manifest: CorpusManifest) -> Iterator[SentencePair]:
-    """Stream every pair of every shard, in manifest order."""
-    for entry in manifest.shards:
-        yield from read_pairs(entry)
-
-
 def corpus_stats(manifest: CorpusManifest) -> LanguageStats:
     """Count lines per direction and per language across all shards.
 
@@ -393,10 +387,17 @@ def corpus_stats(manifest: CorpusManifest) -> LanguageStats:
     )
 
 
-def write_shard(path: str | Path, rows: Iterable[tuple[str, str]],
+def write_shard(path: str | Path, rows: Iterable[Sequence[str]],
                 append: bool = False) -> int:
-    """Write ``source<TAB>target`` lines, after the file's present lines
-    when ``append`` is set; returns the number written.
+    """Write each row's fields joined by tabs as one ``\\n``-ended line, after
+    the file's present lines when ``append`` is set; returns the row count.
+    Every text file but ``shuffle_dataset``'s scratch chunks is written
+    here: shards, reject rows, plain lines (one field a row) and tables.
+
+    Fields are not checked (a C-level count a batch slows ``augment`` by a
+    tenth or more), so the caller's hold no ``\\n``, ``\\r``, or tab in a
+    row of two or more: they passed the line rule and ``check_tabs``, a
+    column check, or were built in code.
 
     Rows are formatted and written ``_ROWS_PER_WRITE`` at a time, which
     saves the call overhead of one ``write`` per row; a larger batch only
@@ -410,3 +411,14 @@ def write_shard(path: str | Path, rows: Iterable[tuple[str, str]],
             fh.write("\n".join(batch) + "\n")
             n += len(batch)
     return n
+
+
+def unused_name(name: str, taken: set[str]) -> str:
+    """``name``, or if ``taken`` holds it ``stem.N.suffix`` with the least
+    N >= 2 that it does not (``a.tsv``, ``a.2.tsv``); adds the result to
+    ``taken``. The naming rule of ``filter`` and ``augment run`` shards."""
+    path, n = Path(name), 2
+    while name in taken:
+        name, n = f"{path.stem}.{n}{path.suffix}", n + 1
+    taken.add(name)
+    return name

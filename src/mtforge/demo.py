@@ -40,6 +40,11 @@ from .translator import (
 from .wordlist import COMMON_WORDS
 
 DEMO_LANGS = ("hr", "hu", "mk")
+MONO_LINES = 120     # English monolingual lines
+BITEXT_LINES = 60    # pairs per generated bitext shard, not counting junk rows
+DEV_LINES = 16       # segments per dev and devtest direction
+BATCHES = 3          # batches drawn, of BATCH_SIZE pairs each
+BATCH_SIZE = 16
 
 
 def _sentence(rng: random.Random) -> str:
@@ -56,10 +61,7 @@ def _junk_rows() -> list[tuple[str, str]]:
     ]
 
 
-def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0,
-                  mono_lines: int = 120, bitext_lines: int = 60,
-                  dev_lines: int = 16, batches: int = 3,
-                  batch_size: int = 16) -> Path:
+def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0) -> Path:
     """Run the full pipeline; returns the path of the summary report."""
     out = Path(out_dir)
     raw = out / "raw"
@@ -88,14 +90,14 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0,
 
     # Synthetic raw corpora: English monolingual + en->X bitext + one X-Y bitext.
     mono_path = raw / "mono.en.txt"
-    mono = [_sentence(rng) for _ in range(mono_lines)]
-    mono_path.write_text("".join(line + "\n" for line in mono), encoding="utf-8")
+    mono = [_sentence(rng) for _ in range(MONO_LINES)]
+    write_shard(mono_path, zip(mono))
 
     shards: list[ShardEntry] = []
     for lang in DEMO_LANGS:
         direction = Direction("en", lang)
         rows = []
-        for _ in range(bitext_lines):
+        for _ in range(BITEXT_LINES):
             e = _sentence(rng)
             rows.append((e, perfect.translate([e], direction)[0]))
         rows.extend(_junk_rows())
@@ -105,7 +107,7 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0,
 
     xy = Direction(DEMO_LANGS[0], DEMO_LANGS[1])
     rows = []
-    for _ in range(bitext_lines):
+    for _ in range(BITEXT_LINES):
         e = _sentence(rng)
         rows.append((perfect.translate([e], Direction("en", xy.src))[0],
                      perfect.translate([e], Direction("en", xy.tgt))[0]))
@@ -156,11 +158,11 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0,
     stats = corpus_stats(merged)
     dist = language_distribution(stats, temperature=5.0)
     weights = MixtureWeights(0.6, 0.2, 0.2)
-    scheduler = BatchScheduler(merged, dist, weights, batch_size, seed=rng.randrange(2**63))
+    scheduler = BatchScheduler(merged, dist, weights, BATCH_SIZE, seed=rng.randrange(2**63))
     with scheduler:
-        write_composition(scheduler, batches, reports / "composition.tsv")
-    summary.append(("sample", "batches", str(batches)))
-    summary.append(("sample", "batch_size", str(batch_size)))
+        write_composition(scheduler, BATCHES, reports / "composition.tsv")
+    summary.append(("sample", "batches", str(BATCHES)))
+    summary.append(("sample", "batch_size", str(BATCH_SIZE)))
 
     # Dev and devtest sets for the non-English grid.
     grid = all_ordered_pairs(list(DEMO_LANGS))
@@ -174,8 +176,8 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0,
             devset[d] = (sources, references)
         return devset
 
-    dev = make_devset(dev_lines)
-    devtest = make_devset(dev_lines)
+    dev = make_devset(DEV_LINES)
+    devtest = make_devset(DEV_LINES)
 
     # Direct decoding is degraded on X->Y only; pivot hops stay exact.
     system = with_noise(perfect, direct_noise, seed=rng.randrange(2**63),

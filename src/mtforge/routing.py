@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Direction, finite_float, read_table, write_table
+from .corpus import Direction, check_lang_code, finite_float, read_table, write_table
 from .errors import DirectionSetMismatchError, MTForgeError, UnknownDirectionError
 from .evaluation import ScoreMatrix
 from .translator import (
@@ -50,6 +50,7 @@ class RoutingTable:
         def row(src, tgt, kind, pivot_lang, direct_text, pivot_text):
             if kind not in ("direct", "pivot"):
                 raise ValueError(f"unknown strategy {kind!r}")
+            check_lang_code(pivot_lang)
             strategy: Strategy = PivotVia(pivot_lang) if kind == "pivot" else Direct()
             return Direction(src, tgt), RouteEntry(
                 strategy, finite_float(direct_text), finite_float(pivot_text)), pivot_lang
@@ -66,7 +67,9 @@ def build_routing_table(
 
     A score that is not finite raises MTForgeError: no comparison with NaN
     holds, so a NaN direct score would otherwise route through the pivot.
+    A ``pivot_lang`` that is not a language code raises ValueError.
     """
+    check_lang_code(pivot_lang)
     if set(direct.scores) != set(pivot.scores):
         raise DirectionSetMismatchError(
             "direct and pivot matrices cover different direction sets")

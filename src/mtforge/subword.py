@@ -107,9 +107,6 @@ class SubwordTokenizer:
     def detokenize(self, tokens: Iterable[str]) -> str:
         return "".join(tokens)
 
-    def count(self, text: str) -> int:
-        return len(self.tokenize(text))
-
     @classmethod
     def from_file(cls, path: str | Path) -> "SubwordTokenizer":
         """Load a vocabulary file: one piece per line, optional tab-separated

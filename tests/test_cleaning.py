@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build_manifest
 
+from mtforge import cleaning
 from mtforge.cleaning import (
     FilterConfig,
     FilterVerdict,
@@ -137,8 +138,8 @@ class TestApplyFilters:
         p = pair("abcd efgh", "abcd efg")  # 9 vs 8 char-fallback tokens
         verdict = apply_filters(p, cfg, TOK)
         assert verdict.kept
-        assert TOK.count(verdict.transformed.source) <= 4
-        assert TOK.count(verdict.transformed.target) <= 4
+        assert len(TOK.tokenize(verdict.transformed.source)) <= 4
+        assert len(TOK.tokenize(verdict.transformed.target)) <= 4
 
     def test_deterministic(self):
         p = pair("x" * 10, "y" * 25)
@@ -169,7 +170,7 @@ class CountingTokenizer:
 
     def count(self, text):
         self.counted += 1
-        return self.inner.count(text)
+        return len(self.inner.tokenize(text))
 
     def detokenize(self, tokens):
         return self.inner.detokenize(tokens)
@@ -189,7 +190,7 @@ def test_apply_filters_tokenizes_each_side_once():
         verdict = apply_filters(p, cfg, stub)
         assert stub.counted == 0
         assert sorted(stub.tokenized) == sorted([p.source, p.target])
-        n_src, n_tgt = TOK.count(p.source), TOK.count(p.target)
+        n_src, n_tgt = len(TOK.tokenize(p.source)), len(TOK.tokenize(p.target))
         assert verdict.kept == (max(n_src, n_tgt) / min(n_src, n_tgt) <= 3.0)
         if verdict.kept:
             assert verdict.transformed.source == truncate_tokens(p.source, TOK, 3)
@@ -254,7 +255,7 @@ class TestTruncateTokens:
     def test_long_text_truncated(self):
         text = "z" * 600  # 600 fallback tokens
         out = truncate_tokens(text, TOK, 512)
-        assert TOK.count(out) == 512
+        assert len(TOK.tokenize(out)) == 512
 
     def test_limit_one(self):
         assert truncate_tokens("the cat", TOK, 1) == "the"
@@ -265,7 +266,7 @@ class TestTruncateTokens:
             text = " ".join(rng.choices(["the", "zzz", "cat", "qqqq"],
                                         k=rng.randint(1, 30)))
             limit = rng.randint(1, 20)
-            assert TOK.count(truncate_tokens(text, TOK, limit)) <= limit
+            assert len(TOK.tokenize(truncate_tokens(text, TOK, limit))) <= limit
 
     def test_no_mid_grapheme_cut(self):
         # NFD "e" + combining acute: never strand the base letter
@@ -447,3 +448,48 @@ class TestFilterCorpus:
             filter_corpus(manifest, FilterConfig(), TOK, tmp_path / "clean",
                           langid_dir=langid_dir)
         assert err.value.line_no == 2 and "a.tsv.langid" in str(err.value)
+
+    @pytest.mark.parametrize("sidecar_text, line_no", [
+        ("hr en\nhr\ten\n", 1),        # no tab: it read as ("hr en", "")
+        ("hr\ten\nhr\ten\textra\n", 2),  # two: it read as ("hr", "en\textra")
+    ])
+    def test_sidecar_line_holds_one_tab(self, make_corpus, tmp_path, sidecar_text, line_no):
+        manifest = make_corpus([("a.tsv", "hr-en", "bitext", [("s1", "t1"), ("s2", "t2")])])
+        langid_dir = tmp_path / "langid"
+        langid_dir.mkdir()
+        sidecar = langid_dir / "a.tsv.langid"
+        sidecar.write_text(sidecar_text, encoding="utf-8")
+        with pytest.raises(MalformedLineError) as err:
+            filter_corpus(manifest, FilterConfig(), TOK, tmp_path / "clean",
+                          langid_dir=langid_dir)
+        assert (err.value.path, err.value.line_no) == (sidecar, line_no)
+        assert str(err.value).startswith(f"{sidecar}:{line_no}: expected exactly one tab")
+
+    def test_shard_named_like_the_manifest(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "manifest.tsv").write_text("s\tt\n", encoding="utf-8")
+        (tmp_path / "m.tsv").write_text("data/manifest.tsv\thr\ten\tbitext\t1\n",
+                                        encoding="utf-8")
+        out_dir = tmp_path / "clean"
+        filtered, _ = filter_corpus(load_manifest(tmp_path / "m.tsv"), FilterConfig(), TOK,
+                                    out_dir)
+        assert [e.raw_path for e in filtered.shards] == ["manifest.2.tsv"]
+        assert (out_dir / "manifest.2.tsv").read_text(encoding="utf-8") == "s\tt\n"
+        assert load_manifest(out_dir / "manifest.tsv", verify=True).shards == filtered.shards
+
+    @pytest.mark.parametrize("pairs_per_write", [1, 2, 3, 100])
+    def test_output_is_independent_of_the_batch_size(self, make_corpus, tmp_path,
+                                                     monkeypatch, pairs_per_write):
+        rows = [("good line", "fine line"), ("", "empty source"),
+                ("has [UNK] inside", "target"), ("second good", "line here"), ("x", "y")]
+        manifest = make_corpus([("a.tsv", "hr-en", "bitext", rows),
+                                ("b.tsv", "hr-en", "bitext", rows[:2])])
+        monkeypatch.setattr(cleaning, "_PAIRS_PER_WRITE", pairs_per_write)
+        _, counts = filter_corpus(manifest, FilterConfig(), TOK, tmp_path / "clean",
+                                  tmp_path / "rej")
+        assert counts["kept"] == 4 and counts["rejected_Empty"] == 2
+        assert (tmp_path / "clean" / "a.tsv").read_bytes() == \
+            b"good line\tfine line\nsecond good\tline here\nx\ty\n"
+        assert (tmp_path / "rej" / "a.tsv").read_bytes() == \
+            b"\tempty source\tEmpty\nhas [UNK] inside\ttarget\tContainsUnk\n"
+        assert (tmp_path / "clean" / "b.tsv").read_bytes() == b"good line\tfine line\n"

@@ -81,6 +81,19 @@ class TestStats:
         assert "language\ten\t6" in out
         assert "direction\thr\ten\t4" in out
 
+    def test_out_file_holds_the_printed_rows(self, tmp_path, capsys):
+        build_manifest(tmp_path, [
+            ("a.tsv", "hr-en", "bitext", [("s", "t")] * 4),
+            ("b.tsv", "en-hu", "bt", [("s", "t")] * 2),
+        ])
+        manifest, out = str(tmp_path / "manifest.tsv"), tmp_path / "stats.tsv"
+        assert main(["stats", "--manifest", manifest]) == 0
+        printed = capsys.readouterr().out
+        assert main(["stats", "--manifest", manifest, "--out", str(out)]) == 0
+        assert out.read_bytes() == printed.encode() == (
+            b"language\ten\t6\nlanguage\thr\t4\nlanguage\thu\t2\n"
+            b"direction\ten\thu\t2\ndirection\thr\ten\t4\n")
+
     def test_verify_failure(self, tmp_path, capsys):
         build_manifest(tmp_path, [("a.tsv", "hr-en", "bitext", [("s", "t")])])
         manifest = tmp_path / "manifest.tsv"
@@ -157,6 +170,26 @@ class TestFilterCli:
                      "--out", str(out_dir)]) == 1
         assert "error: b.tsv:4: not UTF-8" in capsys.readouterr().err
         assert not (out_dir / "manifest.tsv").exists()
+
+    def test_colliding_basenames(self, tmp_path, capsys):
+        # A per-index prefix named y/a.tsv's output 002_a.tsv, over the
+        # output of the shard 002_a.tsv.
+        rows = {"x/a.tsv": "x", "002_a.tsv": "z", "y/a.tsv": "y"}
+        for name, row in rows.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(f"{row} one\t{row} two\n", encoding="utf-8")
+        (tmp_path / "m.tsv").write_text(
+            "".join(f"{name}\thr\ten\tbitext\t1\n" for name in rows), encoding="utf-8")
+        out_dir, rej_dir = tmp_path / "clean", tmp_path / "rej"
+        assert main(["filter", "--manifest", str(tmp_path / "m.tsv"),
+                     "--out", str(out_dir), "--rejects", str(rej_dir)]) == 0
+        assert "kept\t3" in capsys.readouterr().out
+        assert {p.name: p.read_text(encoding="utf-8") for p in out_dir.glob("*a.*")} == {
+            "a.tsv": "x one\tx two\n", "002_a.tsv": "z one\tz two\n",
+            "a.2.tsv": "y one\ty two\n"}
+        assert sorted(p.name for p in rej_dir.iterdir()) == ["002_a.tsv", "a.2.tsv", "a.tsv"]
+        assert main(["stats", "--manifest", str(out_dir / "manifest.tsv"), "--verify"]) == 0
+        assert "direction\thr\ten\t3" in capsys.readouterr().out
 
     def test_script_rule_flag(self, tmp_path, capsys):
         build_manifest(tmp_path, [("a.tsv", "sr-en", "bitext", [
@@ -423,7 +456,7 @@ class TestRouteCli:
                    "--translator", "cipher:7", "--direction", "hr-hu",
                    "--input", str(src_file), "--out", str(out_file)])
         assert rc == 0
-        assert out_file.read_text(encoding="utf-8").splitlines() == expected
+        assert out_file.read_bytes() == "".join(s + "\n" for s in expected).encode()
 
     def test_mismatched_matrices(self, tmp_path):
         direct = tmp_path / "direct.tsv"
@@ -432,6 +465,16 @@ class TestRouteCli:
         pivot.write_text("hu\thr\t60.0\t1\t1\t1\t1\t1.0\t10\t10\n", encoding="utf-8")
         assert main(["route", "build", "--direct", str(direct),
                      "--pivot", str(pivot), "--out", str(tmp_path / "t")]) == 1
+
+
+    def test_bad_pivot_language(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("hr\thu\t10.0\t1\t1\t1\t1\t1.0\t10\t10\n", encoding="utf-8")
+        table = tmp_path / "table.tsv"
+        assert main(["route", "build", "--direct", str(scores), "--pivot", str(scores),
+                     "--pivot-lang", "EN", "--out", str(table)]) == 1
+        assert "invalid language code: 'EN'" in capsys.readouterr().err
+        assert not table.exists()
 
 
 class TestCurriculumCli:

@@ -222,6 +222,35 @@ class TestWriteShard:
         assert (tmp_path / "out.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
 
 
+    @pytest.mark.parametrize("rows, data", [
+        ([("one",), ("two",)], b"one\ntwo\n"),
+        ([("s", "t", "Empty"), ("", "x", "Empty")], b"s\tt\tEmpty\n\tx\tEmpty\n"),
+    ])
+    def test_rows_of_any_width(self, tmp_path, rows, data):
+        assert corpus.write_shard(tmp_path / "out", rows) == len(rows)
+        assert corpus.write_shard(tmp_path / "out", rows[:1], append=True) == 1
+        assert (tmp_path / "out").read_bytes() == data + data.split(b"\n")[0] + b"\n"
+
+
+class TestUnusedName:
+    def test_free_name_is_kept(self):
+        taken = {"b.tsv"}
+        assert corpus.unused_name("a.tsv", taken) == "a.tsv"
+        assert taken == {"a.tsv", "b.tsv"}
+
+    def test_least_free_number_from_two(self):
+        taken = {"a.tsv", "a.3.tsv"}
+        assert [corpus.unused_name("a.tsv", taken) for _ in range(3)] == \
+            ["a.2.tsv", "a.4.tsv", "a.5.tsv"]
+
+    @pytest.mark.parametrize("name, renamed", [
+        ("bt.hr-en.tsv", "bt.hr-en.2.tsv"), ("shard", "shard.2"), (".hidden", ".hidden.2"),
+        ("a.2.tsv", "a.2.2.tsv"),
+    ])
+    def test_the_number_goes_before_the_suffix(self, name, renamed):
+        assert corpus.unused_name(name, {name}) == renamed
+
+
 _FIELD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
                  max_size=8)
 

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from mtforge.corpus import Direction
-from mtforge.errors import DirectionSetMismatchError, MTForgeError, UnknownDirectionError
+from mtforge.errors import (DirectionSetMismatchError, MTForgeError, TableError,
+                            UnknownDirectionError)
 from mtforge.evaluation import BleuScore, ScoreMatrix, corpus_bleu, evaluate_directions
 from mtforge.routing import RouteEntry, RoutingTable, build_routing_table, route_translate
 from mtforge.translator import (
@@ -47,6 +48,12 @@ class TestBuildRoutingTable:
         d = Direction("en", "hr")
         table = build_routing_table(matrix({d: 1.0}), matrix({d: 99.0}), "en")
         assert table.entries[d].strategy == Direct()
+
+    @pytest.mark.parametrize("pivot_lang", ["EN", "", "e"])
+    def test_bad_pivot_language(self, pivot_lang):
+        d = Direction("hr", "hu")
+        with pytest.raises(ValueError, match="invalid language code"):
+            build_routing_table(matrix({d: 20.0}), matrix({d: 25.0}), pivot_lang)
 
     def test_direction_set_mismatch(self):
         a = Direction("hr", "hu")
@@ -94,6 +101,17 @@ class TestBuildRoutingTable:
                 matrix({d: transform(v) for d, v in pivot_scores.items()}), "en")
             assert {d: e.strategy for d, e in mapped.entries.items()} == \
                    {d: e.strategy for d, e in base.entries.items()}
+
+
+@pytest.mark.parametrize("kind", ["direct", "pivot"])
+def test_load_checks_the_pivot_language(tmp_path, kind):
+    path = tmp_path / "routing.tsv"
+    path.write_text(f"hr\thu\t{kind}\ten\t1.0\t2.0\nhu\thr\t{kind}\tEN\t1.0\t2.0\n",
+                    encoding="utf-8")
+    with pytest.raises(TableError) as err:
+        RoutingTable.load(path)
+    assert (err.value.path, err.value.line_no) == (path, 2)
+    assert err.value.reason == "invalid language code: 'EN'"
 
 
 @pytest.fixture(scope="module")

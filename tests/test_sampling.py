@@ -3,6 +3,7 @@ import math
 import os
 import random
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,6 @@ from mtforge.corpus import (
     OriginPool,
     corpus_stats,
     count_lines,
-    iter_all_pairs,
     load_manifest,
     read_pairs,
 )
@@ -382,7 +382,7 @@ class MaterializingScheduler:
         self.batch_size = batch_size
         self._rng = random.Random(seed)
         pools = {}
-        for pair in iter_all_pairs(manifest):
+        for pair in chain.from_iterable(map(read_pairs, manifest.shards)):
             pools.setdefault(pair.origin, {}).setdefault(pair.direction, []).append(pair)
         self._pools = []
         self._pool_weights = []

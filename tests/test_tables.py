@@ -1,6 +1,7 @@
 """The shared TSV table layer: ``read_table``/``write_table`` and every format
 built on them (manifest, score matrix, routing table, augmentation plan,
-schedule), plus the line rule that every text reader shares."""
+schedule), plus the line rule that every text reader shares and the one
+writer of every text file."""
 
 import ast
 import io
@@ -394,27 +395,38 @@ def test_readers_locate_the_first_line_not_utf8(reader, read, pad, pieces):
         assert got == lines[:len(got)]
 
 
+def _file_calls(source: str) -> list[tuple[str | None, str, list[str], int]]:
+    """(enclosing function, callee name, modes, line number) of each call in
+    ``source``, in line order. ``modes`` are the string constants of an
+    ``open`` call's mode: ``["r"]`` without a mode, ``[]`` when no part of
+    it is a literal."""
+    calls = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                at = 1 if isinstance(func, ast.Name) else 0   # open(file, mode), Path.open(mode)
+                mode = next((k.value for k in child.keywords if k.arg == "mode"),
+                            child.args[at] if len(child.args) > at else ast.Constant("r"))
+                modes = [n.value for n in ast.walk(mode)
+                         if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                calls.append((function, name, modes, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else function)
+
+    visit(ast.parse(source), None)
+    return sorted(calls, key=lambda call: call[3])
+
+
 def _text_reads(source: str) -> list[int]:
     """The line numbers of the calls in ``source`` that may read a file in
     text mode: ``read_text``, and ``open`` with a mode other than ``"rb"``
     that may read (no mode, ``r`` or ``+``) or that is not a literal."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "open":
-            at = 1 if isinstance(func, ast.Name) else 0   # open(file, mode), Path.open(mode)
-            mode = next((k.value for k in node.keywords if k.arg == "mode"),
-                        node.args[at] if len(node.args) > at else ast.Constant("r"))
-            modes = [n.value for n in ast.walk(mode)
-                     if isinstance(n, ast.Constant) and isinstance(n.value, str)]
-            if not modes or any(m != "rb" and ("r" in m or "+" in m) for m in modes):
-                found.append(node.lineno)
-        elif name == "read_text":
-            found.append(node.lineno)
-    return found
+    return [line for _, name, modes, line in _file_calls(source)
+            if name == "read_text" or name == "open" and (
+                not modes or any(m != "rb" and ("r" in m or "+" in m) for m in modes))]
 
 
 def test_text_reads_are_found():
@@ -430,6 +442,70 @@ def test_no_module_reads_a_file_in_text_mode():
     found = {path.name: lines for path in sorted(Path(mtforge.__file__).parent.glob("*.py"))
              if (lines := _text_reads(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def _text_writes(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function, line number) of each call in ``source`` that may
+    write a file: ``write_text``, ``write_bytes``, and ``open`` with a mode
+    that may write (``w``, ``a``, ``x`` or ``+``; binary too, as bytes can
+    hold text lines) or that is not a literal."""
+    return [(function, line) for function, name, modes, line in _file_calls(source)
+            if name in ("write_text", "write_bytes") or name == "open" and (
+                not modes or any(set(m) & set("wax+") for m in modes))]
+
+
+# The writers that the package had before every text file went through
+# ``corpus.write_shard``, as they were written.
+_FORMER_WRITERS = """
+def write_table(path, rows, header=None):
+    with Path(path).open("w", encoding="utf-8", newline="\\n") as fh:
+        fh.write("".join(line + "\\n" for line in lines))
+
+def _write_lines(path, lines):
+    with Path(path).open("w", encoding="utf-8", newline="\\n") as fh:
+        for line in lines:
+            fh.write(line + "\\n")
+
+def pipeline_demo(out_dir, seed):
+    mono_path.write_text("".join(line + "\\n" for line in mono), encoding="utf-8")
+
+def filter_corpus(manifest, cfg, tokenizer, out_dir, rejects_dir=None):
+    for entry in manifest.shards:
+        rej_fh = (rejects_dir / name).open("w", encoding="utf-8", newline="\\n") \\
+            if rejects_dir is not None else None
+        with out_file.open("w", encoding="utf-8", newline="\\n") as out_fh:
+            pass
+"""
+
+
+def test_text_writes_are_found():
+    assert _text_writes(_FORMER_WRITERS) == [
+        ("write_table", 3), ("_write_lines", 7), ("pipeline_demo", 12),
+        ("filter_corpus", 16), ("filter_corpus", 18)]
+    assert _text_writes("open(p, 'w')\nopen(p)\nopen(p, mode)\nopen(p, 'rb')\n"
+                        "p.open('ab')\np.open('r+b')\np.open('a' if x else 'w')\n"
+                        "p.open(mode='x')\np.open(mode='r')\np.write_bytes(b'')") == [
+        (None, 1), (None, 3), (None, 5), (None, 6), (None, 7), (None, 8), (None, 10)]
+
+
+# Every call in the package that may write a file, by module and function,
+# with how many there are and why each is allowed.
+_ALLOWED_WRITES = {
+    ("corpus.py", "write_shard"): (1, "the one text writer"),
+    # The scatter pass keeps one handle a chunk open; writing each line
+    # through write_shard would reopen every chunk file at every read.
+    ("cleaning.py", "shuffle_dataset"): (2, "scratch chunks, and their binary concatenation"),
+}
+
+
+def test_no_module_writes_outside_corpus():
+    """Every text file is written by ``corpus.write_shard``, so no writer can
+    follow another row format or line end."""
+    found = {}
+    for path in sorted(Path(mtforge.__file__).parent.glob("*.py")):
+        for function, _ in _text_writes(path.read_text(encoding="utf-8")):
+            found[path.name, function] = found.get((path.name, function), 0) + 1
+    assert found == {key: n for key, (n, _) in _ALLOWED_WRITES.items()}
 
 
 # --- save -> load round trips ------------------------------------------------
