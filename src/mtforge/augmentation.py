@@ -235,12 +235,15 @@ def run_plan(
 
     Each input file is then read one chunk of lines at a time
     (``corpus.iter_line_chunks``), and each chunk's rows are appended to the
-    input's shards, reopening a shard for each append. So memory does not
-    grow with the input, and no descriptor is held per shard. The en->X
-    passes over a chunk are computed by one ``translator.translate_many``
-    call and shared by the tasks on that input; a triangulation hop is one
-    ``translate`` call per chunk. So the translator must translate each
-    sentence independently of the others in the call.
+    input's shards with one ``write_shard`` call per shard, which reopens
+    the shard. Each call is given two columns: the chunk's lines (or one
+    side of its bitext lines) beside a translated column, or two translated
+    columns. So memory does not grow with the input, and no descriptor is
+    held per shard. The en->X passes over a chunk are computed by one
+    ``translator.translate_many`` call and shared by the tasks on that
+    input; a triangulation hop is one ``translate`` call per chunk. So the
+    translator must translate each sentence independently of the others in
+    the call.
 
     Before a chunk's rows are written, each of its translated columns must
     hold one translation per input line, none with a tab, ``\n`` or
@@ -295,13 +298,13 @@ def run_plan(
                     lang = task.needed[0].tgt
                     synthetic = translated[task.needed[0]]
                     for output, path in zip(task.outputs, paths):
-                        rows = zip(synthetic, lines) if output.direction.src == lang \
-                            else zip(lines, synthetic)
-                        counts[path] += write_shard(path, rows, append=True)
+                        columns = (synthetic, lines) if output.direction.src == lang \
+                            else (lines, synthetic)
+                        counts[path] += write_shard(path, columns, append=True)
                 elif task.kind == TaskKind.DUAL_PSEUDO:
                     to_src, to_tgt = task.needed
                     counts[paths[0]] += write_shard(
-                        paths[0], zip(translated[to_src], translated[to_tgt]), append=True)
+                        paths[0], (translated[to_src], translated[to_tgt]), append=True)
                 else:  # TRIANGULATION
                     sources, targets = zip(*map(str.split, lines, repeat("\t")))
                     hop = task.needed[0]
@@ -309,8 +312,8 @@ def run_plan(
                     synthetic = translator.translate(targets if keep_sources else sources,
                                                      hop, config)
                     _check_translations(synthetic, hop, lines, input_path, line_no)
-                    rows = zip(sources, synthetic) if keep_sources else zip(synthetic, targets)
-                    counts[paths[0]] += write_shard(paths[0], rows, append=True)
+                    columns = (sources, synthetic) if keep_sources else (synthetic, targets)
+                    counts[paths[0]] += write_shard(paths[0], columns, append=True)
             line_no += len(lines)
             del lines, translated   # before the next chunk is read and translated
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import random
 import tempfile
 import unicodedata
@@ -22,7 +23,7 @@ from typing import Mapping
 from .corpus import (CorpusManifest, SentencePair, ShardEntry, check_tabs, count_lines,
                      iter_line_chunks, read_lines, read_pairs, unused_name,
                      write_manifest, write_shard)
-from .errors import AlreadyTaggedError, LengthMismatchError
+from .errors import AlreadyTaggedError, LengthMismatchError, MTForgeError
 from .subword import SubwordTokenizer
 
 _PAIRS_PER_WRITE = 4096   # pairs that filter_corpus filters per append of their rows
@@ -239,6 +240,8 @@ def filter_corpus(
     that is taken (``manifest.tsv`` always is), by ``corpus.unused_name``;
     an ``out_dir/manifest.tsv`` of the kept shards; and, when
     ``rejects_dir`` is given, per-shard reject files with a reason column.
+    A ``rejects_dir`` that is ``out_dir`` (by ``os.path.samefile``) raises
+    MTForgeError before any shard is written.
     Each batch of ``_PAIRS_PER_WRITE`` pairs is appended by ``write_shard``
     once filtered, so a bad shard line raises MalformedLineError after the
     earlier batches are written. Language-id verdicts come from
@@ -253,6 +256,9 @@ def filter_corpus(
     rejects_dir = None if rejects_dir is None else Path(rejects_dir)
     for directory in filter(None, (out_dir, rejects_dir)):
         directory.mkdir(parents=True, exist_ok=True)
+    if rejects_dir is not None and os.path.samefile(out_dir, rejects_dir):
+        raise MTForgeError(f"the rejects directory {rejects_dir} is the output directory "
+                           f"{out_dir}: reject rows would be appended to the kept shards")
 
     counts = {"kept": 0} | {f"rejected_{reason.value}": 0 for reason in RejectReason}
 
@@ -268,18 +274,23 @@ def filter_corpus(
             write_shard(path, ())   # start empty; batches are appended
         pairs = read_pairs(entry)
         while batch := list(islice(pairs, _PAIRS_PER_WRITE)):
-            kept_rows, rejected_rows = [], []
+            sources, targets = [], []
+            rejected = ([], [], [])   # source, target, reason
             for pair in batch:
                 langid = verdicts[pair.line_no - 1] if verdicts is not None else None
                 verdict = apply_filters(pair, cfg, tokenizer, langid)
                 if verdict.kept:
-                    kept_rows.append(verdict.transformed[:2])   # (source, target)
+                    sources.append(verdict.transformed.source)
+                    targets.append(verdict.transformed.target)
                 else:
-                    counts[f"rejected_{verdict.reason.value}"] += 1
-                    rejected_rows.append((pair.source, pair.target, verdict.reason.value))
-            kept += write_shard(out_file, kept_rows, append=True)
+                    reason = verdict.reason.value
+                    counts[f"rejected_{reason}"] += 1
+                    rejected[0].append(pair.source)
+                    rejected[1].append(pair.target)
+                    rejected[2].append(reason)
+            kept += write_shard(out_file, (sources, targets), append=True)
             if rej_file is not None:
-                write_shard(rej_file, rejected_rows, append=True)
+                write_shard(rej_file, rejected, append=True)
         counts["kept"] += kept
         entries.append(ShardEntry(name, out_file, entry.direction, entry.origin, kept))
 

@@ -200,7 +200,7 @@ def _cmd_route_translate(args) -> int:
         directions.add(Direction(table.pivot_lang, direction.tgt))
     translator = _make_translator(args.translator, langs, directions, args.timeout)
     sentences = read_lines(args.input)
-    write_shard(args.out, zip(route_translate(translator, table, sentences, direction)))
+    write_shard(args.out, [route_translate(translator, table, sentences, direction)])
     print(f"sentences\t{len(sentences)}")
     return 0
 

@@ -15,7 +15,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -210,7 +210,7 @@ def write_table(path: str | Path, rows: Iterable[Iterable[object]],
             raise TableError(path, len(lines) + 1,
                              f"row would not read back as written: {fields!r}")
         lines.append(line)
-    write_shard(path, zip(lines))
+    write_shard(path, [lines])
 
 
 def line_text(data: bytes) -> str | None:
@@ -305,7 +305,8 @@ def load_manifest(path: str | Path, verify: bool = False) -> CorpusManifest:
     """Read a manifest file.
 
     Declared line counts are advisory; with ``verify=True`` each shard is
-    recounted and a mismatch raises ManifestError.
+    recounted as its row is read, and a mismatch raises ManifestError at
+    the row's line.
     """
     path = Path(path)
     seen: set[str] = set()
@@ -319,19 +320,11 @@ def load_manifest(path: str | Path, verify: bool = False) -> CorpusManifest:
         count = int(count_text)
         if count < 0:
             raise ValueError("negative line count")
+        if verify and (actual := count_lines(path.parent / raw)) != count:
+            raise ValueError(f"shard {raw}: declared {count} lines but found {actual}")
         return ShardEntry(raw, path.parent / raw, direction, origin, count)
 
-    manifest = CorpusManifest(read_table(path, 5, shard, ManifestError), path.parent)
-    if verify:
-        for entry in manifest.shards:
-            actual = count_lines(entry.path)
-            if actual != entry.declared_line_count:
-                raise ManifestError(
-                    path, 0,
-                    f"shard {entry.raw_path}: declared {entry.declared_line_count} "
-                    f"lines but found {actual}",
-                )
-    return manifest
+    return CorpusManifest(read_table(path, 5, shard, ManifestError), path.parent)
 
 
 def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
@@ -387,29 +380,39 @@ def corpus_stats(manifest: CorpusManifest) -> LanguageStats:
     )
 
 
-def write_shard(path: str | Path, rows: Iterable[Sequence[str]],
+def write_shard(path: str | Path, columns: Sequence[Sequence[str]],
                 append: bool = False) -> int:
-    """Write each row's fields joined by tabs as one ``\\n``-ended line, after
-    the file's present lines when ``append`` is set; returns the row count.
-    Every text file but ``shuffle_dataset``'s scratch chunks is written
-    here: shards, reject rows, plain lines (one field a row) and tables.
+    """Write the rows that ``columns`` hold, one list or tuple of fields per
+    field of a row, all of one length. Row ``i`` is ``columns[j][i]`` for
+    each ``j``, joined by tabs and ended by ``\\n``. The rows go after the
+    file's present lines when ``append`` is set; returns the row count, and
+    no columns, ``()``, write none. Every text file but
+    ``shuffle_dataset``'s scratch chunks is written here: shards, reject
+    rows, plain lines (one column) and tables.
 
+    Columns of unequal lengths raise ValueError before the file is opened.
     Fields are not checked (a C-level count a batch slows ``augment`` by a
-    tenth or more), so the caller's hold no ``\\n``, ``\\r``, or tab in a
-    row of two or more: they passed the line rule and ``check_tabs``, a
-    column check, or were built in code.
+    tenth or more), so the caller's hold no ``\\n`` or ``\\r``, and no tab
+    when there are two or more columns: they passed the line rule and
+    ``check_tabs``, a column check, or were built in code.
 
-    Rows are formatted and written ``_ROWS_PER_WRITE`` at a time, which
-    saves the call overhead of one ``write`` per row; a larger batch only
-    adds memory. Each row is joined as it is drawn, so a row tuple that
-    ``zip`` reuses is never kept.
+    Rows are written ``_ROWS_PER_WRITE`` at a time. Each batch is one join
+    over a flat list of separators into which each column's slice is
+    assigned at its field's stride, so no Python call is made per row.
+    Batches of 4,096 rows measured slower on ``augment``.
     """
-    n = 0
-    lines = map("\t".join, rows)
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"columns of unequal lengths: {[len(c) for c in columns]}")
+    step = 2 * len(columns)
+    pattern = ["\t"] * (step - 1) + ["\n"]   # field, tab, ..., field, newline
     with Path(path).open("a" if append else "w", encoding="utf-8", newline="\n") as fh:
-        while batch := list(islice(lines, _ROWS_PER_WRITE)):
-            fh.write("\n".join(batch) + "\n")
-            n += len(batch)
+        for start in range(0, n, _ROWS_PER_WRITE):
+            stop = min(start + _ROWS_PER_WRITE, n)
+            flat = pattern * (stop - start)
+            for j, column in enumerate(columns):
+                flat[2 * j::step] = column[start:stop]
+            fh.write("".join(flat))
     return n
 
 

@@ -91,28 +91,23 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0) -> 
     # Synthetic raw corpora: English monolingual + en->X bitext + one X-Y bitext.
     mono_path = raw / "mono.en.txt"
     mono = [_sentence(rng) for _ in range(MONO_LINES)]
-    write_shard(mono_path, zip(mono))
+    write_shard(mono_path, [mono])
 
     shards: list[ShardEntry] = []
     for lang in DEMO_LANGS:
         direction = Direction("en", lang)
-        rows = []
-        for _ in range(BITEXT_LINES):
-            e = _sentence(rng)
-            rows.append((e, perfect.translate([e], direction)[0]))
-        rows.extend(_junk_rows())
+        sources = [_sentence(rng) for _ in range(BITEXT_LINES)]
+        targets = perfect.translate(sources, direction)
+        junk_sources, junk_targets = map(list, zip(*_junk_rows()))
         name = f"bitext.en-{lang}.tsv"
-        count = write_shard(raw / name, rows)
+        count = write_shard(raw / name, (sources + junk_sources, targets + junk_targets))
         shards.append(ShardEntry(name, raw / name, direction, OriginPool.BITEXT, count))
 
     xy = Direction(DEMO_LANGS[0], DEMO_LANGS[1])
-    rows = []
-    for _ in range(BITEXT_LINES):
-        e = _sentence(rng)
-        rows.append((perfect.translate([e], Direction("en", xy.src))[0],
-                     perfect.translate([e], Direction("en", xy.tgt))[0]))
+    english = [_sentence(rng) for _ in range(BITEXT_LINES)]
     name = f"bitext.{xy}.tsv"
-    count = write_shard(raw / name, rows)
+    count = write_shard(raw / name, [perfect.translate(english, Direction("en", lang))
+                                     for lang in (xy.src, xy.tgt)])
     shards.append(ShardEntry(name, raw / name, xy, OriginPool.BITEXT, count))
 
     raw_manifest = CorpusManifest(shards, raw)

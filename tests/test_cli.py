@@ -171,6 +171,17 @@ class TestFilterCli:
         assert "error: b.tsv:4: not UTF-8" in capsys.readouterr().err
         assert not (out_dir / "manifest.tsv").exists()
 
+    @pytest.mark.parametrize("rejects", ["clean", "clean/."])
+    def test_rejects_into_the_output_directory_is_refused(self, tmp_path, capsys, rejects):
+        # Reject rows would be appended to the kept shard of the same name.
+        build_manifest(tmp_path, [("a.tsv", "hr-en", "bitext",
+                                   [("good one", "fine one"), ("", "empty")])])
+        out_dir = tmp_path / "clean"
+        assert main(["filter", "--manifest", str(tmp_path / "manifest.tsv"),
+                     "--out", str(out_dir), "--rejects", str(tmp_path / rejects)]) == 1
+        assert "is the output directory" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_colliding_basenames(self, tmp_path, capsys):
         # A per-index prefix named y/a.tsv's output 002_a.tsv, over the
         # output of the shard 002_a.tsv.
@@ -496,6 +507,12 @@ class TestCurriculumCli:
 
 
 class TestDemoCli:
+    def test_seed_42_bytes_are_pinned(self, tmp_path, capsys):
+        assert main(["demo", "--out", str(tmp_path / "d"), "--seed", "42"]) == 0
+        assert capsys.readouterr().out == "summary\tsummary.tsv\n"
+        assert tree_digest(tmp_path / "d") == \
+            "894a0b61c3fd04ae55f98d5bc3f5e80389089d10104786a07bbdecc439cbc751"
+
     def test_two_runs_identical_trees(self, tmp_path):
         d1, d2 = tmp_path / "d1", tmp_path / "d2"
         assert main(["demo", "--out", str(d1), "--seed", "777"]) == 0

@@ -108,6 +108,18 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             load_manifest(tmp_path / "m.tsv", verify=True)
 
+    def test_verify_mismatch_names_its_line(self, tmp_path):
+        write_shard(tmp_path / "a.tsv", [("x", "y")])
+        write_shard(tmp_path / "b.tsv", [("x", "y"), ("p", "q")])
+        (tmp_path / "m.tsv").write_text(
+            "# path\tsrc\ttgt\torigin\tcount\na.tsv\thr\ten\tbitext\t1\n"
+            "b.tsv\thr\ten\tbitext\t1\n", encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(tmp_path / "m.tsv", verify=True)
+        assert info.value.line_no == 3
+        assert str(info.value) == (f"{tmp_path / 'm.tsv'}:3: shard b.tsv: "
+                                   "declared 1 lines but found 2")
+
     def test_write_round_trip(self, tmp_path):
         manifest = build_manifest(tmp_path, [
             ("a.tsv", "hr-en", "bitext", [("x", "y")]),
@@ -218,18 +230,47 @@ class TestWriteShard:
         rows = [(f"izvor {i} \u0161\u0111 \u2211", f"c\u00edl {i} \u65e5\u672c \x85")
                 for i in range(n)]
         write_shard(tmp_path / "ref.tsv", rows)  # conftest: one write per row
-        assert corpus.write_shard(tmp_path / "out.tsv", (row for row in rows)) == n
+        columns = ([s for s, _ in rows], tuple(t for _, t in rows))
+        assert corpus.write_shard(tmp_path / "out.tsv", columns) == n
         assert (tmp_path / "out.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
-
 
     @pytest.mark.parametrize("rows, data", [
         ([("one",), ("two",)], b"one\ntwo\n"),
         ([("s", "t", "Empty"), ("", "x", "Empty")], b"s\tt\tEmpty\n\tx\tEmpty\n"),
     ])
     def test_rows_of_any_width(self, tmp_path, rows, data):
-        assert corpus.write_shard(tmp_path / "out", rows) == len(rows)
-        assert corpus.write_shard(tmp_path / "out", rows[:1], append=True) == 1
+        columns = list(zip(*rows))   # one tuple per field
+        assert corpus.write_shard(tmp_path / "out", columns) == len(rows)
+        first = [column[:1] for column in columns]
+        assert corpus.write_shard(tmp_path / "out", first, append=True) == 1
         assert (tmp_path / "out").read_bytes() == data + data.split(b"\n")[0] + b"\n"
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_append_across_batches(self, tmp_path, k):
+        n = corpus._ROWS_PER_WRITE + 3
+        columns = [[f"{j}:{i}" for i in range(n)] for j in range(k)]
+        assert corpus.write_shard(tmp_path / "out", [c[:5] for c in columns]) == 5
+        assert corpus.write_shard(tmp_path / "out", [c[5:] for c in columns], append=True) \
+            == n - 5
+        assert (tmp_path / "out").read_text(encoding="utf-8") == "".join(
+            "\t".join(f"{j}:{i}" for j in range(k)) + "\n" for i in range(n))
+
+    def test_no_columns_write_no_row(self, tmp_path):
+        (tmp_path / "out").write_bytes(b"old\n")
+        assert corpus.write_shard(tmp_path / "out", (), append=True) == 0
+        assert (tmp_path / "out").read_bytes() == b"old\n"
+        assert corpus.write_shard(tmp_path / "out", ()) == 0
+        assert (tmp_path / "out").read_bytes() == b""
+
+    @pytest.mark.parametrize("append", [False, True])
+    def test_unequal_columns_leave_the_file_alone(self, tmp_path, append):
+        (tmp_path / "out").write_bytes(b"s\tt\n")
+        with pytest.raises(ValueError, match=r"unequal lengths: \[2, 1\]"):
+            corpus.write_shard(tmp_path / "out", (["a", "b"], ["c"]), append=append)
+        assert (tmp_path / "out").read_bytes() == b"s\tt\n"
+        with pytest.raises(ValueError):
+            corpus.write_shard(tmp_path / "new", (["a"], [], ["c"]), append=append)
+        assert not (tmp_path / "new").exists()
 
 
 class TestUnusedName:
@@ -261,7 +302,7 @@ _FIELD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_character
        origin=st.sampled_from(list(OriginPool)))
 def test_write_shard_read_pairs_round_trip(tmp_path_factory, rows, direction, origin):
     path = tmp_path_factory.mktemp("shard") / "s.tsv"
-    assert corpus.write_shard(path, rows) == len(rows)
+    assert corpus.write_shard(path, ([s for s, _ in rows], [t for _, t in rows])) == len(rows)
     entry = ShardEntry("s.tsv", path, Direction.parse(direction), origin, len(rows))
     pairs = list(read_pairs(entry))
     assert all(type(p) is SentencePair for p in pairs)
