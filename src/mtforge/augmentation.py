@@ -29,8 +29,9 @@ from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, check_tabs,
-                     iter_line_chunks, read_table, unused_name, write_shard, write_table)
+from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, check_not_inputs,
+                     check_tabs, iter_line_chunks, read_table, unused_name, write_shard,
+                     write_table)
 from .errors import (
     EmptyMonolingualError,
     EnglishInPairError,
@@ -230,8 +231,9 @@ def run_plan(
     """Execute a plan, writing one shard per task output.
 
     Fails fast, before writing anything, if the translator is missing a
-    needed direction (UnsupportedDirectionError) or a task does not fit its
-    kind (MTForgeError naming the task).
+    needed direction (UnsupportedDirectionError), a task does not fit its
+    kind (MTForgeError naming the task) or an output shard is an input file
+    (MTForgeError naming both, by ``corpus.check_not_inputs``).
 
     Each input file is then read one chunk of lines at a time
     (``corpus.iter_line_chunks``), and each chunk's rows are appended to the
@@ -267,13 +269,14 @@ def run_plan(
             raise MTForgeError(
                 f"plan task {number} ({task.kind.value} {task.input_path}): {problem}")
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     # Name each task's shards in plan order and start them empty, at 0 rows.
+    out_dir = Path(out_dir)
     taken: set[str] = set()
     shards = [[out_dir / unused_name(f"{task.kind.value}.{output.direction}.tsv", taken)
                for output in task.outputs] for task in plan.tasks]
+    check_not_inputs([path for paths in shards for path in paths],
+                     [task.input_path for task in plan.tasks])
+    out_dir.mkdir(parents=True, exist_ok=True)
     counts = {path: write_shard(path, ()) for paths in shards for path in paths}
 
     by_input: dict[Path, list[tuple[AugmentationTask, list[Path]]]] = {}

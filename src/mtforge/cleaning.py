@@ -20,8 +20,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import (CorpusManifest, SentencePair, ShardEntry, check_tabs, count_lines,
-                     iter_line_chunks, read_lines, read_pairs, unused_name,
+from .corpus import (CorpusManifest, SentencePair, ShardEntry, check_not_inputs, check_tabs,
+                     count_lines, iter_line_chunks, read_lines, read_pairs, unused_name,
                      write_manifest, write_shard)
 from .errors import AlreadyTaggedError, LengthMismatchError, MTForgeError
 from .subword import SubwordTokenizer
@@ -240,7 +240,8 @@ def filter_corpus(
     that is taken (``manifest.tsv`` always is), by ``corpus.unused_name``;
     an ``out_dir/manifest.tsv`` of the kept shards; and, when
     ``rejects_dir`` is given, per-shard reject files with a reason column.
-    A ``rejects_dir`` that is ``out_dir`` (by ``os.path.samefile``) raises
+    A ``rejects_dir`` that is ``out_dir`` (by ``os.path.samefile``), or an
+    output file that is an input shard (``corpus.check_not_inputs``), raises
     MTForgeError before any shard is written.
     Each batch of ``_PAIRS_PER_WRITE`` pairs is appended by ``write_shard``
     once filtered, so a bad shard line raises MalformedLineError after the
@@ -260,12 +261,17 @@ def filter_corpus(
         raise MTForgeError(f"the rejects directory {rejects_dir} is the output directory "
                            f"{out_dir}: reject rows would be appended to the kept shards")
 
+    taken = {"manifest.tsv"}   # the output manifest's own name
+    names = [unused_name(Path(entry.raw_path).name, taken) for entry in manifest.shards]
+    outputs = [out_dir / "manifest.tsv"] + [out_dir / name for name in names]
+    if rejects_dir is not None:
+        outputs += [rejects_dir / name for name in names]
+    check_not_inputs(outputs, [entry.path for entry in manifest.shards])
+
     counts = {"kept": 0} | {f"rejected_{reason.value}": 0 for reason in RejectReason}
 
     entries: list[ShardEntry] = []
-    taken = {"manifest.tsv"}   # the output manifest's own name
-    for entry in manifest.shards:
-        name = unused_name(Path(entry.raw_path).name, taken)
+    for entry, name in zip(manifest.shards, names):
         verdicts = _shard_langid(langid_dir, entry) if langid_dir else None
         kept = 0
         out_file = out_dir / name

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DuplicateShardPathError, MalformedLineError, ManifestError, TableError
+from .errors import (DuplicateShardPathError, MalformedLineError, ManifestError, MTForgeError,
+                     TableError)
 
 _LANG_RE = re.compile(r"[a-z]{2,8}\Z")
 _ROWS_PER_WRITE = 512
@@ -425,3 +427,27 @@ def unused_name(name: str, taken: set[str]) -> str:
         name, n = f"{path.stem}.{n}{path.suffix}", n + 1
     taken.add(name)
     return name
+
+
+def check_not_inputs(outputs: Iterable[Path], inputs: Iterable[Path]) -> None:
+    """Raise MTForgeError naming both paths if an output file is an input
+    file (the same file by ``os.path.samefile``; a path that does not exist
+    is none). Writing such an output would truncate its input before it is
+    read, so callers check before they write anything."""
+    read: dict[tuple[int, int], Path] = {}
+    for path in inputs:
+        if (key := _file_id(path)) is not None:
+            read.setdefault(key, path)
+    for path in outputs:
+        if (key := _file_id(path)) in read:
+            raise MTForgeError(f"output {path} is the input {read[key]}: "
+                               "writing it would truncate the input")
+
+
+def _file_id(path: Path) -> tuple[int, int] | None:
+    """The (device, inode) pair that ``os.path.samefile`` compares."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino

@@ -11,10 +11,19 @@ When no multi-character piece contains a whitespace character, a match can
 never cross a whitespace boundary. The text is then handled one run at a
 time: each whitespace character is one token, a non-whitespace run that is
 a piece (or a single character) is one token, and any other run is matched
-greedily on its own. Text whose runs are all pieces is returned as the
-list of runs, checked in one C-level pass. A vocabulary with a
-multi-character piece that holds whitespace (``"a b"``, ``"  "``) falls back
-to greedy matching over the whole string. Both paths give the same tokens.
+greedily on its own. The runs come from two C-level splits when they can:
+if ``text.split(" ") == text.split()``, the text is non-empty words between
+single spaces. The whitespace split never yields an empty string or one
+that holds whitespace, and it cuts at the same characters as the ``\\s``
+of the run regex. So equal lists rule out empty text, leading, trailing
+and double spaces and every other whitespace character, and the runs are
+exactly the words with one ``" "`` between each two. Only other text is
+split by the run regex. Text whose runs are all pieces is returned as the
+list of runs, checked in one C-level pass; after the split test only the
+words are checked, as a lone space is one token whether or not it is a
+piece. A vocabulary with a multi-character piece that holds whitespace
+(``"a b"``, ``"  "``) falls back to greedy matching over the whole string.
+All paths give the same tokens.
 
 Greedy matching probes windows only at a start that some piece begins with;
 any other character is its own token. The tokens of a run matched
@@ -25,6 +34,7 @@ The memo is emptied when it is full.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -52,8 +62,13 @@ class SubwordTokenizer:
     """Greedy longest-match tokenizer over a fixed piece vocabulary."""
 
     def __init__(self, vocab: Iterable[str] | Mapping[str, float] = DEFAULT_VOCAB):
+        """A mapping gives each piece a score; a score that is not a finite
+        number raises ValueError."""
         if isinstance(vocab, Mapping):
             pieces = {p: float(s) for p, s in vocab.items() if p}
+            for piece, score in pieces.items():
+                if not math.isfinite(score):
+                    raise ValueError(f"piece {piece!r}: not a finite score: {score}")
         else:
             pieces = {p: 0.0 for p in vocab if p}
         self.vocab = pieces
@@ -66,9 +81,16 @@ class SubwordTokenizer:
         if not self._by_runs:
             return self._greedy(text)
         vocab = self.vocab
-        runs = _RUNS.findall(text)
-        if all(map(vocab.__contains__, runs)):
-            return runs
+        words = text.split(" ")
+        if words == text.split():   # non-empty words between single spaces
+            runs = [" "] * (2 * len(words) - 1)
+            runs[::2] = words
+            if all(map(vocab.__contains__, words)):   # " " is one token, piece or not
+                return runs
+        else:
+            runs = _RUNS.findall(text)
+            if all(map(vocab.__contains__, runs)):
+                return runs
         memo = self._memo
         tokens: list[str] = []
         for run in runs:

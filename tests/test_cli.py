@@ -182,6 +182,26 @@ class TestFilterCli:
         assert "is the output directory" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--rejects"])
+    @pytest.mark.parametrize("via_link", [False, True])
+    def test_output_shard_that_is_its_input_is_refused(self, tmp_path, capsys, flag, via_link):
+        # Each output shard was started empty before its input was read: an
+        # in-place --out exited 0 with "kept 0", an emptied a.tsv and an
+        # input manifest overwritten with a count of 0.
+        build_manifest(tmp_path, [("a.tsv", "hr-en", "bitext",
+                                   [("good one", "fine one"), ("good two", "fine two")])])
+        before = {name: (tmp_path / name).read_bytes() for name in ("a.tsv", "manifest.tsv")}
+        here = tmp_path
+        if via_link:
+            here = tmp_path / "link"
+            here.symlink_to(tmp_path, target_is_directory=True)
+        dirs = {"--out": tmp_path / "clean", "--rejects": tmp_path / "rej", flag: here}
+        assert main(["filter", "--manifest", str(tmp_path / "manifest.tsv"),
+                     "--out", str(dirs["--out"]), "--rejects", str(dirs["--rejects"])]) == 1
+        err = capsys.readouterr().err
+        assert f"error: output {here / 'a.tsv'} is the input {tmp_path / 'a.tsv'}" in err
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
     def test_colliding_basenames(self, tmp_path, capsys):
         # A per-index prefix named y/a.tsv's output 002_a.tsv, over the
         # output of the shard 002_a.tsv.
@@ -379,6 +399,23 @@ class TestAugmentCli:
         assert "error: plan task 1 (" in err
         assert "Traceback" not in err
         assert not (tmp_path / "aug").exists()
+
+    def test_output_shard_that_is_an_input_is_refused(self, tmp_path, capsys, monkeypatch):
+        # A mono input with the name of a shard written for it was started
+        # empty before it was read, and the run exited 0 with empty shards.
+        monkeypatch.chdir(tmp_path)
+        Path("aug").mkdir()
+        mono = Path("aug/bt.hr-en.tsv")
+        mono.write_text("the cat sat\ngood day\n", encoding="utf-8")
+        main(["augment", "plan", "--kind", "bt", "--mono", str(mono),
+              "--langs", "hr", "--out", "plan.tsv"])
+        capsys.readouterr()
+        rc = main(["augment", "run", "--plan", "plan.tsv",
+                   "--translator", "cipher:1", "--out", "aug"])
+        assert rc == 1
+        assert f"error: output {mono} is the input {mono}" in capsys.readouterr().err
+        assert mono.read_text(encoding="utf-8") == "the cat sat\ngood day\n"
+        assert sorted(p.name for p in Path("aug").iterdir()) == ["bt.hr-en.tsv"]
 
     def test_stray_carriage_return_past_the_first_chunk(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(corpus, "_BYTES_PER_READ", 64)

@@ -96,6 +96,11 @@ class TestSubwordTokenizer:
             SubwordTokenizer.from_file(path)
         assert (err.value.path, err.value.line_no) == (path, 3)
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_is_refused(self, score):
+        with pytest.raises(ValueError, match="piece 'b': not a finite score"):
+            SubwordTokenizer({"a": -1.0, "b": score})
+
 
 # Letters, every kind of whitespace the run splitter must treat alike
 # (ASCII, the \x1c-\x1f separators, NEL, NBSP, LINE SEPARATOR) and a
@@ -116,16 +121,22 @@ _vocabs = st.one_of(
 
 @st.composite
 def _vocab_and_texts(draw):
-    """A vocabulary and texts that are either pieces of it, one whitespace
-    character apart (the all-piece path when that character is a piece), or
-    any text of the letters, "x" and whitespace (runs that start no piece,
-    and the per-run fallback)."""
-    vocab = draw(_vocabs)
+    """A vocabulary, with or without the " " piece, and texts that are
+    either pieces of it, one whitespace character apart (the all-piece path
+    when that character is a piece); words joined by single spaces, each a
+    whitespace-free piece or not (the split test, also on "" and one word);
+    or any text of the letters, "x" and whitespace (runs that start no
+    piece, and the per-run fallback)."""
+    vocab = [p for p in draw(_vocabs) if p != " "] + [" "] * draw(st.booleans())
     of_pieces = st.lists(
         st.tuples(st.sampled_from(vocab or ["a"]), st.sampled_from(_SPACES)),
         max_size=8).map(lambda pairs: "".join(p + space for p, space in pairs))
+    words = [p for p in vocab if p.split() == [p]] or ["a"]
+    single_spaced = st.lists(st.one_of(st.sampled_from(words), _word_pieces, st.just("x")),
+                             max_size=8).map(" ".join)
     any_text = st.text(alphabet=_LETTERS + "x" + _SPACES, max_size=40)
-    return vocab, draw(st.lists(st.one_of(of_pieces, any_text), min_size=1, max_size=4))
+    return vocab, draw(st.lists(st.one_of(of_pieces, single_spaced, any_text),
+                                min_size=1, max_size=4))
 
 
 @settings(max_examples=400, deadline=None)
@@ -159,6 +170,26 @@ class TestTokenizePaths:
         tok = SubwordTokenizer(["kafo", "bi", " ", "zu"])
         tok._greedy = None   # any greedy call would fail
         assert tok.tokenize("kafo bi zu kafo") == ["kafo", " ", "bi", " ", "zu", " ", "kafo"]
+
+    @pytest.mark.parametrize("vocab, text", [
+        (["kafo", "bi", " ", "zu"], "kafo bi zu kafo"),
+        (["kafo", "bi", " ", "zu"], "kafo"),
+        (["kafo", "bi", " ", "zu"], "kafo qbi zu"),   # a word that is no piece
+        (["kafo", "bi"], "kafo bi"),                  # " " is no piece
+    ])
+    def test_single_spaced_text_is_not_split_by_the_run_regex(self, monkeypatch, vocab, text):
+        class NoRegex:
+            def findall(self, text):
+                raise AssertionError(f"run regex called on {text!r}")
+
+        monkeypatch.setattr(subword, "_RUNS", NoRegex())
+        assert SubwordTokenizer(vocab).tokenize(text) == greedy_oracle(set(vocab), text)
+
+    @pytest.mark.parametrize("text", ["kafo  bi", "kafo\tbi", "kafo\xa0bi", "kafo bi ",
+                                      " kafo bi", "kafo qbi", "", " "])
+    def test_text_off_the_all_piece_path_matches_the_oracle(self, text):
+        vocab = ["kafo", "bi", " ", "\t"]
+        assert SubwordTokenizer(vocab).tokenize(text) == greedy_oracle(set(vocab), text)
 
     def test_start_that_begins_no_piece_is_not_probed(self):
         tok = SubwordTokenizer(["no", "is", "e"])
