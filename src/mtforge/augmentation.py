@@ -24,7 +24,7 @@ must translate each sentence independently of the others in the call.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -83,7 +83,11 @@ class AugmentationTask:
 
 @dataclass
 class AugmentationPlan:
+    """Tasks in run order, and the plan file they were read from (None when
+    planned in code), which ``run_plan`` must not write over."""
+
     tasks: list[AugmentationTask]
+    path: Path | None = field(default=None, compare=False)
 
     @property
     def needed_directions(self) -> set[Direction]:
@@ -232,8 +236,10 @@ def run_plan(
 
     Fails fast, before writing anything, if the translator is missing a
     needed direction (UnsupportedDirectionError), a task does not fit its
-    kind (MTForgeError naming the task) or an output shard is an input file
-    (MTForgeError naming both, by ``corpus.check_not_inputs``).
+    kind (MTForgeError naming the task) or an output shard, or the
+    ``out_dir/manifest.tsv`` that callers write the result to, is an input
+    file or the plan file (MTForgeError naming both, by
+    ``corpus.check_not_inputs``).
 
     Each input file is then read one chunk of lines at a time
     (``corpus.iter_line_chunks``), and each chunk's rows are appended to the
@@ -274,8 +280,8 @@ def run_plan(
     taken: set[str] = set()
     shards = [[out_dir / unused_name(f"{task.kind.value}.{output.direction}.tsv", taken)
                for output in task.outputs] for task in plan.tasks]
-    check_not_inputs([path for paths in shards for path in paths],
-                     [task.input_path for task in plan.tasks])
+    check_not_inputs([path for paths in shards for path in paths] + [out_dir / "manifest.tsv"],
+                     filter(None, [plan.path] + [task.input_path for task in plan.tasks]))
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {path: write_shard(path, ()) for paths in shards for path in paths}
 
@@ -358,4 +364,4 @@ def _task(kind_text, input_path, meta, needed_text, outputs_text) -> Augmentatio
 
 
 def load_plan(path: str | Path) -> AugmentationPlan:
-    return AugmentationPlan(read_table(path, 5, _task))
+    return AugmentationPlan(read_table(path, 5, _task), Path(path))

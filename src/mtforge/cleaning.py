@@ -241,8 +241,9 @@ def filter_corpus(
     an ``out_dir/manifest.tsv`` of the kept shards; and, when
     ``rejects_dir`` is given, per-shard reject files with a reason column.
     A ``rejects_dir`` that is ``out_dir`` (by ``os.path.samefile``), or an
-    output file that is an input shard (``corpus.check_not_inputs``), raises
-    MTForgeError before any shard is written.
+    output file that is an input shard or the manifest file it was loaded
+    from (``corpus.check_not_inputs``), raises MTForgeError before any shard
+    is written.
     Each batch of ``_PAIRS_PER_WRITE`` pairs is appended by ``write_shard``
     once filtered, so a bad shard line raises MalformedLineError after the
     earlier batches are written. Language-id verdicts come from
@@ -263,10 +264,12 @@ def filter_corpus(
 
     taken = {"manifest.tsv"}   # the output manifest's own name
     names = [unused_name(Path(entry.raw_path).name, taken) for entry in manifest.shards]
-    outputs = [out_dir / "manifest.tsv"] + [out_dir / name for name in names]
+    outputs = [out_dir / name for name in names]
     if rejects_dir is not None:
         outputs += [rejects_dir / name for name in names]
-    check_not_inputs(outputs, [entry.path for entry in manifest.shards])
+    outputs.append(out_dir / "manifest.tsv")   # written last, so checked last
+    check_not_inputs(outputs, filter(None, [manifest.path]
+                                     + [entry.path for entry in manifest.shards]))
 
     counts = {"kept": 0} | {f"rejected_{reason.value}": 0 for reason in RejectReason}
 

@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 from . import augmentation, cleaning, curriculum, demo
-from .corpus import (Direction, corpus_stats, load_manifest, read_lines, write_manifest,
-                     write_shard, write_table)
+from .corpus import (Direction, corpus_stats, iter_line_chunks, load_manifest, read_lines,
+                     write_manifest, write_shard, write_table)
 from .errors import MTForgeError
-from .evaluation import ScoreMatrix, corpus_bleu
+from .evaluation import ScoreMatrix, stream_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
 from .sampling import BatchScheduler, MixtureWeights, language_distribution, write_composition
 from .subword import SubwordTokenizer, default_tokenizer
@@ -126,10 +126,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
-    hyps = read_lines(args.hyp)
-    refs = read_lines(args.ref)
     tokenizer = SubwordTokenizer.from_file(args.vocab) if args.vocab else None
-    result = corpus_bleu(hyps, refs, tokenizer)
+    result = stream_bleu(iter_line_chunks(args.hyp), iter_line_chunks(args.ref), tokenizer)
     precisions = "\t".join(f"{p:.4f}" for p in result.precisions)
     print(f"{result.score:.2f}\t{precisions}\t{result.brevity_penalty:.4f}")
     return 0

@@ -136,10 +136,13 @@ class ShardEntry:
 
 @dataclass
 class CorpusManifest:
-    """Ordered list of corpus shards plus the directory paths resolve against."""
+    """Ordered list of corpus shards plus the directory paths resolve against,
+    and the manifest file it was read from (None when built in code), which
+    a command must not write over."""
 
     shards: list[ShardEntry] = field(default_factory=list)
     root: Path = Path(".")
+    path: Path | None = field(default=None, compare=False)
 
     def shard(self, shard_id: str) -> ShardEntry:
         for entry in self.shards:
@@ -326,7 +329,7 @@ def load_manifest(path: str | Path, verify: bool = False) -> CorpusManifest:
             raise ValueError(f"shard {raw}: declared {count} lines but found {actual}")
         return ShardEntry(raw, path.parent / raw, direction, origin, count)
 
-    return CorpusManifest(read_table(path, 5, shard, ManifestError), path.parent)
+    return CorpusManifest(read_table(path, 5, shard, ManifestError), path.parent, path)
 
 
 def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:

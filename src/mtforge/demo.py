@@ -33,6 +33,7 @@ from .translator import (
     CipherLanguage,
     Direct,
     PivotVia,
+    check_noise_rate,
     derive_language_seed,
     make_cipher_translator,
     with_noise,
@@ -62,7 +63,10 @@ def _junk_rows() -> list[tuple[str, str]]:
 
 
 def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0) -> Path:
-    """Run the full pipeline; returns the path of the summary report."""
+    """Run the full pipeline; returns the path of the summary report.
+    A ``direct_noise`` outside [0, 1] raises ValueError before anything is
+    written."""
+    check_noise_rate(direct_noise)
     out = Path(out_dir)
     raw = out / "raw"
     clean = out / "clean"

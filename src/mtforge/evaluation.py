@@ -5,23 +5,34 @@ penalty, and add-one smoothing applied to zero counts of order >= 2. With
 ``tokenizer=None`` segments are split on whitespace (pre-tokenized input);
 otherwise the subword tokenizer defines the token stream.
 
-``corpus_bleu`` works in two steps, as sacreBLEU does. Each segment adds its
-sufficient statistics to corpus sums: clipped matches and n-gram counts per
-order, and the hypothesis and reference lengths. ``bleu_from_stats`` then
-turns the sums into a ``BleuScore``. A segment whose hypothesis equals its
-reference is tokenized once and counts no n-grams: a deterministic tokenizer
-gives both sides the same ``L`` tokens, so order ``n`` has ``L - n + 1``
-n-grams and every one of them matches.
+BLEU works in two steps, as sacreBLEU does. Each segment adds its sufficient
+statistics to corpus sums: clipped matches and n-gram counts per order, and
+the hypothesis and reference lengths. ``bleu_from_stats`` then turns the
+sums into a ``BleuScore``. Sums add up, so ``stream_bleu`` reads its segments
+one chunk of lines at a time; ``corpus_bleu`` is the one-chunk case. A
+segment whose hypothesis equals its reference is tokenized once and counts
+no n-grams: a deterministic tokenizer gives both sides the same ``L``
+tokens, so order ``n`` has ``L - n + 1`` n-grams and every one of them
+matches.
+
+Any other segment's clipped matches come from two Counters. The n-grams of
+every order of the shorter side go into one Counter (tuples of different
+lengths never collide). A second Counter counts only those n-grams of the
+longer side that the first one holds. Each of its keys adds the lesser of
+its two counts to its order's matches; ``min`` is symmetric, so it does not
+matter which side was counted whole. The n-gram counts per order follow
+from the hypothesis length alone.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Direction, finite_float, read_table, write_table
 from .errors import EmptyCorpusError, LengthMismatchError
@@ -53,30 +64,48 @@ def corpus_bleu(
     refs: Sequence[str],
     tokenizer: SubwordTokenizer | None = None,
 ) -> BleuScore:
-    if len(hyps) != len(refs):
-        raise LengthMismatchError(
-            f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpusError("need at least one segment")
+    """BLEU of ``hyps`` against ``refs``: ``stream_bleu`` of one chunk each."""
+    return stream_bleu([hyps], [refs], tokenizer)
 
+
+def stream_bleu(hyp_chunks: Iterable[Sequence[str]], ref_chunks: Iterable[Sequence[str]],
+                tokenizer: SubwordTokenizer | None = None) -> BleuScore:
+    """BLEU of two streams of line chunks, as ``corpus.iter_line_chunks``
+    yields them. Each hypothesis chunk is zipped with as many reference
+    lines and its segments' statistics are added to the sums, so memory
+    holds about one chunk of each side. A length mismatch is known only when
+    both streams have ended; it then raises LengthMismatchError with both
+    counts. Only ``tokenizer.tokenize`` is called (``str.split`` when
+    ``tokenizer`` is None): once for a segment whose hypothesis equals its
+    reference, twice for any other."""
     split = tokenizer.tokenize if tokenizer is not None else str.split
-    matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        if hyp == ref:
-            length = len(split(hyp))
-            hyp_len += length
-            ref_len += length
-            for n in range(min(length, MAX_ORDER)):
-                matches[n] += length - n
-                totals[n] += length - n
-            continue
-        hyp_tokens = split(hyp)
-        ref_tokens = split(ref)
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
-        _add_clipped_matches(hyp_tokens, ref_tokens, matches, totals)
+    ref_lines = chain.from_iterable(ref_chunks)
+    matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
+    hyp_len = ref_len = n_hyps = n_refs = 0
+    for hyps in hyp_chunks:
+        refs = list(islice(ref_lines, len(hyps)))
+        n_hyps += len(hyps)
+        n_refs += len(refs)
+        for hyp, ref in zip(hyps, refs):
+            if hyp == ref:
+                length = len(split(hyp))
+                hyp_len += length
+                ref_len += length
+                for n in range(min(length, MAX_ORDER)):
+                    matches[n] += length - n
+                    totals[n] += length - n
+                continue
+            hyp_tokens = split(hyp)
+            ref_tokens = split(ref)
+            hyp_len += len(hyp_tokens)
+            ref_len += len(ref_tokens)
+            _add_clipped_matches(hyp_tokens, ref_tokens, matches, totals)
+        del hyps, refs   # before the next chunk is read
+    n_refs += sum(1 for _ in ref_lines)
+    if n_hyps != n_refs:
+        raise LengthMismatchError(f"{n_hyps} hypotheses vs {n_refs} references")
+    if not n_hyps:
+        raise EmptyCorpusError("need at least one segment")
     return bleu_from_stats(matches, totals, hyp_len, ref_len)
 
 
@@ -90,22 +119,29 @@ def _add_clipped_matches(hyp_tokens: Sequence[str], ref_tokens: Sequence[str],
                          matches: list[int], totals: list[int]) -> None:
     """Add one segment's clipped n-gram matches and n-gram counts per order.
 
-    One Counter holds every order of the reference: tuples of different
-    lengths never collide. Clipping runs in C through ``map``. Once an
-    order's n-grams are all distinct, so are those of every higher order,
-    and a match is then just membership in the reference.
+    (a) Order ``n`` has ``len(hyp_tokens) - n + 1`` hypothesis n-grams.
+    (b) One Counter holds every order of the shorter side: tuples of
+    different lengths never collide. (c) A second Counter counts only the
+    n-grams of the longer side that (b) holds, filtered in C. (d) Each of
+    its keys adds ``min`` of its two counts, the same whichever side (b)
+    counted, to its order's matches. The chain yields the orders in turn,
+    so the keys are grouped by tuple length and ``bisect_right`` over
+    their lengths splits the sums by order.
     """
-    ref_counts = Counter(chain.from_iterable(_orders(ref_tokens)))
-    distinct = False
-    for n, grams in enumerate(_orders(hyp_tokens)):
-        totals[n] += max(0, len(hyp_tokens) - n)
-        if distinct:
-            matches[n] += sum(map(ref_counts.__contains__, grams))
-            continue
-        hyp_counts = Counter(grams)
-        matches[n] += sum(map(min, hyp_counts.values(),
-                              map(ref_counts.get, hyp_counts, repeat(0))))
-        distinct = len(hyp_counts) == len(hyp_tokens) - n
+    length = len(hyp_tokens)
+    for n in range(min(length, MAX_ORDER)):
+        totals[n] += length - n
+    short, long = ((hyp_tokens, ref_tokens) if length <= len(ref_tokens)
+                   else (ref_tokens, hyp_tokens))
+    counts = Counter(chain.from_iterable(_orders(short)))
+    common = Counter(filter(counts.__contains__, chain.from_iterable(_orders(long))))
+    clipped = list(map(min, common.values(), map(counts.__getitem__, common)))
+    lengths = list(map(len, common))
+    start = 0
+    for n in range(MAX_ORDER):
+        stop = bisect_right(lengths, n + 1, start)
+        matches[n] += sum(clipped[start:stop])
+        start = stop
 
 
 def bleu_from_stats(matches: Sequence[int], totals: Sequence[int],

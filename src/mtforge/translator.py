@@ -289,6 +289,13 @@ def _noise_draw(seed: int, sentence_idx: int, token_idx: int) -> float:
     return int.from_bytes(digest, "big") / 2**64
 
 
+def check_noise_rate(rate: float) -> float:
+    """``rate``, or ValueError unless it is in [0, 1] (NaN is not)."""
+    if not 0 <= rate <= 1:
+        raise ValueError("noise_rate must be in [0, 1]")
+    return rate
+
+
 class NoisyTranslator(Translator):
     """Wraps a translator, corrupting output tokens at a fixed rate.
 
@@ -310,10 +317,8 @@ class NoisyTranslator(Translator):
 
     def __init__(self, inner: Translator, noise_rate: float, seed: int,
                  directions: Collection[Direction] | None = None):
-        if not 0 <= noise_rate <= 1:
-            raise ValueError("noise_rate must be in [0, 1]")
         self._inner = inner
-        self._rate = noise_rate
+        self._rate = check_noise_rate(noise_rate)
         self._seed = seed
         self._directions = None if directions is None else frozenset(directions)
         self._flags: list[bytes] = []   # [i][j] == 1: corrupt token j of sentence i

@@ -1,7 +1,9 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from conftest import build_manifest
 from mtforge import corpus
 from mtforge.cli import main
 from mtforge.corpus import Direction, load_manifest
+from mtforge.evaluation import corpus_bleu
 from mtforge.translator import CipherLanguage, derive_language_seed, make_cipher_translator
 
 
@@ -134,6 +137,57 @@ class TestBleu:
         assert len(fields) == 6  # score, p1..p4, bp
         assert fields[0] == "84.65"
 
+    def _traced_peak(self, tmp_path, n):
+        rng = random.Random(n)
+        lines = [" ".join(rng.choices("abcdefgh", k=rng.randint(3, 12))) for _ in range(n)]
+        hyp, ref = tmp_path / f"h{n}.txt", tmp_path / f"r{n}.txt"
+        hyp.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        ref.write_text("".join(f"{line} a\n" for line in lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_input(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 4096)
+        self._traced_peak(tmp_path, 100)   # one-time allocations
+        small = self._traced_peak(tmp_path, 1000)
+        large = self._traced_peak(tmp_path, 4000)
+        assert large < 1.5 * small
+
+    @pytest.mark.parametrize("n_hyps, n_refs", [(3, 1), (1, 3), (2000, 1999), (1999, 2000)])
+    def test_mismatch_found_at_the_end_names_both_counts(self, tmp_path, capsys, monkeypatch,
+                                                         n_hyps, n_refs):
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 4096)
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_text("a b c\n" * n_hyps, encoding="utf-8")
+        ref.write_text("a b d\n" * n_refs, encoding="utf-8")
+        assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 1
+        assert f"error: {n_hyps} hypotheses vs {n_refs} references" in capsys.readouterr().err
+
+    def test_streamed_score_equals_corpus_bleu(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 256)
+        rng = random.Random(3)
+        hyps = [" ".join(rng.choices("abcd", k=rng.randint(0, 9))) for _ in range(300)]
+        refs = [h if rng.random() < 0.3 else " ".join(rng.choices("abcd", k=rng.randint(1, 9)))
+                for h in hyps]
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_text("".join(f"{line}\n" for line in hyps), encoding="utf-8")
+        ref.write_text("".join(f"{line}\n" for line in refs), encoding="utf-8")
+        assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+        result = corpus_bleu(hyps, refs)
+        precisions = "\t".join(f"{p:.4f}" for p in result.precisions)
+        assert capsys.readouterr().out == \
+            f"{result.score:.2f}\t{precisions}\t{result.brevity_penalty:.4f}\n"
+
+    def test_empty_files(self, tmp_path, capsys):
+        hyp = tmp_path / "h.txt"
+        hyp.write_bytes(b"")
+        assert main(["bleu", "--hyp", str(hyp), "--ref", str(hyp)]) == 1
+        assert "need at least one segment" in capsys.readouterr().err
+
 
 class TestFilterCli:
     def test_filter_writes_outputs(self, tmp_path, capsys):
@@ -201,6 +255,21 @@ class TestFilterCli:
         err = capsys.readouterr().err
         assert f"error: output {here / 'a.tsv'} is the input {tmp_path / 'a.tsv'}" in err
         assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+    def test_output_manifest_that_is_the_input_manifest_is_refused(self, tmp_path, capsys):
+        # The input manifest was replaced by the filtered one and the run exited 0.
+        (tmp_path / "raw").mkdir()
+        (tmp_path / "meta").mkdir()
+        (tmp_path / "raw" / "a.tsv").write_text("good one\tfine one\n", encoding="utf-8")
+        manifest = tmp_path / "meta" / "manifest.tsv"
+        manifest.write_text("../raw/a.tsv\thr\ten\tbitext\t1\n", encoding="utf-8")
+        before = manifest.read_bytes()
+        assert main(["filter", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "meta")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: output {manifest} is the input {manifest}" in err
+        assert manifest.read_bytes() == before
+        assert sorted(p.name for p in (tmp_path / "meta").iterdir()) == ["manifest.tsv"]
 
     def test_colliding_basenames(self, tmp_path, capsys):
         # A per-index prefix named y/a.tsv's output 002_a.tsv, over the
@@ -417,6 +486,23 @@ class TestAugmentCli:
         assert mono.read_text(encoding="utf-8") == "the cat sat\ngood day\n"
         assert sorted(p.name for p in Path("aug").iterdir()) == ["bt.hr-en.tsv"]
 
+    def test_output_manifest_that_is_the_plan_is_refused(self, tmp_path, capsys, monkeypatch):
+        # The plan was replaced by the output manifest and the run exited 0.
+        monkeypatch.chdir(tmp_path)
+        Path("d").mkdir()
+        Path("mono.en.txt").write_text("the cat sat\ngood day\n", encoding="utf-8")
+        plan = Path("d/manifest.tsv")
+        main(["augment", "plan", "--kind", "bt", "--mono", "mono.en.txt",
+              "--langs", "hr", "--out", str(plan)])
+        capsys.readouterr()
+        before = plan.read_bytes()
+        rc = main(["augment", "run", "--plan", str(plan),
+                   "--translator", "cipher:1", "--out", "d"])
+        assert rc == 1
+        assert f"error: output {plan} is the input {plan}" in capsys.readouterr().err
+        assert plan.read_bytes() == before
+        assert sorted(p.name for p in Path("d").iterdir()) == ["manifest.tsv"]
+
     def test_stray_carriage_return_past_the_first_chunk(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(corpus, "_BYTES_PER_READ", 64)
         mono = tmp_path / "mono.en.txt"
@@ -561,6 +647,14 @@ class TestDemoCli:
         main(["demo", "--out", str(d1), "--seed", "1"])
         main(["demo", "--out", str(d2), "--seed", "2"])
         assert tree_digest(d1) != tree_digest(d2)
+
+    @pytest.mark.parametrize("noise", ["nan", "-0.1", "1.5", "inf"])
+    def test_bad_noise_is_refused_before_any_write(self, tmp_path, capsys, noise):
+        # A NaN was refused only after 45 files were written.
+        out = tmp_path / "d"
+        assert main(["demo", "--out", str(out), "--direct-noise", noise, "--seed", "1"]) == 1
+        assert "noise_rate must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_noisy_demo_routes_via_pivot(self, tmp_path):
         out = tmp_path / "demo"

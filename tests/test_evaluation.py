@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bleu_oracle import bleu_oracle, bleu_oracle_full
+from bleu_oracle import bleu_oracle, bleu_oracle_full, clipped_matches
 from greedy_oracle import greedy_oracle
 from mtforge import subword
 from mtforge.corpus import Direction
@@ -15,7 +15,8 @@ from mtforge.errors import (
     MalformedLineError,
     TableError,
 )
-from mtforge.evaluation import ScoreMatrix, corpus_bleu, evaluate_directions
+from mtforge.evaluation import (MAX_ORDER, ScoreMatrix, _add_clipped_matches, corpus_bleu,
+                                evaluate_directions)
 from mtforge.subword import SubwordTokenizer, default_tokenizer
 from mtforge.translator import (
     CipherLanguage,
@@ -363,6 +364,34 @@ def test_corpus_bleu_matches_oracle_with_identical_segments(segments, share, tok
     expected = bleu_oracle_full(hyps, refs, tok.tokenize if tok else str.split)
     assert (result.score, result.precisions, result.brevity_penalty,
             result.hyp_len, result.ref_len) == expected
+
+
+@st.composite
+def _segment_tokens(draw):
+    """A reference of up to 40 tokens over three symbols, and a hypothesis
+    that is shorter, as long or longer; either side may be empty. Few
+    symbols make repeated n-grams, so clipping takes the hypothesis count
+    (h_g < r_g) as well as the reference count (h_g > r_g)."""
+    symbols = st.sampled_from("abc")
+    ref = draw(st.lists(symbols, max_size=40))
+    low, high = draw(st.sampled_from([(0, max(len(ref) - 1, 0)), (len(ref), len(ref)),
+                                      (len(ref) + 1, 41)]))
+    return draw(st.lists(symbols, min_size=low, max_size=high)), ref
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_segment_tokens())
+@example(case=([], []))
+@example(case=([], list("abca")))
+@example(case=(list("abca"), []))
+@example(case=(list("aaaab"), list("aab")))   # h_g > r_g
+@example(case=(list("ab"), list("aabab")))    # h_g < r_g
+def test_clipped_matches_equal_the_oracle_at_every_order(case):
+    hyp, ref = case
+    matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
+    _add_clipped_matches(hyp, ref, matches, totals)
+    assert list(zip(matches, totals)) == [clipped_matches(hyp, ref, n)
+                                          for n in range(1, MAX_ORDER + 1)]
 
 
 @pytest.fixture(scope="module")
