@@ -11,11 +11,14 @@ pool:
   * triangulation: one side of an existing (X1, Y1) bitext is translated
     into a third language, yielding (X1, Y2) or (X2, Y1).
 
-Planning is pure; ``run_plan`` does the translation and I/O. It streams
-each input file one chunk of lines at a time, so its memory does not grow
-with the input. The en->X passes over a chunk come from one
-``Translator.translate_many`` call and are shared by the tasks on that
-input. The cipher translator splits each line once for all of them; a
+All three put an input column beside translations of it, so
+``run_plan`` runs them by one rule: each side of an output direction names
+the input's own column in that language, or else a needed translation into
+it. Planning is pure; ``run_plan`` does the translation and I/O. It streams
+each input one chunk of lines at a time, so its memory does not grow with
+the input, and computes the needed directions from each input side with
+one ``Translator.translate_many`` call per chunk, shared by the tasks on
+that input. The cipher translator splits each line once for all of them; a
 translator that implements only ``translate`` is called once per chunk per
 direction (an ``exec:`` command is started that many times). A translator
 must translate each sentence independently of the others in the call.
@@ -30,8 +33,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, check_not_inputs,
-                     check_tabs, iter_line_chunks, read_table, unused_name, write_shard,
-                     write_table)
+                     check_tabs, iter_line_chunks, read_table, unused_name, write_manifest,
+                     write_shard, write_table)
 from .errors import (
     EmptyMonolingualError,
     EnglishInPairError,
@@ -79,6 +82,13 @@ class AugmentationTask:
     input_direction: Direction | None   # set for bitext inputs
     needed: tuple[Direction, ...]
     outputs: tuple[TaskOutput, ...]
+
+    @property
+    def sides(self) -> tuple[str, ...]:
+        """The languages of the input's columns, in line order."""
+        if self.input_direction is None:
+            return (self.input_lang,)
+        return self.input_direction.src, self.input_direction.tgt
 
 
 @dataclass
@@ -188,24 +198,31 @@ def plan_triangulation(
     return AugmentationPlan(tasks)
 
 
-def _task_problem(task: AugmentationTask) -> str | None:
-    """Why the task's input or directions do not fit its kind, if they do
-    not. A plan file may pair any kind with any input meta, and ``run_plan``
-    would otherwise crash or translate the wrong text."""
+def _task_columns(task: AugmentationTask) -> list[tuple[str | Direction, str | Direction]]:
+    """The keys of each output's two columns: a side of the output direction
+    is keyed by its language when it names an input column, else by the
+    needed direction into it. Raises ValueError saying why the task does not
+    fit its kind, or which output side names neither; a plan file may pair
+    any kind with any meta and directions."""
     tri = task.kind is TaskKind.TRIANGULATION
     if tri and (task.input_direction is None or task.input_lang is not None):
-        return "needs a bitext input (dir=)"
+        raise ValueError("needs a bitext input (dir=)")
     if not tri and (task.input_lang is None or task.input_direction is not None):
-        return "needs a monolingual input (lang=)"
+        raise ValueError("needs a monolingual input (lang=)")
     needed = 2 if task.kind is TaskKind.DUAL_PSEUDO else 1
     if len(task.needed) != needed:
-        return f"needs {needed} needed direction(s), got {len(task.needed)}"
+        raise ValueError(f"needs {needed} needed direction(s), got {len(task.needed)}")
     if task.kind is not TaskKind.BACK_TRANSLATION and len(task.outputs) != 1:
-        return f"needs 1 output, got {len(task.outputs)}"
-    sides = (task.input_direction.src, task.input_direction.tgt) if tri else (task.input_lang,)
-    if any(d.src not in sides for d in task.needed):
-        return f"needs directions from {' or '.join(sides)}"
-    return None
+        raise ValueError(f"needs 1 output, got {len(task.outputs)}")
+    if any(d.src not in task.sides for d in task.needed):
+        raise ValueError(f"needs directions from {' or '.join(task.sides)}")
+    keys = {d.tgt: d for d in task.needed} | dict(zip(task.sides, task.sides))
+    for output in task.outputs:
+        for lang in (output.direction.src, output.direction.tgt):
+            if lang not in keys:
+                raise ValueError(f"output {output.direction} names {lang}, which is neither "
+                                 "a side of the input nor the target of a needed direction")
+    return [(keys[o.direction.src], keys[o.direction.tgt]) for o in task.outputs]
 
 
 def _check_translations(column: list[str] | None, direction: Direction,
@@ -232,105 +249,89 @@ def run_plan(
     config: DecodingConfig | None,
     out_dir: str | Path,
 ) -> CorpusManifest:
-    """Execute a plan, writing one shard per task output.
+    """Execute a plan: one shard per task output and, last,
+    ``out_dir/manifest.tsv`` listing them.
 
-    Fails fast, before writing anything, if the translator is missing a
-    needed direction (UnsupportedDirectionError), a task does not fit its
-    kind (MTForgeError naming the task) or an output shard, or the
-    ``out_dir/manifest.tsv`` that callers write the result to, is an input
-    file or the plan file (MTForgeError naming both, by
-    ``corpus.check_not_inputs``).
+    Each side of an output direction names a column: the input's own column
+    in that language (a monolingual line, or a side of a bitext line), else
+    the task's needed translation into it. Before writing anything, raises
+    UnsupportedDirectionError if the translator lacks a needed direction,
+    and MTForgeError naming the task if it does not fit its kind, an output
+    side names neither kind of column or tasks on one input disagree on its
+    meta, or naming both files if an output is an input file or the plan
+    file (``corpus.check_not_inputs``).
 
-    Each input file is then read one chunk of lines at a time
-    (``corpus.iter_line_chunks``), and each chunk's rows are appended to the
-    input's shards with one ``write_shard`` call per shard, which reopens
-    the shard. Each call is given two columns: the chunk's lines (or one
-    side of its bitext lines) beside a translated column, or two translated
-    columns. So memory does not grow with the input, and no descriptor is
-    held per shard. The en->X passes over a chunk are computed by one
-    ``translator.translate_many`` call and shared by the tasks on that
-    input; a triangulation hop is one ``translate`` call per chunk. So the
-    translator must translate each sentence independently of the others in
-    the call.
+    Each input is read one chunk of lines at a time (``iter_line_chunks``)
+    and split into its side columns once. One ``translator.translate_many``
+    call per side computes the needed directions from it, shared by the
+    input's tasks, and one ``write_shard`` call per output appends its two
+    columns, reopening the shard. So memory does not grow with the input,
+    no descriptor is held per shard, and the translator must translate
+    each sentence independently of the others in the call.
 
-    Before a chunk's rows are written, each of its translated columns must
-    hold one translation per input line, none with a tab, ``\n`` or
-    ``\r``, as its shard row would otherwise be misaligned. A column that
-    does not raises TableError at the input's ``path:line``, naming the
-    direction (and both counts when the size is wrong).
-
-    Input lines follow the line rule of ``iter_line_chunks``; a bitext line
-    must hold exactly one tab and a monolingual line none, as a shard row
-    would otherwise be misaligned. A malformed input line raises
-    MalformedLineError at its ``path:line`` before its chunk's rows are
-    written, but after those of the earlier chunks, so the shards may then
-    be partial.
+    Input lines follow the line rule of ``iter_line_chunks``. A bitext line
+    must hold exactly one tab and a monolingual line none, and a translated
+    column one translation per line, none with a tab, ``\n`` or ``\r``, as a
+    shard row would otherwise be misaligned. A chunk that breaks this raises
+    MalformedLineError, or TableError naming the direction (and both counts
+    when the size is wrong), at the input's ``path:line`` before its rows
+    are written but after those of earlier chunks: the shards may then be
+    partial, and no manifest is written.
     """
     missing = sorted(plan.needed_directions - translator.supported_directions)
     if missing:
         raise UnsupportedDirectionError(
             "translator does not support: " + ", ".join(str(d) for d in missing))
-    for number, task in enumerate(plan.tasks, start=1):
-        if problem := _task_problem(task):
-            raise MTForgeError(
-                f"plan task {number} ({task.kind.value} {task.input_path}): {problem}")
 
-    # Name each task's shards in plan order and start them empty, at 0 rows.
+    # Name each task's shards in plan order. Per input, note its first task
+    # and that task's number, the needed directions in plan order, and each
+    # output's column keys beside its shard.
     out_dir = Path(out_dir)
     taken: set[str] = set()
     shards = [[out_dir / unused_name(f"{task.kind.value}.{output.direction}.tsv", taken)
                for output in task.outputs] for task in plan.tasks]
+    inputs: dict[Path, tuple[int, AugmentationTask, dict[Direction, None], list]] = {}
+    for number, (task, paths) in enumerate(zip(plan.tasks, shards), start=1):
+        first, first_task, needed, outputs = inputs.setdefault(
+            task.input_path, (number, task, {}, []))
+        try:
+            outputs += zip(_task_columns(task), paths)
+            if task.sides != first_task.sides:
+                raise ValueError(f"its input meta differs from that of plan task {first}")
+        except ValueError as exc:
+            raise MTForgeError(
+                f"plan task {number} ({task.kind.value} {task.input_path}): {exc}") from None
+        needed.update(dict.fromkeys(task.needed))
+
     check_not_inputs([path for paths in shards for path in paths] + [out_dir / "manifest.tsv"],
                      filter(None, [plan.path] + [task.input_path for task in plan.tasks]))
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {path: write_shard(path, ()) for paths in shards for path in paths}
 
-    by_input: dict[Path, list[tuple[AugmentationTask, list[Path]]]] = {}
-    for task, paths in zip(plan.tasks, shards):
-        by_input.setdefault(task.input_path, []).append((task, paths))
-
-    for input_path, tasks in by_input.items():
-        # The en->X passes that the input's bt and dual tasks share.
-        shared = dict.fromkeys(d for task, _ in tasks if task.kind != TaskKind.TRIANGULATION
-                               for d in task.needed)
-        # Tabs per line: 1 in a bitext input, 0 in a monolingual one.
-        tabs = {int(task.kind == TaskKind.TRIANGULATION) for task, _ in tasks}
+    for input_path, (_, task, needed, outputs) in inputs.items():
+        sides = task.sides
+        passes = [(side, ds) for side in sides if (ds := [d for d in needed if d.src == side])]
         line_no = 0
         for lines in iter_line_chunks(input_path):
-            for n in tabs:
-                check_tabs(lines, n, input_path, line_no)
-            translated = translator.translate_many(lines, shared, config) if shared else {}
-            for d in shared:
-                _check_translations(translated.get(d), d, lines, input_path, line_no)
-            for task, paths in tasks:
-                if task.kind == TaskKind.BACK_TRANSLATION:
-                    lang = task.needed[0].tgt
-                    synthetic = translated[task.needed[0]]
-                    for output, path in zip(task.outputs, paths):
-                        columns = (synthetic, lines) if output.direction.src == lang \
-                            else (lines, synthetic)
-                        counts[path] += write_shard(path, columns, append=True)
-                elif task.kind == TaskKind.DUAL_PSEUDO:
-                    to_src, to_tgt = task.needed
-                    counts[paths[0]] += write_shard(
-                        paths[0], (translated[to_src], translated[to_tgt]), append=True)
-                else:  # TRIANGULATION
-                    sources, targets = zip(*map(str.split, lines, repeat("\t")))
-                    hop = task.needed[0]
-                    keep_sources = hop.src == task.input_direction.tgt
-                    synthetic = translator.translate(targets if keep_sources else sources,
-                                                     hop, config)
-                    _check_translations(synthetic, hop, lines, input_path, line_no)
-                    columns = (sources, synthetic) if keep_sources else (synthetic, targets)
-                    counts[paths[0]] += write_shard(paths[0], columns, append=True)
+            check_tabs(lines, len(sides) - 1, input_path, line_no)
+            columns: dict[str | Direction, Sequence[str]] = dict(zip(
+                sides, zip(*map(str.split, lines, repeat("\t"))) if len(sides) > 1 else [lines]))
+            for side, directions in passes:
+                columns |= translator.translate_many(columns[side], directions, config)
+                for d in directions:
+                    _check_translations(columns.get(d), d, lines, input_path, line_no)
+            for (src, tgt), path in outputs:
+                counts[path] += write_shard(path, (columns[src], columns[tgt]), append=True)
             line_no += len(lines)
-            del lines, translated   # before the next chunk is read and translated
+            del lines, columns   # before the next chunk is read and translated
 
-    return CorpusManifest(
+    manifest = CorpusManifest(
         [ShardEntry(path.name, path, output.direction, output.origin, counts[path])
          for task, paths in zip(plan.tasks, shards)
          for output, path in zip(task.outputs, paths)],
         out_dir)
+    write_manifest(manifest, out_dir / "manifest.tsv")
+    return manifest
 
 
 # --- plan file serialization (TSV, one task per line) -----------------------

@@ -240,10 +240,11 @@ def filter_corpus(
     that is taken (``manifest.tsv`` always is), by ``corpus.unused_name``;
     an ``out_dir/manifest.tsv`` of the kept shards; and, when
     ``rejects_dir`` is given, per-shard reject files with a reason column.
-    A ``rejects_dir`` that is ``out_dir`` (by ``os.path.samefile``), or an
-    output file that is an input shard or the manifest file it was loaded
-    from (``corpus.check_not_inputs``), raises MTForgeError before any shard
-    is written.
+    A ``rejects_dir`` that is ``out_dir`` (by ``os.path.samefile``, or by
+    ``os.path.realpath`` while either does not exist), or an output file
+    that is an input shard or the manifest file it was loaded from
+    (``corpus.check_not_inputs``), raises MTForgeError before any directory
+    or shard is made.
     Each batch of ``_PAIRS_PER_WRITE`` pairs is appended by ``write_shard``
     once filtered, so a bad shard line raises MalformedLineError after the
     earlier batches are written. Language-id verdicts come from
@@ -256,9 +257,9 @@ def filter_corpus(
     """
     out_dir = Path(out_dir)
     rejects_dir = None if rejects_dir is None else Path(rejects_dir)
-    for directory in filter(None, (out_dir, rejects_dir)):
-        directory.mkdir(parents=True, exist_ok=True)
-    if rejects_dir is not None and os.path.samefile(out_dir, rejects_dir):
+    if rejects_dir is not None and (
+            os.path.samefile(out_dir, rejects_dir) if out_dir.exists() and rejects_dir.exists()
+            else os.path.realpath(out_dir) == os.path.realpath(rejects_dir)):
         raise MTForgeError(f"the rejects directory {rejects_dir} is the output directory "
                            f"{out_dir}: reject rows would be appended to the kept shards")
 
@@ -270,6 +271,8 @@ def filter_corpus(
     outputs.append(out_dir / "manifest.tsv")   # written last, so checked last
     check_not_inputs(outputs, filter(None, [manifest.path]
                                      + [entry.path for entry in manifest.shards]))
+    for directory in filter(None, (out_dir, rejects_dir)):
+        directory.mkdir(parents=True, exist_ok=True)
 
     counts = {"kept": 0} | {f"rejected_{reason.value}": 0 for reason in RejectReason}
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import augmentation, cleaning, curriculum, demo
 from .corpus import (Direction, corpus_stats, iter_line_chunks, load_manifest, read_lines,
-                     write_manifest, write_shard, write_table)
+                     write_shard, write_table)
 from .errors import MTForgeError
 from .evaluation import ScoreMatrix, stream_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
@@ -54,14 +54,14 @@ def _tokenizer(args) -> SubwordTokenizer:
     return default_tokenizer()
 
 
-def _make_translator(spec: str, langs, directions, timeout: float | None):
-    """Build a translator from a ``cipher:SEED`` or ``exec:CMD`` spec;
-    ``timeout`` limits each call of an ``exec:`` command."""
+def _make_translator(spec: str, directions, timeout: float | None):
+    """Build a translator for ``directions`` from a ``cipher:SEED`` or
+    ``exec:CMD`` spec; ``timeout`` limits each call of an ``exec:`` command."""
     if spec.startswith("cipher:"):
         seed = int(spec[len("cipher:"):])
-        ciphers = [CipherLanguage.from_seed(lang, derive_language_seed(seed, lang))
-                   for lang in sorted(set(langs) - {"en"})]
-        return make_cipher_translator(ciphers)
+        langs = sorted({lang for d in directions for lang in (d.src, d.tgt)} - {"en"})
+        return make_cipher_translator(
+            CipherLanguage.from_seed(lang, derive_language_seed(seed, lang)) for lang in langs)
     if spec.startswith("exec:"):
         return LineProtocolTranslator(spec[len("exec:"):], directions, timeout)
     raise MTForgeError(f"unknown translator spec {spec!r} (use cipher:SEED or exec:CMD)")
@@ -165,12 +165,8 @@ def _cmd_augment_plan(args) -> int:
 
 def _cmd_augment_run(args) -> int:
     plan = augmentation.load_plan(args.plan)
-    langs = {d.src for d in plan.needed_directions} | \
-            {d.tgt for d in plan.needed_directions}
-    translator = _make_translator(args.translator, langs, plan.needed_directions,
-                                  args.timeout)
+    translator = _make_translator(args.translator, plan.needed_directions, args.timeout)
     manifest = augmentation.run_plan(plan, translator, None, args.out)
-    write_manifest(manifest, Path(args.out) / "manifest.tsv")
     print(f"shards\t{len(manifest.shards)}")
     return 0
 
@@ -189,14 +185,11 @@ def _cmd_route_build(args) -> int:
 def _cmd_route_translate(args) -> int:
     table = RoutingTable.load(args.table)
     direction = Direction.parse(args.direction)
-    langs = {direction.src, direction.tgt, table.pivot_lang}
-    for d in table.entries:
-        langs.update((d.src, d.tgt))
     directions = set(table.entries) | {direction}
     if table.pivot_lang not in (direction.src, direction.tgt):
         directions.add(Direction(direction.src, table.pivot_lang))
         directions.add(Direction(table.pivot_lang, direction.tgt))
-    translator = _make_translator(args.translator, langs, directions, args.timeout)
+    translator = _make_translator(args.translator, directions, args.timeout)
     sentences = read_lines(args.input)
     write_shard(args.out, [route_translate(translator, table, sentences, direction)])
     print(f"sentences\t{len(sentences)}")

@@ -131,7 +131,6 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0) -> 
     plan = plan.extend(plan_triangulation(
         BitextCorpusRef(tri_input.path, xy), new_tgt=DEMO_LANGS[2]))
     augmented = run_plan(plan, perfect, None, augment_dir)
-    write_manifest(augmented, augment_dir / "manifest.tsv")
     summary.append(("augment", "tasks", str(len(plan.tasks))))
     summary.append(("augment", "shards", str(len(augmented.shards))))
 

@@ -46,16 +46,22 @@ class RoutingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "RoutingTable":
-        """The pivot language is the last row's (``en`` for an empty table)."""
+        """The pivot language is the first row's (``en`` for an empty table);
+        a later row that names another raises TableError at its line."""
+        first = None
+
         def row(src, tgt, kind, pivot_lang, direct_text, pivot_text):
+            nonlocal first
             if kind not in ("direct", "pivot"):
                 raise ValueError(f"unknown strategy {kind!r}")
             check_lang_code(pivot_lang)
+            first = first or pivot_lang
+            if pivot_lang != first:
+                raise ValueError(f"pivot_lang {pivot_lang} differs from the first row's {first}")
             strategy: Strategy = PivotVia(pivot_lang) if kind == "pivot" else Direct()
             return Direction(src, tgt), RouteEntry(
-                strategy, finite_float(direct_text), finite_float(pivot_text)), pivot_lang
-        rows = read_table(path, 6, row)
-        return cls({d: e for d, e, _ in rows}, rows[-1][2] if rows else "en")
+                strategy, finite_float(direct_text), finite_float(pivot_text))
+        return cls(dict(read_table(path, 6, row)), first or "en")
 
 
 def build_routing_table(

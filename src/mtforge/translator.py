@@ -365,19 +365,13 @@ def pivot_translate(
     tgt: str,
     pivot: str,
     config: DecodingConfig | None = None,
-    with_intermediate: bool = False,
-):
-    """Translate src->pivot->tgt in two hops.
-
-    Returns the final sentences, or ``(final, intermediate)`` when
-    ``with_intermediate`` is set so the bridge text can be audited.
-    """
+) -> list[str]:
+    """Translate src->pivot->tgt in two hops."""
     if pivot in (src, tgt):
         raise UnsupportedDirectionError(
             f"pivot {pivot!r} must differ from both endpoints {src!r}, {tgt!r}")
     mid = translator.translate(sentences, Direction(src, pivot), config)
-    out = translator.translate(mid, Direction(pivot, tgt), config)
-    return (out, mid) if with_intermediate else out
+    return translator.translate(mid, Direction(pivot, tgt), config)
 
 
 class LineProtocolTranslator(Translator):

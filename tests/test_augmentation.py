@@ -20,7 +20,7 @@ from mtforge.augmentation import (
     run_plan,
     save_plan,
 )
-from mtforge.corpus import Direction, OriginPool, write_manifest
+from mtforge.corpus import Direction, OriginPool
 from mtforge.errors import (
     EmptyMonolingualError,
     EnglishInPairError,
@@ -288,8 +288,9 @@ _BT, _DUAL, _TRI = TaskKind.BACK_TRANSLATION, TaskKind.DUAL_PSEUDO, TaskKind.TRI
 
 
 class TestTaskKindChecks:
-    """A plan file may pair any kind with any input meta; ``run_plan``
-    refuses a task that does not fit its kind before it writes anything."""
+    """A plan file may pair any kind with any input meta and outputs;
+    ``run_plan`` refuses a task that does not fit its kind, or an output
+    side that names no column of the task, before it writes anything."""
 
     @pytest.mark.parametrize("kind, meta, needed, outputs, problem", [
         (_TRI, "en", ["mk-hr"], ["hr-mk"], "needs a bitext input"),
@@ -300,6 +301,9 @@ class TestTaskKindChecks:
         (_DUAL, "en", ["en-hr", "en-hu"], ["hr-hu", "hu-hr"], "needs 1 output"),
         (_BT, "en", ["hr-hu"], ["hu-en"], "needs directions from en"),
         (_TRI, _BITEXT, ["mk-en"], ["hr-en"], "needs directions from hr or hu"),
+        (_BT, "en", ["en-hr"], ["hu-en", "en-hu"], "output hu-en names hu, which is neither"),
+        (_DUAL, "en", ["en-hr", "en-hu"], ["mk-sr"], "output mk-sr names mk, which is neither"),
+        (_TRI, _BITEXT, ["hu-mk"], ["hr-sr"], "output hr-sr names sr, which is neither"),
     ])
     def test_mismatched_task_fails_before_output(self, mono, translator, tmp_path,
                                                  kind, meta, needed, outputs, problem):
@@ -360,21 +364,20 @@ class _Rewriting(_Recorder):
 
 class _ManyRecorder(_Recorder):
     """A _Recorder that also passes ``translate_many`` through, noting each
-    call's size and directions."""
+    call's sentences and directions."""
 
     def __init__(self, inner: Translator):
         super().__init__(inner)
-        self.many: list[tuple[int, list[Direction]]] = []
+        self.many: list[tuple[tuple[str, ...], list[Direction]]] = []
 
     def translate_many(self, sentences, directions, config=None):
         directions = list(directions)
-        self.many.append((len(sentences), directions))
+        self.many.append((tuple(sentences), directions))
         return self._inner.translate_many(sentences, directions, config)
 
 
 def _outputs(plan, translator, out) -> dict[str, bytes]:
-    manifest = run_plan(plan, translator, None, out)
-    write_manifest(manifest, out / "manifest.tsv")
+    run_plan(plan, translator, None, out)
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
@@ -424,13 +427,18 @@ class TestStreaming:
         assert _outputs(mixed_plan, _Recorder(translator), tmp_path / "translate") == cipher
         recorder = _ManyRecorder(translator)
         assert _outputs(mixed_plan, recorder, tmp_path / "many") == cipher
-        chunks = [len(lines) for lines in corpus.iter_line_chunks(mixed_plan.tasks[0].input_path)]
-        assert len(chunks) > 1
+        mono_chunks = list(corpus.iter_line_chunks(mixed_plan.tasks[0].input_path))
+        bitext_chunks = list(corpus.iter_line_chunks(mixed_plan.tasks[-1].input_path))
+        assert len(mono_chunks) > 1 and len(bitext_chunks) > 1
+        # One call per input side per chunk: the mono column for all en->X
+        # passes, and each bitext side for the hops that start from it.
         shared = [Direction("en", "hr"), Direction("en", "mk"), Direction("en", "hu")]
-        assert recorder.many == [(n, shared) for n in chunks]
-        # Only the triangulation hops go through translate.
-        assert {direction for direction, _, _ in recorder.calls} == \
-            {Direction("hu", "mk"), Direction("hr", "mk")}
+        expected = [(tuple(lines), shared) for lines in mono_chunks]
+        for lines in bitext_chunks:
+            sources, targets = zip(*(line.split("\t") for line in lines))
+            expected += [(sources, [Direction("hr", "mk")]), (targets, [Direction("hu", "mk")])]
+        assert recorder.many == expected
+        assert recorder.calls == []
 
     @staticmethod
     def _traced_peak(tmp_path, translator, n: int) -> int:

@@ -234,7 +234,7 @@ class TestFilterCli:
         assert main(["filter", "--manifest", str(tmp_path / "manifest.tsv"),
                      "--out", str(out_dir), "--rejects", str(tmp_path / rejects)]) == 1
         assert "is the output directory" in capsys.readouterr().err
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--rejects"])
     @pytest.mark.parametrize("via_link", [False, True])
@@ -255,6 +255,8 @@ class TestFilterCli:
         err = capsys.readouterr().err
         assert f"error: output {here / 'a.tsv'} is the input {tmp_path / 'a.tsv'}" in err
         assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        # The other directory was made before the refusal and left behind, empty.
+        assert not dirs["--rejects" if flag == "--out" else "--out"].exists()
 
     def test_output_manifest_that_is_the_input_manifest_is_refused(self, tmp_path, capsys):
         # The input manifest was replaced by the filtered one and the run exited 0.
@@ -456,9 +458,17 @@ class TestAugmentCli:
     @pytest.mark.parametrize("row", [
         "tri\tb.tsv\tlang=en\tmk-hr\thr-mk:dp",
         "bt\tb.tsv\tdir=hr-hu\thr-hu\thu-hr:bt,hr-hu:bt",
+        # Output sides that name no column of the task. Each exited 0 with a
+        # mislabelled shard: bt.hu-en.tsv with English as its hu column and
+        # hr text as its en one, hr and hu text under dual.mk-sr.tsv, and mk
+        # text under tri.hr-sr.tsv.
+        "bt\tm.txt\tlang=en\ten-hr\thu-en:bt,en-hu:bt",
+        "dual\tm.txt\tlang=en\ten-hr,en-hu\tmk-sr:dp",
+        "tri\tb.tsv\tdir=hr-hu\thu-mk\thr-sr:dp",
     ])
     def test_task_that_does_not_fit_its_kind(self, tmp_path, capsys, monkeypatch, row):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.txt").write_text("the cat sat\n", encoding="utf-8")
         (tmp_path / "b.tsv").write_text("hr words\thu words\n", encoding="utf-8")
         (tmp_path / "plan.tsv").write_text(row + "\n", encoding="utf-8")
         rc = main(["augment", "run", "--plan", "plan.tsv",
@@ -467,6 +477,24 @@ class TestAugmentCli:
         assert rc == 1
         assert "error: plan task 1 (" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "aug").exists()
+
+    @pytest.mark.parametrize("row", [
+        "tri\tm.txt\tdir=en-hu\thu-mk\ten-mk:dp",
+        "bt\tm.txt\tlang=hr\thr-mk\tmk-hr:bt",
+    ])
+    def test_tasks_that_disagree_on_an_input_meta(self, tmp_path, capsys, monkeypatch, row):
+        # One input has one column layout and language per column, which
+        # every task on it must name alike.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.txt").write_text("the cat sat\n", encoding="utf-8")
+        (tmp_path / "plan.tsv").write_text(f"bt\tm.txt\tlang=en\ten-hr\thr-en:bt\n{row}\n",
+                                           encoding="utf-8")
+        rc = main(["augment", "run", "--plan", "plan.tsv",
+                   "--translator", "cipher:1", "--out", "aug"])
+        assert rc == 1
+        assert (f"error: plan task 2 ({row.split()[0]} m.txt): its input meta differs from "
+                "that of plan task 1") in capsys.readouterr().err
         assert not (tmp_path / "aug").exists()
 
     def test_output_shard_that_is_an_input_is_refused(self, tmp_path, capsys, monkeypatch):

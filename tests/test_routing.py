@@ -114,6 +114,18 @@ def test_load_checks_the_pivot_language(tmp_path, kind):
     assert err.value.reason == "invalid language code: 'EN'"
 
 
+def test_load_refuses_a_second_pivot_language(tmp_path):
+    # The table loaded with the last row's pivot, en, so routing hr-hu through
+    # it asked for hr-en-hu, not the hr-mk-hu that its row names.
+    path = tmp_path / "routing.tsv"
+    path.write_text("hr\thu\tpivot\tmk\t1.0\t2.0\nhr\tsr\tdirect\ten\t3.0\t2.0\n",
+                    encoding="utf-8")
+    with pytest.raises(TableError) as err:
+        RoutingTable.load(path)
+    assert (err.value.path, err.value.line_no) == (path, 2)
+    assert err.value.reason == "pivot_lang en differs from the first row's mk"
+
+
 @pytest.fixture(scope="module")
 def world():
     translator = make_cipher_translator([

@@ -115,13 +115,6 @@ class TestPivotTranslate:
             ciphers.translate(src, Direction("xx", "en")), Direction("en", "yy"))
         assert pivot_translate(ciphers, src, "xx", "yy", "en") == expected
 
-    def test_intermediate_retrievable(self, ciphers):
-        src = ciphers.translate(["good day"], Direction("en", "xx"))
-        out, mid = pivot_translate(ciphers, src, "xx", "yy", "en",
-                                   with_intermediate=True)
-        assert mid == ["good day"]
-        assert out == ciphers.translate(["good day"], Direction("en", "yy"))
-
     def test_pivot_equal_to_endpoint_rejected(self, ciphers):
         with pytest.raises(UnsupportedDirectionError):
             pivot_translate(ciphers, ["x"], "xx", "yy", "xx")
