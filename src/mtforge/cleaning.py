@@ -197,9 +197,12 @@ def shuffle_dataset(
     peak RAM is bounded by the chunk size rather than the corpus size.
     Same seed, same inputs -> byte-identical output. Returns the line count.
     Lines are those of ``iter_line_chunks``, written with ``\\n`` ends.
+    An ``out_path`` that is the manifest file or one of its shards raises
+    MTForgeError (``corpus.check_not_inputs``) before anything is read.
     """
     rng = random.Random(seed)
     out_path = Path(out_path)
+    check_not_inputs([out_path], manifest.files())
 
     total = sum(count_lines(entry.path) for entry in manifest.shards)
     n_chunks = max(1, -(-total // lines_per_chunk))
@@ -269,8 +272,7 @@ def filter_corpus(
     if rejects_dir is not None:
         outputs += [rejects_dir / name for name in names]
     outputs.append(out_dir / "manifest.tsv")   # written last, so checked last
-    check_not_inputs(outputs, filter(None, [manifest.path]
-                                     + [entry.path for entry in manifest.shards]))
+    check_not_inputs(outputs, manifest.files())
     for directory in filter(None, (out_dir, rejects_dir)):
         directory.mkdir(parents=True, exist_ok=True)
 

@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import augmentation, cleaning, curriculum, demo
-from .corpus import (Direction, corpus_stats, iter_line_chunks, load_manifest, read_lines,
-                     write_shard, write_table)
+from .corpus import (Direction, check_not_inputs, corpus_stats, iter_line_chunks,
+                     load_manifest, read_lines, write_shard, write_table)
 from .errors import MTForgeError
 from .evaluation import ScoreMatrix, stream_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
@@ -115,6 +115,7 @@ def _cmd_shuffle(args) -> int:
 
 def _cmd_sample(args) -> int:
     manifest = load_manifest(args.manifest)
+    check_not_inputs([Path(args.report)], manifest.files())
     seed = _resolve_seed(args)
     stats = corpus_stats(manifest)
     dist = language_distribution(stats, args.temperature)

@@ -144,6 +144,11 @@ class CorpusManifest:
     root: Path = Path(".")
     path: Path | None = field(default=None, compare=False)
 
+    def files(self) -> list[Path]:
+        """The manifest file, when known, and every shard path: the inputs
+        that a command checks its outputs against (``check_not_inputs``)."""
+        return [p for p in [self.path, *(e.path for e in self.shards)] if p is not None]
+
     def shard(self, shard_id: str) -> ShardEntry:
         for entry in self.shards:
             if entry.shard_id == shard_id:

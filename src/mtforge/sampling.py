@@ -9,6 +9,7 @@ mixture weights.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import random
@@ -26,6 +27,8 @@ from . import corpus
 from .corpus import (CorpusManifest, Direction, LanguageStats, OriginPool,
                      SentencePair, check_tabs, decode_lines, line_text, write_table)
 from .errors import EmptyPoolError
+
+_NOT_TAB_OR_LF = bytes(b for b in range(256) if b not in b"\t\n")
 
 
 @dataclass(frozen=True)
@@ -130,25 +133,36 @@ def language_distribution(stats: LanguageStats, temperature: float) -> SamplingD
     return SamplingDistribution(temperature, {l: w / z for l, w in scaled.items()})
 
 
-def _index_lines(fh: BinaryIO, shard_id: str) -> array:
-    """Byte offsets of the line starts of a shard opened in binary mode,
-    followed by its size, built in one pass.
+def _index_lines(raw: BinaryIO, shard_id: str) -> array:
+    """Byte offsets of the line starts of a shard opened unbuffered in
+    binary mode, followed by its size, built in one pass.
 
     Every line must hold exactly one tab and follow ``corpus.decode_lines``,
     as ``read_pairs`` requires; the scheduler reads bytes itself because it
-    needs their offsets for ``os.pread``.
+    needs their offsets for ``os.pread``. The lines are read a
+    ``_BYTES_PER_READ`` chunk at a time through a buffer of that size,
+    which is detached afterwards, so ``raw`` keeps no read buffer. Each
+    chunk is checked by two C-level passes: ``line_text`` for UTF-8 and
+    stray ``\\r``, and its separators, every byte but tab and ``\\n``
+    deleted, against one tab and one line end per line. Only a chunk that
+    fails them is walked line by line, to find its first bad line.
     """
     offsets = array("Q", [0])
     line_no = 0   # lines indexed so far
-    while lines := fh.readlines(corpus._BYTES_PER_READ):
-        # Fast path: checks over the whole chunk; the per-line walk below
-        # finds the first bad line only when one of them fails.
-        data = b"".join(lines)   # bound until the next read, which is faster
-        if line_text(data) is None or set(map(bytes.count, lines, repeat(b"\t"))) != {1}:
-            for n, line in enumerate(lines, line_no):
-                check_tabs(decode_lines(line, shard_id, n), 1, shard_id, n)
-        offsets.extend(accumulate(map(len, lines), initial=offsets.pop()))
-        line_no += len(lines)
+    fh = io.BufferedReader(raw, corpus._BYTES_PER_READ)
+    try:
+        while lines := fh.readlines(corpus._BYTES_PER_READ):
+            data = b"".join(lines)   # bound until the next read, which is faster
+            seps = data.translate(None, _NOT_TAB_OR_LF)
+            if data[-1:] != b"\n":
+                seps += b"\n"   # the shard's unended last line
+            if line_text(data) is None or seps != b"\t\n" * len(lines):
+                for n, line in enumerate(lines, line_no):
+                    check_tabs(decode_lines(line, shard_id, n), 1, shard_id, n)
+            offsets.extend(accumulate(map(len, lines), initial=offsets.pop()))
+            line_no += len(lines)
+    finally:
+        fh.detach()
     return offsets
 
 
@@ -207,7 +221,11 @@ class BatchScheduler:
     ``array('Q')`` of line-start byte offsets per shard (8 bytes a pair);
     each draw reads its one line with ``os.pread``. Lines are validated as
     ``read_pairs`` reads them (one tab, strict UTF-8, ``\\n`` or ``\\r\\n``
-    line ends, no other ``\\r``).
+    line ends, no other ``\\r``), by two C-level checks per chunk of
+    ``corpus._BYTES_PER_READ`` bytes; a line-by-line walk runs only on a
+    chunk that fails them, to locate its first bad line (``_index_lines``).
+    The descriptors are opened unbuffered and the chunk buffer is detached
+    once a shard is indexed, so no read buffer is held per descriptor.
 
     The scheduler keeps one read-only descriptor open per non-empty shard
     of a pool with positive weight, so shards must not change while it is
@@ -235,7 +253,7 @@ class BatchScheduler:
         with ExitStack() as stack:
             shards: dict[OriginPool, dict[Direction, list]] = {}
             for entry in manifest.shards:
-                fh = stack.enter_context(entry.path.open("rb"))
+                fh = stack.enter_context(entry.path.open("rb", buffering=0))
                 offsets = _index_lines(fh, entry.shard_id)
                 if len(offsets) == 1 or weights.for_pool(entry.origin) <= 0:
                     fh.close()   # never drawn from

@@ -319,6 +319,18 @@ class TestShuffleCli:
               "--out", str(tmp_path / "o")])
         assert "seed\t" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["manifest.tsv", "a.tsv"])
+    def test_out_that_is_an_input_is_refused(self, tmp_path, capsys, name):
+        # The file was replaced by the shuffled pair lines and the run exited 0.
+        build_manifest(tmp_path, [("a.tsv", "hr-en", "bitext",
+                                   [(f"s{i}", f"t{i}") for i in range(5)])])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(["shuffle", "--manifest", str(tmp_path / "manifest.tsv"),
+                     "--seed", "5", "--out", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: output {tmp_path / name} is the input {tmp_path / name}" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestSampleCli:
     def test_report_written(self, tmp_path, capsys):
@@ -369,6 +381,19 @@ class TestSampleCli:
         assert "batches must be >= 0, got -3" in captured.err
         assert "batches\t" not in captured.out
         assert not report.exists()
+
+    @pytest.mark.parametrize("name", ["manifest.tsv", "bx.tsv"])
+    def test_report_that_is_an_input_is_refused(self, tmp_path, capsys, name):
+        # The file was replaced by the composition report and the run exited 0.
+        build_manifest(tmp_path, [("bx.tsv", "hr-en", "bitext", [("s", "t")] * 4)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        rc = main(["sample", "--manifest", str(tmp_path / "manifest.tsv"),
+                   "--lambda", "1,0,0", "--seed", "1", "--report", str(tmp_path / name)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"error: output {tmp_path / name} is the input {tmp_path / name}" in captured.err
+        assert "batches\t" not in captured.out
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_stray_carriage_return_is_validation_error(self, tmp_path, capsys):
         (tmp_path / "bx.tsv").write_bytes(b"s1\tt1\rs2\tt2\ns3\tt3\n")

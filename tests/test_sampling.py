@@ -11,12 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_manifest
+from mtforge import corpus, sampling
 from mtforge.corpus import (
     Direction,
     LanguageStats,
     OriginPool,
     corpus_stats,
     count_lines,
+    decode_lines,
     load_manifest,
     read_pairs,
 )
@@ -349,6 +351,7 @@ class TestLineIndex:
 
     @pytest.mark.parametrize("data, line_no", [
         (b"a\tb\nno tab\n", 2), (b"a\tb\tc\n", 1), (b"a\tb\n\nc\td\n", 2),
+        (b"a\tb\tc\nd\n", 1),   # as many tabs as lines, not one on each
     ])
     def test_tab_count_fails_at_build(self, tmp_path, data, line_no):
         manifest = raw_corpus(tmp_path, [("bx.tsv", "hr-en", "bitext", data)])
@@ -371,6 +374,68 @@ class TestLineIndex:
         manifest = raw_corpus(tmp_path, [("bx.tsv", "hr-en", "bitext", data)])
         drawn = draw_all(manifest, draws=300)
         assert all((p.source, p.target) == rows[p.line_no - 1] for p in drawn)
+
+    @pytest.mark.parametrize("data", [
+        b"s0\tt0\ns1\tt1\n",                      # ASCII
+        "šđ\tčć\nжзи\tλμ\n".encode(),          # non-ASCII UTF-8
+        b"s0\tt0\r\ns1\tt1\r\n",                  # CRLF
+        b"s0\tt0\ns1\tt1",                        # an unended last line
+        "".join(f"s{i}š\tt{i}\r\n" for i in range(40)).encode(),   # straddling reads
+    ], ids=["ascii", "utf8", "crlf", "unended", "straddling"])
+    def test_valid_chunks_take_the_fast_path(self, tmp_path, monkeypatch, data):
+        # A silent fall back to the per-line walk would keep every result
+        # and only cost time; count the walk's calls instead.
+        monkeypatch.setattr(corpus, "_BYTES_PER_READ", 16)
+        calls = []
+        monkeypatch.setattr(sampling, "decode_lines",
+                            lambda *args: calls.append(args) or decode_lines(*args))
+        manifest = raw_corpus(tmp_path, [("bx.tsv", "hr-en", "bitext", data)])
+        draw_all(manifest)
+        assert calls == []
+        (tmp_path / "bx.tsv").write_bytes(data + b"\nno tab\n")   # the control
+        with pytest.raises(MalformedLineError):
+            draw_all(manifest)
+        assert calls
+
+
+_ALPHABET = [b"a", "š".encode(), b"\t", b"\n", b"\r", b"\xc3"]
+_SIDE = st.lists(st.sampled_from(_ALPHABET[:2]), max_size=3).map(b"".join)
+
+
+@st.composite
+def _shard_bytes(draw):
+    """Either any string of alphabet bytes, nearly always malformed, or valid
+    lines, into which about half the time a run of alphabet bytes is spliced
+    at a drawn offset, and whose last line end may be cut off."""
+    if draw(st.booleans()):
+        return b"".join(draw(st.lists(st.sampled_from(_ALPHABET), min_size=1, max_size=30)))
+    rows = draw(st.lists(st.tuples(_SIDE, _SIDE, st.sampled_from([b"\n", b"\r\n"])),
+                         min_size=1, max_size=8))
+    data = b"".join(source + b"\t" + target + end for source, target, end in rows)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        junk = draw(st.lists(st.sampled_from(_ALPHABET), min_size=1, max_size=4))
+        data = data[:at] + b"".join(junk) + data[at:]
+    return data[:-1] if draw(st.booleans()) else data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=_shard_bytes(), bytes_per_read=st.integers(1, 12))
+def test_index_agrees_with_read_pairs(data, bytes_per_read):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_BYTES_PER_READ", bytes_per_read)   # reads split lines
+        manifest = raw_corpus(Path(tmp), [("bx.tsv", "hr-en", "bitext", data)])
+        try:
+            want = list(read_pairs(manifest.shard("bx.tsv")))
+        except MalformedLineError as exc:
+            with pytest.raises(MalformedLineError) as err:
+                draw_all(manifest)
+            assert (err.value.shard_id, err.value.line_no, err.value.reason) == \
+                (exc.shard_id, exc.line_no, exc.reason)
+            return
+        drawn = draw_all(manifest, draws=40 * len(want))
+        assert {p.line_no for p in drawn} == set(range(1, len(want) + 1))
+        assert all(p == want[p.line_no - 1] for p in drawn)
 
 
 class MaterializingScheduler:
