@@ -102,9 +102,11 @@ def apply_filters(
     """Run the filter ladder on one pair.
 
     ``langid`` is an externally supplied (source, target) language verdict;
-    the toolkit itself does no language identification. Kept pairs come back
-    truncated to ``cfg.max_tokens`` per side but otherwise unchanged; a pair
-    whose truncation would leave a side blank is rejected as TooLong.
+    the toolkit itself does no language identification. A kept pair with no
+    side over ``cfg.max_tokens`` tokens is returned as it is, the same
+    object; any other comes back as a new pair truncated to
+    ``cfg.max_tokens`` per side but otherwise unchanged. A pair whose
+    truncation would leave a side blank is rejected as TooLong.
     """
     if not pair.source.strip() or not pair.target.strip():
         return FilterVerdict(False, RejectReason.EMPTY)
@@ -133,6 +135,8 @@ def apply_filters(
     n_src, n_tgt = len(src_tokens), len(tgt_tokens)
     if max(n_src, n_tgt) / min(n_src, n_tgt) > cfg.length_ratio_limit:
         return FilterVerdict(False, RejectReason.RATIO_EXCEEDED)
+    if n_src <= cfg.max_tokens and n_tgt <= cfg.max_tokens:
+        return FilterVerdict(True, transformed=pair)
 
     source = _truncate(pair.source, src_tokens, tokenizer, cfg.max_tokens)
     target = _truncate(pair.target, tgt_tokens, tokenizer, cfg.max_tokens)

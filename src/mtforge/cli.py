@@ -71,6 +71,8 @@ def _make_translator(spec: str, directions, timeout: float | None):
 
 def _cmd_stats(args) -> int:
     manifest = load_manifest(args.manifest, verify=args.verify)
+    if args.out:
+        check_not_inputs([Path(args.out)], manifest.files())
     stats = corpus_stats(manifest)
     rows = [("language", lang, n) for lang, n in stats.per_language.items()]
     rows += [("direction", d.src, d.tgt, n) for d, n in stats.per_direction.items()]
@@ -135,6 +137,7 @@ def _cmd_bleu(args) -> int:
 
 
 def _cmd_augment_plan(args) -> int:
+    check_not_inputs([Path(args.out)], [Path(p) for p in (args.mono, args.bitext) if p])
     if args.kind == "bt":
         if not args.mono or not args.langs:
             raise MTForgeError("--kind bt needs --mono and --langs")
@@ -173,6 +176,7 @@ def _cmd_augment_run(args) -> int:
 
 
 def _cmd_route_build(args) -> int:
+    check_not_inputs([Path(args.out)], [Path(args.direct), Path(args.pivot)])
     direct = ScoreMatrix.load(args.direct)
     pivot = ScoreMatrix.load(args.pivot)
     table = build_routing_table(direct, pivot, args.pivot_lang)
@@ -184,6 +188,7 @@ def _cmd_route_build(args) -> int:
 
 
 def _cmd_route_translate(args) -> int:
+    check_not_inputs([Path(args.out)], [Path(args.table), Path(args.input)])
     table = RoutingTable.load(args.table)
     direction = Direction.parse(args.direction)
     directions = set(table.entries) | {direction}

@@ -359,14 +359,17 @@ def read_pairs(entry: ShardEntry) -> Iterator[SentencePair]:
     Reads a chunk of lines at a time (``iter_line_chunks``), so memory stays
     bounded. Raises MalformedLineError, named by the shard id, at the first
     line holding a stray ``\\r`` or not exactly one tab.
+
+    Each pair is made by ``tuple.__new__`` in one C-level call, without the
+    named tuple's Python-level ``__new__``; the fields are the same.
     """
+    new, direction, origin, shard_id = tuple.__new__, entry.direction, entry.origin, entry.shard_id
     line_no = 0
-    for lines in iter_line_chunks(entry.path, entry.shard_id):
-        check_tabs(lines, 1, entry.shard_id, line_no)
+    for lines in iter_line_chunks(entry.path, shard_id):
+        check_tabs(lines, 1, shard_id, line_no)
         for line_no, line in enumerate(lines, line_no + 1):
             source, target = line.split("\t")
-            yield SentencePair(source, target, entry.direction, entry.origin,
-                               entry.shard_id, line_no)
+            yield new(SentencePair, (source, target, direction, origin, shard_id, line_no))
         del lines   # before the next chunk is read
 
 

@@ -11,19 +11,24 @@ When no multi-character piece contains a whitespace character, a match can
 never cross a whitespace boundary. The text is then handled one run at a
 time: each whitespace character is one token, a non-whitespace run that is
 a piece (or a single character) is one token, and any other run is matched
-greedily on its own. The runs come from two C-level splits when they can:
-if ``text.split(" ") == text.split()``, the text is non-empty words between
-single spaces. The whitespace split never yields an empty string or one
-that holds whitespace, and it cuts at the same characters as the ``\\s``
-of the run regex. So equal lists rule out empty text, leading, trailing
-and double spaces and every other whitespace character, and the runs are
-exactly the words with one ``" "`` between each two. Only other text is
-split by the run regex. Text whose runs are all pieces is returned as the
-list of runs, checked in one C-level pass; after the split test only the
-words are checked, as a lone space is one token whether or not it is a
-piece. A vocabulary with a multi-character piece that holds whitespace
-(``"a b"``, ``"  "``) falls back to greedy matching over the whole string.
-All paths give the same tokens.
+greedily on its own. The words of ``text.split(" ")`` are checked against
+the vocabulary first, in one C-level pass. If every word is a piece, the
+tokens are the words with one ``" "`` between each two, and nothing else
+is split or compared. Pieces are non-empty, so such a split had no
+leading, trailing or double space; a piece that holds whitespace is one
+character; and the run path makes each character of a whitespace run its
+own token, so it gives the same list. Otherwise the runs come from a
+second C-level split when they can: if ``text.split(" ") == text.split()``,
+the text is non-empty words between single spaces. The whitespace split
+never yields an empty string or one that holds whitespace, and it cuts at
+the same characters as the ``\\s`` of the run regex. So equal lists rule
+out empty text, leading, trailing and double spaces and every other
+whitespace character, and the runs are exactly the words with one ``" "``
+between each two. Only other text is split by the run regex, and its runs
+are returned as they are when all are pieces. A lone space is one token
+whether or not it is a piece. A vocabulary with a multi-character piece
+that holds whitespace (``"a b"``, ``"  "``) falls back to greedy matching
+over the whole string. All paths give the same tokens.
 
 Greedy matching probes windows only at a start that some piece begins with;
 any other character is its own token. The tokens of a run matched
@@ -82,10 +87,11 @@ class SubwordTokenizer:
             return self._greedy(text)
         vocab = self.vocab
         words = text.split(" ")
-        if words == text.split():   # non-empty words between single spaces
+        all_pieces = all(map(vocab.__contains__, words))   # " " is one token, piece or not
+        if all_pieces or words == text.split():   # non-empty words between single spaces
             runs = [" "] * (2 * len(words) - 1)
             runs[::2] = words
-            if all(map(vocab.__contains__, words)):   # " " is one token, piece or not
+            if all_pieces:
                 return runs
         else:
             runs = _RUNS.findall(text)

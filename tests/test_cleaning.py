@@ -195,6 +195,12 @@ def test_apply_filters_tokenizes_each_side_once():
         if verdict.kept:
             assert verdict.transformed.source == truncate_tokens(p.source, TOK, 3)
             assert verdict.transformed.target == truncate_tokens(p.target, TOK, 3)
+            if max(n_src, n_tgt) <= 3:   # untruncated: the pair itself, not a copy
+                assert verdict.transformed is p
+            else:
+                assert verdict.transformed is not p
+                assert type(verdict.transformed) is SentencePair
+                assert verdict.transformed[2:] == p[2:]   # provenance kept
     combining = apply_filters(pairs[2], cfg, TOK).transformed
     assert combining.source == "xx"
 

@@ -664,6 +664,55 @@ class TestRouteCli:
         assert not table.exists()
 
 
+class TestOutputThatIsAnInput:
+    """An output path that names one of the command's inputs is refused
+    before anything is written. Each of these replaced its input and exited 0
+    before the check."""
+
+    @staticmethod
+    def _tree(root):
+        build_manifest(root, [("a.tsv", "hr-en", "bitext", [("s1", "t1"), ("s2", "t2")])])
+        (root / "mono.txt").write_text("the cat sat\ngood day\n", encoding="utf-8")
+        (root / "direct.tsv").write_text("hr\thu\t10.0\t1\t1\t1\t1\t1.0\t10\t10\n",
+                                         encoding="utf-8")
+        (root / "pivot.tsv").write_text("hr\thu\t60.0\t1\t1\t1\t1\t1.0\t10\t10\n",
+                                        encoding="utf-8")
+        assert main(["route", "build", "--direct", "direct.tsv", "--pivot", "pivot.tsv",
+                     "--out", "table.tsv"]) == 0
+        (root / "in.txt").write_text("the cat sat\n", encoding="utf-8")
+
+    STATS = ["stats", "--manifest", "manifest.tsv"]
+    BUILD = ["route", "build", "--direct", "direct.tsv", "--pivot", "pivot.tsv"]
+    TRANSLATE = ["route", "translate", "--table", "table.tsv", "--translator", "cipher:7",
+                 "--direction", "hr-hu", "--input", "in.txt"]
+
+    @pytest.mark.parametrize("argv, out", [
+        pytest.param(STATS, "manifest.tsv", id="stats-manifest"),
+        pytest.param(STATS, "a.tsv", id="stats-shard"),
+        pytest.param(["augment", "plan", "--kind", "bt", "--mono", "mono.txt", "--langs", "hr"],
+                     "mono.txt", id="augment-plan-mono"),
+        pytest.param(["augment", "plan", "--kind", "tri", "--bitext", "a.tsv",
+                      "--direction", "hr-en", "--new-tgt", "mk"], "a.tsv",
+                     id="augment-plan-bitext"),
+        pytest.param(BUILD, "direct.tsv", id="route-build-direct"),
+        pytest.param(BUILD, "pivot.tsv", id="route-build-pivot"),
+        pytest.param(TRANSLATE, "table.tsv", id="route-translate-table"),
+        pytest.param(TRANSLATE, "in.txt", id="route-translate-input"),
+    ])
+    def test_refused_with_the_input_unchanged(self, tmp_path, capsys, monkeypatch, argv, out):
+        monkeypatch.chdir(tmp_path)
+        self._tree(tmp_path)
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv + ["--out", out]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: output {out} is the input {out}: "
+                          "writing it would truncate the input"]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert main(argv + ["--out", "elsewhere.out"]) == 0   # control: only the path is at fault
+
+
 class TestCurriculumCli:
     def test_valid_schedule(self, tmp_path, capsys):
         path = tmp_path / "schedule.tsv"

@@ -166,11 +166,28 @@ class _Probes(dict):
         return super().__contains__(key)
 
 
+class _NoRegex:
+    def findall(self, text):
+        raise AssertionError(f"run regex called on {text!r}")
+
+
 class TestTokenizePaths:
     def test_all_piece_text_is_its_runs(self):
         tok = SubwordTokenizer(["kafo", "bi", " ", "zu"])
         tok._greedy = None   # any greedy call would fail
         assert tok.tokenize("kafo bi zu kafo") == ["kafo", " ", "bi", " ", "zu", " ", "kafo"]
+
+    def test_whitespace_piece_between_spaces_is_not_split_again(self, monkeypatch):
+        # "\t" is a word of the split at " " and a piece, so the words decide
+        # the tokens; the whitespace split differs, so the split compare
+        # alone would send this text to the run regex.
+        def no_greedy(text):
+            raise AssertionError(f"greedy matching called on {text!r}")
+
+        monkeypatch.setattr(subword, "_RUNS", _NoRegex())
+        tok = SubwordTokenizer(["kafo", "bi", " ", "\t"])
+        tok._greedy = no_greedy
+        assert tok.tokenize("kafo \t bi") == ["kafo", " ", "\t", " ", "bi"]
 
     @pytest.mark.parametrize("vocab, text", [
         (["kafo", "bi", " ", "zu"], "kafo bi zu kafo"),
@@ -179,11 +196,7 @@ class TestTokenizePaths:
         (["kafo", "bi"], "kafo bi"),                  # " " is no piece
     ])
     def test_single_spaced_text_is_not_split_by_the_run_regex(self, monkeypatch, vocab, text):
-        class NoRegex:
-            def findall(self, text):
-                raise AssertionError(f"run regex called on {text!r}")
-
-        monkeypatch.setattr(subword, "_RUNS", NoRegex())
+        monkeypatch.setattr(subword, "_RUNS", _NoRegex())
         assert SubwordTokenizer(vocab).tokenize(text) == greedy_oracle(set(vocab), text)
 
     @pytest.mark.parametrize("text", ["kafo  bi", "kafo\tbi", "kafo\xa0bi", "kafo bi ",
