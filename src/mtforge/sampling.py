@@ -68,9 +68,9 @@ class SamplingDistribution:
 class MixtureWeights:
     """Pool weights (bitext, back-translation, dual-pseudo).
 
-    Weights must be finite and non-negative with a positive sum and are
-    normalized to sum to one, so decimal shorthands like (0.33, 0.33, 0.33)
-    mean exact thirds.
+    Weights must be finite and non-negative with a positive, finite sum and
+    are normalized to sum to one, so decimal shorthands like (0.33, 0.33,
+    0.33) mean exact thirds.
     """
 
     bitext: float
@@ -86,6 +86,8 @@ class MixtureWeights:
         total = sum(vals)
         if total <= 0:
             raise ValueError("mixture weights must not all be zero")
+        if not math.isfinite(total):
+            raise ValueError("mixture weights must have a finite sum")
         if abs(total - 1.0) > 1e-9:
             object.__setattr__(self, "bitext", self.bitext / total)
             object.__setattr__(self, "back_translation", self.back_translation / total)
@@ -168,9 +170,11 @@ def _index_lines(raw: BinaryIO, shard_id: str) -> array:
 
 class _OffsetPairs:
     """The pairs of one (pool, direction), concatenated over its shards in
-    manifest order and read from disk by offset when indexed."""
+    manifest order and read from disk by offset when indexed. ``indices``
+    is the range of those indexes, so a draw from it names a pair without
+    reading it."""
 
-    __slots__ = ("direction", "origin", "_starts", "_shards", "_len")
+    __slots__ = ("direction", "origin", "indices", "_starts", "_shards")
 
     def __init__(self, direction: Direction, origin: OriginPool,
                  shards: list[tuple[int, array, str]]):
@@ -178,20 +182,22 @@ class _OffsetPairs:
         self.origin = origin
         self._shards = shards   # (descriptor, line offsets, shard id)
         # Index of each shard's first pair, then the total.
-        *self._starts, self._len = accumulate(
+        *self._starts, n = accumulate(
             (len(offsets) - 1 for _, offsets, _ in shards), initial=0)
-
-    def __len__(self) -> int:
-        return self._len
+        self.indices = range(n)
 
     def __getitem__(self, k: int) -> SentencePair:
-        s = bisect(self._starts, k) - 1
-        fd, offsets, shard_id = self._shards[s]
-        i = k - self._starts[s]
-        start = offsets[i]
-        source, target = os.pread(fd, offsets[i + 1] - start, start) \
+        if len(self._starts) == 1:
+            fd, offsets, shard_id = self._shards[0]
+        else:
+            s = bisect(self._starts, k) - 1
+            fd, offsets, shard_id = self._shards[s]
+            k -= self._starts[s]
+        start = offsets[k]
+        source, target = os.pread(fd, offsets[k + 1] - start, start) \
             .rstrip(b"\r\n").decode().split("\t")
-        return SentencePair(source, target, self.direction, self.origin, shard_id, i + 1)
+        return tuple.__new__(SentencePair, (source, target, self.direction, self.origin,
+                                            shard_id, k + 1))
 
 
 def _cumulative(weights: list[float]) -> tuple[list[float], float, int]:
@@ -217,13 +223,22 @@ class BatchScheduler:
     batch. Its keys are in the order they first occur in the batch, taking
     each pair's source language before its target language.
 
+    Each batch is drawn first and read after. The draw names every pair by
+    its (pool, direction) and index and reads no line; it alone makes the
+    RNG calls and tallies the composition, so the stream does not depend on
+    what is read. Only ``next_batch`` then reads the drawn lines, in draw
+    order; ``write_composition`` reads none. A line that cannot be read
+    (a shard changed after construction) therefore raises only once the
+    whole batch has been drawn.
+
     Construction reads every shard once in binary mode and keeps only an
     ``array('Q')`` of line-start byte offsets per shard (8 bytes a pair);
-    each draw reads its one line with ``os.pread``. Lines are validated as
-    ``read_pairs`` reads them (one tab, strict UTF-8, ``\\n`` or ``\\r\\n``
-    line ends, no other ``\\r``), by two C-level checks per chunk of
-    ``corpus._BYTES_PER_READ`` bytes; a line-by-line walk runs only on a
-    chunk that fails them, to locate its first bad line (``_index_lines``).
+    ``next_batch`` reads each drawn line with ``os.pread``. Lines are
+    validated as ``read_pairs`` reads them (one tab, strict UTF-8, ``\\n``
+    or ``\\r\\n`` line ends, no other ``\\r``), by two C-level checks per
+    chunk of ``corpus._BYTES_PER_READ`` bytes; a line-by-line walk runs only
+    on a chunk that fails them, to locate its first bad line
+    (``_index_lines``).
     The descriptors are opened unbuffered and the chunk buffer is detached
     once a shard is indexed, so no read buffer is held per descriptor.
 
@@ -297,10 +312,13 @@ class BatchScheduler:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _draw(self, pairs: _OffsetPairs) -> SentencePair:
+    def _draw(self, pairs: range) -> int:
         return pairs[self._rng.randrange(len(pairs))]
 
-    def next_batch(self) -> Batch:
+    def _draw_batch(self) -> tuple[list[tuple[_OffsetPairs, int]],
+                                   dict[tuple[str, OriginPool], int]]:
+        """Draw one batch without reading a line: its ``(pairs, k)`` in
+        draw order, and its composition."""
         if not self._finalizer.alive:
             raise ValueError("the scheduler is closed")
         rand, draw, pools = self._rng.random, self._draw, self._pools
@@ -310,24 +328,32 @@ class BatchScheduler:
         for _ in repeat(None, self.batch_size):
             cum, total, hi, by_dir = pools[bisect(pool_cum, rand() * pool_total, 0, pool_hi)]
             pairs = by_dir[bisect(cum, rand() * total, 0, hi)]
-            batch.append(draw(pairs))
+            batch.append((pairs, draw(pairs.indices)))
             drawn[pairs] = drawn.get(pairs, 0) + 1
         composition: dict[tuple[str, OriginPool], int] = {}
         for pairs, n in drawn.items():
             for lang in (pairs.direction.src, pairs.direction.tgt):
                 key = (lang, pairs.origin)
                 composition[key] = composition.get(key, 0) + n
-        return Batch(batch, composition)
+        return batch, composition
+
+    def next_batch(self) -> Batch:
+        batch, composition = self._draw_batch()
+        return Batch([pairs[k] for pairs, k in batch], composition)
 
 
 def write_composition(scheduler: BatchScheduler, batches: int, path: str | Path) -> None:
     """Draw ``batches`` batches and write the composition report: per batch,
     one ``batch language origin count`` row per (language, pool), sorted.
-    A negative ``batches`` raises ValueError before anything is drawn."""
+    The batches are drawn as ``next_batch`` draws them, with the same RNG
+    calls, but no line is read, so the scheduler's stream goes on as if
+    ``next_batch`` had been called ``batches`` times. A negative
+    ``batches`` raises ValueError before anything is drawn, and a closed
+    scheduler raises it at the first draw; neither writes the report."""
     if batches < 0:
         raise ValueError(f"batches must be >= 0, got {batches}")
     rows = []
     for b in range(batches):
-        composition = scheduler.next_batch().composition
+        composition = scheduler._draw_batch()[1]
         rows += sorted((b, lang, origin.value, n) for (lang, origin), n in composition.items())
     write_table(path, rows, header="batch language origin count".split())

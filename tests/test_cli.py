@@ -370,6 +370,17 @@ class TestSampleCli:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    def test_weights_whose_sum_overflows_are_validation_error(self, tmp_path, capsys):
+        # All three weights normalized to 0.0 and _cumulative raised IndexError.
+        build_manifest(tmp_path, [("bx.tsv", "hr-en", "bitext", [("s", "t")])])
+        report = tmp_path / "r.tsv"
+        rc = main(["sample", "--manifest", str(tmp_path / "manifest.tsv"),
+                   "--lambda", "1e308,1e308,0", "--seed", "1", "--report", str(report)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == ["error: mixture weights must have a finite sum"]
+        assert not report.exists()
+
     def test_negative_batches_is_validation_error(self, tmp_path, capsys):
         build_manifest(tmp_path, [("bx.tsv", "hr-en", "bitext", [("s", "t")])])
         report = tmp_path / "r.tsv"

@@ -225,6 +225,14 @@ class TestScheduleFile:
         with pytest.raises(InvalidScheduleError):
             load_schedule(path)
 
+    def test_lambdas_whose_sum_overflows_fail_at_their_line(self, tmp_path):
+        # They loaded as three 0.0 weights.
+        path = tmp_path / "schedule.tsv"
+        path.write_text("s1\tnoisy\tall\t0.3,0.3,0.4\t24\t12\n"
+                        "s2\tnoisy\tall\t1e308,1e308,0\t24\t12\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":2: mixture weights must have a finite sum"):
+            load_schedule(path)
+
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "schedule.tsv"
         path.write_text("s1\tmystery\tall\t0.3,0.3,0.4\t24\t12\n", encoding="utf-8")

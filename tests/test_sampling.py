@@ -268,6 +268,8 @@ class TestScheduler:
 class TestNonFinite:
     @pytest.mark.parametrize("values", [
         (math.nan, 0, 0), (math.inf, 1, 1), (1, -math.inf, 0), (0.5, 0.5, math.nan),
+        # Finite weights whose sum is inf: each normalized to 0.0.
+        (1e308, 1e308, 1e308), (1e308, 1e308, 0),
     ])
     def test_mixture_weights(self, values):
         with pytest.raises(ValueError, match="finite"):
@@ -529,6 +531,42 @@ def test_draw_stream_matches_materializing_oracle(shards, weights, seed, batch_s
                 assert list(got.composition.items()) == list(want.composition.items())
 
 
+def _composition_rows(batches):
+    return ["\t".join(map(str, row)) for b, batch in enumerate(batches)
+            for row in sorted((b, lang, origin.value, n)
+                              for (lang, origin), n in batch.composition.items())]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(shards=_SHARDS, weights=_WEIGHTS, seed=st.integers(0, 2**64),
+       batch_size=st.integers(1, 40), batches=st.integers(1, 4))
+def test_composition_report_reads_no_line(shards, weights, seed, batch_size, batches):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = _write_random_corpus(Path(tmp), shards)
+        stats = corpus_stats(manifest)
+        assume(stats.total_pairs > 0)
+        dist = language_distribution(stats, 5.0)
+        weights = MixtureWeights(*weights)
+        try:
+            oracle = MaterializingScheduler(manifest, dist, weights, batch_size, seed)
+        except EmptyPoolError:
+            return
+        want = [oracle.next_batch() for _ in range(batches + 1)]
+        report = Path(tmp) / "composition.tsv"
+        with BatchScheduler(manifest, dist, weights, batch_size, seed) as sched:
+            def no_read(*args):
+                raise AssertionError("a line was read")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(os, "pread", no_read)
+                mp.setattr(sampling._OffsetPairs, "__getitem__", no_read)
+                sampling.write_composition(sched, batches, report)
+            got = sched.next_batch()
+        assert report.read_text(encoding="utf-8").splitlines() == \
+            ["# batch\tlanguage\torigin\tcount"] + _composition_rows(want[:batches])
+        assert got.pairs == want[batches].pairs
+        assert list(got.composition.items()) == list(want[batches].composition.items())
+
+
 @settings(max_examples=25, deadline=None)
 @given(weights=_WEIGHTS, seed=st.integers(0, 2**32))
 def test_pool_fractions_follow_mixture_weights(tmp_path_factory, weights, seed):
@@ -570,6 +608,14 @@ class TestDescriptors:
         sched.close()
         with pytest.raises(ValueError, match="closed"):
             sched.next_batch()
+
+    def test_composition_report_refused_when_closed(self, make_corpus, tmp_path):
+        sched = scheduler_for(self.corpus(make_corpus), MixtureWeights(0.5, 0.5, 0))
+        sched.close()
+        report = tmp_path / "composition.tsv"
+        with pytest.raises(ValueError, match="closed"):
+            sampling.write_composition(sched, 3, report)
+        assert not report.exists()
 
     def test_released_when_dropped(self, make_corpus):
         manifest = self.corpus(make_corpus)
