@@ -80,6 +80,14 @@ class OriginPool(enum.Enum):
     BACK_TRANSLATION = "back_translation"
     DUAL_PSEUDO = "dual_pseudo"
 
+    # Hashed in C, by identity, instead of by ``Enum.__hash__``'s Python-level
+    # ``hash(self._name_)``: the scheduler hashes a pool for every batch
+    # composition key. This agrees with ``==``, which for an Enum is
+    # identity, because each member is a singleton: pickle, copy and
+    # deepcopy all return the same member. No code iterates a set of pools,
+    # so no output order depends on this hash.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, text: str) -> "OriginPool":
         try:

@@ -4,7 +4,9 @@ Languages are sampled with probability proportional to ``D_l^(1/T)`` where
 ``D_l`` is the language's sentence count; raising the temperature flattens
 the distribution toward uniform, lifting low-resource languages. Batches mix
 the bitext, back-translation, and dual-pseudo pools according to normalized
-mixture weights.
+mixture weights. The scheduler keeps a 4-byte line-start offset per pair
+(8 bytes for a shard of 4 GiB or more) and reads a batch's drawn lines in
+one loop, ``_read_batch``, by ``os.pread`` at those offsets.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .corpus import (CorpusManifest, Direction, LanguageStats, OriginPool,
 from .errors import EmptyPoolError
 
 _NOT_TAB_OR_LF = bytes(b for b in range(256) if b not in b"\t\n")
+# A shard smaller than this has every line offset, and its size, in
+# ``array('I')`` range; a larger one takes ``array('Q')``.
+_I_OFFSET_LIMIT = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,9 @@ def language_distribution(stats: LanguageStats, temperature: float) -> SamplingD
 
 def _index_lines(raw: BinaryIO, shard_id: str) -> array:
     """Byte offsets of the line starts of a shard opened unbuffered in
-    binary mode, followed by its size, built in one pass.
+    binary mode, followed by its size, built in one pass. They are kept in
+    an ``array('I')`` (4 bytes each) when the shard's size is under
+    ``_I_OFFSET_LIMIT``, else in an ``array('Q')``.
 
     Every line must hold exactly one tab and follow ``corpus.decode_lines``,
     as ``read_pairs`` requires; the scheduler reads bytes itself because it
@@ -149,7 +156,8 @@ def _index_lines(raw: BinaryIO, shard_id: str) -> array:
     deleted, against one tab and one line end per line. Only a chunk that
     fails them is walked line by line, to find its first bad line.
     """
-    offsets = array("Q", [0])
+    size = os.fstat(raw.fileno()).st_size
+    offsets = array("I" if size < _I_OFFSET_LIMIT else "Q", [0])
     line_no = 0   # lines indexed so far
     fh = io.BufferedReader(raw, corpus._BYTES_PER_READ)
     try:
@@ -170,34 +178,44 @@ def _index_lines(raw: BinaryIO, shard_id: str) -> array:
 
 class _OffsetPairs:
     """The pairs of one (pool, direction), concatenated over its shards in
-    manifest order and read from disk by offset when indexed. ``indices``
-    is the range of those indexes, so a draw from it names a pair without
-    reading it."""
+    manifest order; ``_read_batch`` reads them from disk by offset.
+    ``indices`` is the range of their indexes, so a draw from it names a
+    pair without reading it. ``keys`` are the batch composition's keys for
+    the source and the target language of each pair."""
 
-    __slots__ = ("direction", "origin", "indices", "_starts", "_shards")
+    __slots__ = ("direction", "origin", "keys", "indices", "starts", "shards")
 
     def __init__(self, direction: Direction, origin: OriginPool,
                  shards: list[tuple[int, array, str]]):
         self.direction = direction
         self.origin = origin
-        self._shards = shards   # (descriptor, line offsets, shard id)
+        self.keys = ((direction.src, origin), (direction.tgt, origin))
+        self.shards = shards   # (descriptor, line offsets, shard id)
         # Index of each shard's first pair, then the total.
-        *self._starts, n = accumulate(
+        *self.starts, n = accumulate(
             (len(offsets) - 1 for _, offsets, _ in shards), initial=0)
         self.indices = range(n)
 
-    def __getitem__(self, k: int) -> SentencePair:
-        if len(self._starts) == 1:
-            fd, offsets, shard_id = self._shards[0]
+
+def _read_batch(batch: list[tuple[_OffsetPairs, int]]) -> list[SentencePair]:
+    """Read the drawn pairs, each named by its ``(pairs, k)``, in draw
+    order: one ``os.pread`` of each line at its offset."""
+    pread, new = os.pread, tuple.__new__
+    out = []
+    for pairs, k in batch:
+        starts = pairs.starts
+        if len(starts) == 1:
+            fd, offsets, shard_id = pairs.shards[0]
         else:
-            s = bisect(self._starts, k) - 1
-            fd, offsets, shard_id = self._shards[s]
-            k -= self._starts[s]
+            s = bisect(starts, k) - 1
+            fd, offsets, shard_id = pairs.shards[s]
+            k -= starts[s]
         start = offsets[k]
-        source, target = os.pread(fd, offsets[k + 1] - start, start) \
+        source, target = pread(fd, offsets[k + 1] - start, start) \
             .rstrip(b"\r\n").decode().split("\t")
-        return tuple.__new__(SentencePair, (source, target, self.direction, self.origin,
-                                            shard_id, k + 1))
+        out.append(new(SentencePair, (source, target, pairs.direction, pairs.origin,
+                                      shard_id, k + 1)))
+    return out
 
 
 def _cumulative(weights: list[float]) -> tuple[list[float], float, int]:
@@ -227,18 +245,20 @@ class BatchScheduler:
     its (pool, direction) and index and reads no line; it alone makes the
     RNG calls and tallies the composition, so the stream does not depend on
     what is read. Only ``next_batch`` then reads the drawn lines, in draw
-    order; ``write_composition`` reads none. A line that cannot be read
-    (a shard changed after construction) therefore raises only once the
-    whole batch has been drawn.
+    order and in one loop over the batch (``_read_batch``);
+    ``write_composition`` reads none. A line that cannot be read (a shard
+    changed after construction) therefore raises only once the whole batch
+    has been drawn.
 
     Construction reads every shard once in binary mode and keeps only an
-    ``array('Q')`` of line-start byte offsets per shard (8 bytes a pair);
-    ``next_batch`` reads each drawn line with ``os.pread``. Lines are
-    validated as ``read_pairs`` reads them (one tab, strict UTF-8, ``\\n``
-    or ``\\r\\n`` line ends, no other ``\\r``), by two C-level checks per
-    chunk of ``corpus._BYTES_PER_READ`` bytes; a line-by-line walk runs only
-    on a chunk that fails them, to locate its first bad line
-    (``_index_lines``).
+    array of line-start byte offsets per shard: ``array('I')``, 4 bytes a
+    pair, for a shard under 4 GiB, and ``array('Q')``, 8 bytes a pair, for
+    a larger one. ``next_batch`` reads each drawn line with one
+    ``os.pread``. Lines are validated as ``read_pairs`` reads them (one
+    tab, strict UTF-8, ``\\n`` or ``\\r\\n`` line ends, no other ``\\r``),
+    by two C-level checks per chunk of ``corpus._BYTES_PER_READ`` bytes; a
+    line-by-line walk runs only on a chunk that fails them, to locate its
+    first bad line (``_index_lines``).
     The descriptors are opened unbuffered and the chunk buffer is detached
     once a shard is indexed, so no read buffer is held per descriptor.
 
@@ -306,6 +326,10 @@ class BatchScheduler:
         """Release the shard descriptors; later draws raise ValueError."""
         self._finalizer()
 
+    @property
+    def closed(self) -> bool:
+        return not self._finalizer.alive
+
     def __enter__(self) -> "BatchScheduler":
         return self
 
@@ -319,7 +343,7 @@ class BatchScheduler:
                                    dict[tuple[str, OriginPool], int]]:
         """Draw one batch without reading a line: its ``(pairs, k)`` in
         draw order, and its composition."""
-        if not self._finalizer.alive:
+        if self.closed:
             raise ValueError("the scheduler is closed")
         rand, draw, pools = self._rng.random, self._draw, self._pools
         pool_cum, pool_total, pool_hi = self._pool_cum, self._pool_total, self._pool_hi
@@ -332,14 +356,13 @@ class BatchScheduler:
             drawn[pairs] = drawn.get(pairs, 0) + 1
         composition: dict[tuple[str, OriginPool], int] = {}
         for pairs, n in drawn.items():
-            for lang in (pairs.direction.src, pairs.direction.tgt):
-                key = (lang, pairs.origin)
+            for key in pairs.keys:
                 composition[key] = composition.get(key, 0) + n
         return batch, composition
 
     def next_batch(self) -> Batch:
         batch, composition = self._draw_batch()
-        return Batch([pairs[k] for pairs, k in batch], composition)
+        return Batch(_read_batch(batch), composition)
 
 
 def write_composition(scheduler: BatchScheduler, batches: int, path: str | Path) -> None:
@@ -348,10 +371,12 @@ def write_composition(scheduler: BatchScheduler, batches: int, path: str | Path)
     The batches are drawn as ``next_batch`` draws them, with the same RNG
     calls, but no line is read, so the scheduler's stream goes on as if
     ``next_batch`` had been called ``batches`` times. A negative
-    ``batches`` raises ValueError before anything is drawn, and a closed
-    scheduler raises it at the first draw; neither writes the report."""
+    ``batches`` or a closed scheduler, even with ``batches`` 0, raises
+    ValueError before anything is drawn, and writes no report."""
     if batches < 0:
         raise ValueError(f"batches must be >= 0, got {batches}")
+    if scheduler.closed:
+        raise ValueError("the scheduler is closed")
     rows = []
     for b in range(batches):
         composition = scheduler._draw_batch()[1]

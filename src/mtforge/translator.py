@@ -242,10 +242,6 @@ class CipherTranslator(Translator):
     def supported_directions(self) -> frozenset[Direction]:
         return self._supported
 
-    @property
-    def languages(self) -> dict[str, CipherLanguage]:
-        return dict(self._ciphers)
-
     def translate(self, sentences, direction, config=None):
         return self.translate_many(sentences, (direction,), config)[direction]
 

@@ -48,6 +48,43 @@ class TestExitCodes:
         assert main(["stats", "--manifest", str(bad)]) == 1
 
 
+class TestUsageErrors:
+    """A flag value or flag combination the command cannot use fails with
+    one ``error:`` line before anything is read or written."""
+
+    PLAN = ["augment", "plan", "--out", "plan.tsv", "--kind"]
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["filter", "--manifest", "manifest.tsv", "--out", "out",
+                      "--script", "sr"], "--script expects lang=Script, got 'sr'",
+                     id="filter-script-without-equals"),
+        pytest.param(PLAN + ["bt", "--mono", "mono.txt"], "--kind bt needs --mono and --langs",
+                     id="plan-bt-without-langs"),
+        pytest.param(PLAN + ["bt", "--langs", "hr"], "--kind bt needs --mono and --langs",
+                     id="plan-bt-without-mono"),
+        pytest.param(PLAN + ["dual", "--langs", "hr,hu"], "--kind dual needs --mono",
+                     id="plan-dual-without-mono"),
+        pytest.param(PLAN + ["dual", "--mono", "mono.txt"],
+                     "--kind dual needs --pairs or --langs", id="plan-dual-without-pairs"),
+        pytest.param(PLAN + ["tri", "--bitext", "a.tsv"],
+                     "--kind tri needs --bitext and --direction", id="plan-tri-without-direction"),
+        pytest.param(PLAN + ["tri", "--direction", "hr-en"],
+                     "--kind tri needs --bitext and --direction", id="plan-tri-without-bitext"),
+    ])
+    def test_one_error_line_and_nothing_written(self, tmp_path, capsys, monkeypatch,
+                                                argv, message):
+        monkeypatch.chdir(tmp_path)
+        build_manifest(tmp_path, [("a.tsv", "hr-en", "bitext", [("s1", "t1")])])
+        (tmp_path / "mono.txt").write_text("the cat sat\n", encoding="utf-8")
+        before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == \
+            [f"error: {message}"]
+        assert "Traceback" not in err
+        assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(__file__).resolve().parent.parent / "src")

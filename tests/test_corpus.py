@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -50,6 +52,19 @@ class TestOriginPool:
     def test_unknown(self):
         with pytest.raises(ValueError):
             OriginPool.parse("mystery")
+
+    @pytest.mark.parametrize("member", list(OriginPool))
+    @pytest.mark.parametrize("round_trip", [
+        lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_hash_agrees_with_equality(self, member, round_trip):
+        # OriginPool hashes by identity, which needs every round trip to
+        # return the member itself.
+        back = round_trip(member)
+        assert back is member
+        assert back == member and hash(back) == hash(member)
+        assert all((other == member) == (other is member) for other in OriginPool)
+        assert {member: 1}[back] == 1
 
 
 class TestLoadManifest:

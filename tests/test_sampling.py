@@ -377,6 +377,25 @@ class TestLineIndex:
         drawn = draw_all(manifest, draws=300)
         assert all((p.source, p.target) == rows[p.line_no - 1] for p in drawn)
 
+    @pytest.mark.parametrize("limit, typecodes", [
+        (sampling._I_OFFSET_LIMIT, "III"), (40, "IQI"), (0, "QQQ")])
+    def test_8_byte_offsets_draw_the_same_pairs(self, tmp_path, monkeypatch,
+                                                 limit, typecodes):
+        small = "".join(f"s{i}\tt{i}\n" for i in range(5)).encode()   # 30 bytes
+        large = "".join(f"s{i}š\tt{i}\r\n" for i in range(20)).encode()
+        manifest = raw_corpus(tmp_path, [
+            ("a.tsv", "hr-en", "bitext", small),
+            ("b.tsv", "hr-en", "bitext", large),   # a second shard: the bisect path
+            ("c.tsv", "en-hu", "bitext", small),
+        ])
+        want = draw_all(manifest)
+        index_lines, seen = sampling._index_lines, []
+        monkeypatch.setattr(sampling, "_I_OFFSET_LIMIT", limit)
+        monkeypatch.setattr(sampling, "_index_lines",
+                            lambda *args: seen.append(index_lines(*args)) or seen[-1])
+        assert draw_all(manifest) == want
+        assert "".join(offsets.typecode for offsets in seen) == typecodes
+
     @pytest.mark.parametrize("data", [
         b"s0\tt0\ns1\tt1\n",                      # ASCII
         "šđ\tčć\nжзи\tλμ\n".encode(),          # non-ASCII UTF-8
@@ -558,7 +577,7 @@ def test_composition_report_reads_no_line(shards, weights, seed, batch_size, bat
                 raise AssertionError("a line was read")
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(os, "pread", no_read)
-                mp.setattr(sampling._OffsetPairs, "__getitem__", no_read)
+                mp.setattr(sampling, "_read_batch", no_read)
                 sampling.write_composition(sched, batches, report)
             got = sched.next_batch()
         assert report.read_text(encoding="utf-8").splitlines() == \
@@ -609,12 +628,13 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="closed"):
             sched.next_batch()
 
-    def test_composition_report_refused_when_closed(self, make_corpus, tmp_path):
+    @pytest.mark.parametrize("batches", [3, 0])
+    def test_composition_report_refused_when_closed(self, make_corpus, tmp_path, batches):
         sched = scheduler_for(self.corpus(make_corpus), MixtureWeights(0.5, 0.5, 0))
         sched.close()
         report = tmp_path / "composition.tsv"
         with pytest.raises(ValueError, match="closed"):
-            sampling.write_composition(sched, 3, report)
+            sampling.write_composition(sched, batches, report)
         assert not report.exists()
 
     def test_released_when_dropped(self, make_corpus):
