@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, check_not_inputs,
-                     check_tabs, iter_line_chunks, read_table, unused_name, write_manifest,
-                     write_shard, write_table)
+from .corpus import (CorpusManifest, Direction, OriginPool, Outputs, ShardEntry, check_tabs,
+                     iter_line_chunks, read_table, write_manifest, write_shard, write_table)
 from .errors import (
     EmptyMonolingualError,
     EnglishInPairError,
@@ -94,7 +93,7 @@ class AugmentationTask:
 @dataclass
 class AugmentationPlan:
     """Tasks in run order, and the plan file they were read from (None when
-    planned in code), which ``run_plan`` must not write over."""
+    planned in code), which ``run_plan`` must not write over (``corpus.Outputs``)."""
 
     tasks: list[AugmentationTask]
     path: Path | None = field(default=None, compare=False)
@@ -259,7 +258,7 @@ def run_plan(
     and MTForgeError naming the task if it does not fit its kind, an output
     side names neither kind of column or tasks on one input disagree on its
     meta, or naming both files if an output is an input file or the plan
-    file (``corpus.check_not_inputs``).
+    file (``corpus.Outputs.claim``).
 
     Each input is read one chunk of lines at a time (``iter_line_chunks``)
     and split into its side columns once. One ``translator.translate_many``
@@ -287,8 +286,8 @@ def run_plan(
     # and that task's number, the needed directions in plan order, and each
     # output's column keys beside its shard.
     out_dir = Path(out_dir)
-    taken: set[str] = set()
-    shards = [[out_dir / unused_name(f"{task.kind.value}.{output.direction}.tsv", taken)
+    files = Outputs([plan.path] + [task.input_path for task in plan.tasks])
+    shards = [[out_dir / files.name(f"{task.kind.value}.{output.direction}.tsv")
                for output in task.outputs] for task in plan.tasks]
     inputs: dict[Path, tuple[int, AugmentationTask, dict[Direction, None], list]] = {}
     for number, (task, paths) in enumerate(zip(plan.tasks, shards), start=1):
@@ -303,9 +302,9 @@ def run_plan(
                 f"plan task {number} ({task.kind.value} {task.input_path}): {exc}") from None
         needed.update(dict.fromkeys(task.needed))
 
-    check_not_inputs([path for paths in shards for path in paths] + [out_dir / "manifest.tsv"],
-                     filter(None, [plan.path] + [task.input_path for task in plan.tasks]))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in chain(*shards, [out_dir / "manifest.tsv"]):   # written last, so claimed last
+        files.claim(path)
+    files.start()
     counts = {path: write_shard(path, ()) for paths in shards for path in paths}
 
     for input_path, (_, task, needed, outputs) in inputs.items():

@@ -20,9 +20,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import (CorpusManifest, SentencePair, ShardEntry, check_not_inputs, check_tabs,
-                     count_lines, iter_line_chunks, read_lines, read_pairs, unused_name,
-                     write_manifest, write_shard)
+from .corpus import (CorpusManifest, Outputs, SentencePair, ShardEntry, check_tabs, count_lines,
+                     iter_line_chunks, read_lines, read_pairs, write_manifest, write_shard)
 from .errors import AlreadyTaggedError, LengthMismatchError, MTForgeError
 from .subword import SubwordTokenizer
 
@@ -202,11 +201,10 @@ def shuffle_dataset(
     Same seed, same inputs -> byte-identical output. Returns the line count.
     Lines are those of ``iter_line_chunks``, written with ``\\n`` ends.
     An ``out_path`` that is the manifest file or one of its shards raises
-    MTForgeError (``corpus.check_not_inputs``) before anything is read.
+    MTForgeError (``corpus.Outputs``) before anything is read.
     """
     rng = random.Random(seed)
-    out_path = Path(out_path)
-    check_not_inputs([out_path], manifest.files())
+    out_path = Outputs(manifest.files()).claim(out_path)
 
     total = sum(count_lines(entry.path) for entry in manifest.shards)
     n_chunks = max(1, -(-total // lines_per_chunk))
@@ -244,13 +242,13 @@ def filter_corpus(
     """Filter every shard of a manifest into ``out_dir``.
 
     Writes one filtered shard per input shard, named by its basename or, if
-    that is taken (``manifest.tsv`` always is), by ``corpus.unused_name``;
+    that is taken (``manifest.tsv`` always is), by ``corpus.Outputs.name``;
     an ``out_dir/manifest.tsv`` of the kept shards; and, when
     ``rejects_dir`` is given, per-shard reject files with a reason column.
     A ``rejects_dir`` that is ``out_dir`` (by ``os.path.samefile``, or by
     ``os.path.realpath`` while either does not exist), or an output file
     that is an input shard or the manifest file it was loaded from
-    (``corpus.check_not_inputs``), raises MTForgeError before any directory
+    (``corpus.Outputs.claim``), raises MTForgeError before any directory
     or shard is made.
     Each batch of ``_PAIRS_PER_WRITE`` pairs is appended by ``write_shard``
     once filtered, so a bad shard line raises MalformedLineError after the
@@ -270,24 +268,18 @@ def filter_corpus(
         raise MTForgeError(f"the rejects directory {rejects_dir} is the output directory "
                            f"{out_dir}: reject rows would be appended to the kept shards")
 
-    taken = {"manifest.tsv"}   # the output manifest's own name
-    names = [unused_name(Path(entry.raw_path).name, taken) for entry in manifest.shards]
-    outputs = [out_dir / name for name in names]
-    if rejects_dir is not None:
-        outputs += [rejects_dir / name for name in names]
-    outputs.append(out_dir / "manifest.tsv")   # written last, so checked last
-    check_not_inputs(outputs, manifest.files())
-    for directory in filter(None, (out_dir, rejects_dir)):
-        directory.mkdir(parents=True, exist_ok=True)
+    files = Outputs(manifest.files())
+    out_files = [files.claim(out_dir / files.name(Path(e.raw_path).name)) for e in manifest.shards]
+    rej_files = [files.claim(rejects_dir / p.name) if rejects_dir else None for p in out_files]
+    manifest_path = files.claim(out_dir / "manifest.tsv")   # written last, so claimed last
+    files.start(out_dir, rejects_dir)
 
     counts = {"kept": 0} | {f"rejected_{reason.value}": 0 for reason in RejectReason}
 
     entries: list[ShardEntry] = []
-    for entry, name in zip(manifest.shards, names):
+    for entry, out_file, rej_file in zip(manifest.shards, out_files, rej_files):
         verdicts = _shard_langid(langid_dir, entry) if langid_dir else None
         kept = 0
-        out_file = out_dir / name
-        rej_file = rejects_dir / name if rejects_dir is not None else None
         for path in filter(None, (out_file, rej_file)):
             write_shard(path, ())   # start empty; batches are appended
         pairs = read_pairs(entry)
@@ -310,10 +302,10 @@ def filter_corpus(
             if rej_file is not None:
                 write_shard(rej_file, rejected, append=True)
         counts["kept"] += kept
-        entries.append(ShardEntry(name, out_file, entry.direction, entry.origin, kept))
+        entries.append(ShardEntry(out_file.name, out_file, entry.direction, entry.origin, kept))
 
     filtered = CorpusManifest(entries, out_dir)
-    write_manifest(filtered, out_dir / "manifest.tsv")
+    write_manifest(filtered, manifest_path)
     return filtered, counts
 
 

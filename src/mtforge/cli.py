@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import augmentation, cleaning, curriculum, demo
-from .corpus import (Direction, check_not_inputs, corpus_stats, iter_line_chunks,
-                     load_manifest, read_lines, write_shard, write_table)
+from .corpus import (Direction, Outputs, corpus_stats, iter_line_chunks, load_manifest,
+                     read_lines, write_shard, write_table)
 from .errors import MTForgeError
 from .evaluation import ScoreMatrix, stream_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
@@ -72,7 +72,7 @@ def _make_translator(spec: str, directions, timeout: float | None):
 def _cmd_stats(args) -> int:
     manifest = load_manifest(args.manifest, verify=args.verify)
     if args.out:
-        check_not_inputs([Path(args.out)], manifest.files())
+        Outputs(manifest.files()).claim(args.out)
     stats = corpus_stats(manifest)
     rows = [("language", lang, n) for lang, n in stats.per_language.items()]
     rows += [("direction", d.src, d.tgt, n) for d, n in stats.per_direction.items()]
@@ -117,7 +117,7 @@ def _cmd_shuffle(args) -> int:
 
 def _cmd_sample(args) -> int:
     manifest = load_manifest(args.manifest)
-    check_not_inputs([Path(args.report)], manifest.files())
+    Outputs(manifest.files()).claim(args.report)
     seed = _resolve_seed(args)
     stats = corpus_stats(manifest)
     dist = language_distribution(stats, args.temperature)
@@ -137,7 +137,7 @@ def _cmd_bleu(args) -> int:
 
 
 def _cmd_augment_plan(args) -> int:
-    check_not_inputs([Path(args.out)], [Path(p) for p in (args.mono, args.bitext) if p])
+    Outputs([args.mono, args.bitext]).claim(args.out)
     if args.kind == "bt":
         if not args.mono or not args.langs:
             raise MTForgeError("--kind bt needs --mono and --langs")
@@ -176,7 +176,7 @@ def _cmd_augment_run(args) -> int:
 
 
 def _cmd_route_build(args) -> int:
-    check_not_inputs([Path(args.out)], [Path(args.direct), Path(args.pivot)])
+    Outputs([args.direct, args.pivot]).claim(args.out)
     direct = ScoreMatrix.load(args.direct)
     pivot = ScoreMatrix.load(args.pivot)
     table = build_routing_table(direct, pivot, args.pivot_lang)
@@ -188,7 +188,7 @@ def _cmd_route_build(args) -> int:
 
 
 def _cmd_route_translate(args) -> int:
-    check_not_inputs([Path(args.out)], [Path(args.table), Path(args.input)])
+    Outputs([args.table, args.input]).claim(args.out)
     table = RoutingTable.load(args.table)
     direction = Direction.parse(args.direction)
     directions = set(table.entries) | {direction}

@@ -152,10 +152,9 @@ class CorpusManifest:
     root: Path = Path(".")
     path: Path | None = field(default=None, compare=False)
 
-    def files(self) -> list[Path]:
-        """The manifest file, when known, and every shard path: the inputs
-        that a command checks its outputs against (``check_not_inputs``)."""
-        return [p for p in [self.path, *(e.path for e in self.shards)] if p is not None]
+    def files(self) -> list[Path | None]:
+        """The manifest file (None when built in code) and each shard: ``Outputs``' inputs."""
+        return [self.path, *(e.path for e in self.shards)]
 
     def shard(self, shard_id: str) -> ShardEntry:
         for entry in self.shards:
@@ -437,30 +436,40 @@ def write_shard(path: str | Path, columns: Sequence[Sequence[str]],
     return n
 
 
-def unused_name(name: str, taken: set[str]) -> str:
-    """``name``, or if ``taken`` holds it ``stem.N.suffix`` with the least
-    N >= 2 that it does not (``a.tsv``, ``a.2.tsv``); adds the result to
-    ``taken``. The naming rule of ``filter`` and ``augment run`` shards."""
-    path, n = Path(name), 2
-    while name in taken:
-        name, n = f"{path.stem}.{n}{path.suffix}", n + 1
-    taken.add(name)
-    return name
+class Outputs:
+    """The files that one command writes, kept apart from the ``inputs`` it
+    reads (None is none). The command claims each before its first write."""
 
+    def __init__(self, inputs: Iterable[str | Path | None]):
+        self._read: dict = {}   # the first path of each input file, by _file_id
+        for path in map(Path, filter(None, inputs)):
+            self._read.setdefault(_file_id(path), path)
+        self._names = {"manifest.tsv"}
+        self._dirs: dict[Path, None] = {}   # of the claimed files, in claim order
 
-def check_not_inputs(outputs: Iterable[Path], inputs: Iterable[Path]) -> None:
-    """Raise MTForgeError naming both paths if an output file is an input
-    file (the same file by ``os.path.samefile``; a path that does not exist
-    is none). Writing such an output would truncate its input before it is
-    read, so callers check before they write anything."""
-    read: dict[tuple[int, int], Path] = {}
-    for path in inputs:
-        if (key := _file_id(path)) is not None:
-            read.setdefault(key, path)
-    for path in outputs:
-        if (key := _file_id(path)) in read:
-            raise MTForgeError(f"output {path} is the input {read[key]}: "
+    def claim(self, path: str | Path) -> Path:
+        """``path`` as a Path; MTForgeError naming both paths if it is an input
+        file (by ``os.path.samefile``), which writing it would truncate."""
+        path = Path(path)
+        if (key := _file_id(path)) and key in self._read:
+            raise MTForgeError(f"output {path} is the input {self._read[key]}: "
                                "writing it would truncate the input")
+        self._dirs[path.parent] = None
+        return path
+
+    def name(self, name: str) -> str:
+        """``name``, or if it is taken ``stem.N.suffix`` with the least free
+        N >= 2 (``a.tsv``, ``a.2.tsv``); ``manifest.tsv`` is taken at first."""
+        path, n = Path(name), 2
+        while name in self._names:
+            name, n = f"{path.stem}.{n}{path.suffix}", n + 1
+        self._names.add(name)
+        return name
+
+    def start(self, *directories: Path | None) -> None:
+        """Make the claimed files' directories, then ``directories``."""
+        for directory in filter(None, [*self._dirs, *directories]):
+            directory.mkdir(parents=True, exist_ok=True)
 
 
 def _file_id(path: Path) -> tuple[int, int] | None:

@@ -292,7 +292,7 @@ class TestFilterCli:
         err = capsys.readouterr().err
         assert f"error: output {here / 'a.tsv'} is the input {tmp_path / 'a.tsv'}" in err
         assert {name: (tmp_path / name).read_bytes() for name in before} == before
-        # The other directory was made before the refusal and left behind, empty.
+        # The refusal comes before any directory is made, the other one too.
         assert not dirs["--rejects" if flag == "--out" else "--out"].exists()
 
     def test_output_manifest_that_is_the_input_manifest_is_refused(self, tmp_path, capsys):

@@ -289,22 +289,34 @@ class TestWriteShard:
 
 
 class TestUnusedName:
+    """``Outputs.name``: the naming rule of ``filter`` and ``augment run`` shards."""
+
+    @staticmethod
+    def _taking(*names):
+        outputs = corpus.Outputs([])
+        for name in names:
+            assert outputs.name(name) == name
+        return outputs
+
     def test_free_name_is_kept(self):
-        taken = {"b.tsv"}
-        assert corpus.unused_name("a.tsv", taken) == "a.tsv"
-        assert taken == {"a.tsv", "b.tsv"}
+        outputs = self._taking("b.tsv")
+        assert outputs.name("a.tsv") == "a.tsv"
+        assert outputs.name("a.tsv") == "a.2.tsv"   # now taken
+        assert outputs.name("b.tsv") == "b.2.tsv"
 
     def test_least_free_number_from_two(self):
-        taken = {"a.tsv", "a.3.tsv"}
-        assert [corpus.unused_name("a.tsv", taken) for _ in range(3)] == \
-            ["a.2.tsv", "a.4.tsv", "a.5.tsv"]
+        outputs = self._taking("a.tsv", "a.3.tsv")
+        assert [outputs.name("a.tsv") for _ in range(3)] == ["a.2.tsv", "a.4.tsv", "a.5.tsv"]
 
     @pytest.mark.parametrize("name, renamed", [
         ("bt.hr-en.tsv", "bt.hr-en.2.tsv"), ("shard", "shard.2"), (".hidden", ".hidden.2"),
         ("a.2.tsv", "a.2.2.tsv"),
     ])
     def test_the_number_goes_before_the_suffix(self, name, renamed):
-        assert corpus.unused_name(name, {name}) == renamed
+        assert self._taking(name).name(name) == renamed
+
+    def test_the_output_manifest_name_is_taken_from_the_start(self):
+        assert corpus.Outputs([]).name("manifest.tsv") == "manifest.2.tsv"
 
 
 _FIELD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),

@@ -397,9 +397,10 @@ def test_readers_locate_the_first_line_not_utf8(reader, read, pad, pieces):
 
 def _file_calls(source: str) -> list[tuple[str | None, str, list[str], int]]:
     """(enclosing function, callee name, modes, line number) of each call in
-    ``source``, in line order. ``modes`` are the string constants of an
-    ``open`` call's mode: ``["r"]`` without a mode, ``[]`` when no part of
-    it is a literal."""
+    ``source``, in line order. A function is named with the classes and
+    functions around it (``Outputs.start``). ``modes`` are the string
+    constants of an ``open`` call's mode: ``["r"]`` without a mode, ``[]``
+    when no part of it is a literal."""
     calls = []
 
     def visit(node, function):
@@ -413,8 +414,8 @@ def _file_calls(source: str) -> list[tuple[str | None, str, list[str], int]]:
                 modes = [n.value for n in ast.walk(mode)
                          if isinstance(n, ast.Constant) and isinstance(n.value, str)]
                 calls.append((function, name, modes, child.lineno))
-            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_def else function)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, ".".join(filter(None, (function, child.name))) if is_def else function)
 
     visit(ast.parse(source), None)
     return sorted(calls, key=lambda call: call[3])
@@ -506,6 +507,34 @@ def test_no_module_writes_outside_corpus():
         for function, _ in _text_writes(path.read_text(encoding="utf-8")):
             found[path.name, function] = found.get((path.name, function), 0) + 1
     assert found == {key: n for key, (n, _) in _ALLOWED_WRITES.items()}
+
+
+# Every call in the package that makes a directory or identifies a file,
+# by module, function and callee, with how many there are and why each is
+# allowed: what a command writes, and that it is none of the files the
+# command reads, has one owner, ``corpus.Outputs``.
+_ALLOWED_OUTPUT_CALLS = {
+    ("corpus.py", "Outputs.__init__", "_file_id"): (1, "identifies the input files"),
+    ("corpus.py", "Outputs.claim", "_file_id"): (1, "refuses an output that is an input file"),
+    ("corpus.py", "Outputs.start", "mkdir"): (1, "makes the directories of the claimed files"),
+    ("demo.py", "pipeline_demo", "mkdir"): (1, "the demo writes its own inputs: it reads none"),
+}
+
+
+def test_outputs_have_one_owner():
+    found = {}
+    for path in sorted(Path(mtforge.__file__).parent.glob("*.py")):
+        for function, name, _, _ in _file_calls(path.read_text(encoding="utf-8")):
+            if name in ("mkdir", "makedirs", "_file_id"):
+                key = path.name, function, name
+                found[key] = found.get(key, 0) + 1
+    assert found == {key: n for key, (n, _) in _ALLOWED_OUTPUT_CALLS.items()}
+
+
+def test_calls_are_named_with_their_class():
+    assert [call[:2] for call in _file_calls(
+        "class A:\n    def f(self):\n        g()\n        def h():\n            k()\nm()")] \
+        == [("A.f", "g"), ("A.f.h", "k"), (None, "m")]
 
 
 # --- save -> load round trips ------------------------------------------------

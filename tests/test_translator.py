@@ -162,6 +162,7 @@ class TestNoise:
     def test_direction_restriction(self, ciphers):
         noisy = with_noise(ciphers, 1.0, seed=3,
                            directions=[Direction("xx", "yy")])
+        assert noisy.supported_directions == ciphers.supported_directions
         clean_out = noisy.translate(["the cat"], Direction("en", "xx"))
         assert NOISE_TOKEN not in clean_out[0]
         noisy_out = noisy.translate(clean_out, Direction("xx", "yy"))
