@@ -327,8 +327,7 @@ def run_plan(
     manifest = CorpusManifest(
         [ShardEntry(path.name, path, output.direction, output.origin, counts[path])
          for task, paths in zip(plan.tasks, shards)
-         for output, path in zip(task.outputs, paths)],
-        out_dir)
+         for output, path in zip(task.outputs, paths)])
     write_manifest(manifest, out_dir / "manifest.tsv")
     return manifest
 

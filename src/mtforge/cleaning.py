@@ -195,13 +195,17 @@ def shuffle_dataset(
 ) -> int:
     """Shuffle every line of every shard into one output file.
 
-    External-memory: lines are scattered into temporary chunk files by a
-    seeded RNG, then each chunk is shuffled in memory and concatenated, so
-    peak RAM is bounded by the chunk size rather than the corpus size.
-    Same seed, same inputs -> byte-identical output. Returns the line count.
-    Lines are those of ``iter_line_chunks``, written with ``\\n`` ends.
-    An ``out_path`` that is the manifest file or one of its shards raises
-    MTForgeError (``corpus.Outputs``) before anything is read.
+    External-memory: a seeded RNG scatters the lines into temporary chunk
+    files, then each chunk is shuffled in memory and appended to the
+    output, so peak RAM is bounded by the chunk size rather than the corpus
+    size. The scatter holds each chunk's lines in a list and appends every
+    list to its chunk file once about ``lines_per_chunk`` lines are held, so
+    no more than one file is open at a time, at the price of up to about
+    n_chunks² appends. Same seed, same inputs -> byte-identical output.
+    Returns the line count. Lines are those of ``iter_line_chunks``,
+    written with ``\\n`` ends. An ``out_path`` that is the manifest file or
+    one of its shards raises MTForgeError (``corpus.Outputs``) before
+    anything is read.
     """
     rng = random.Random(seed)
     out_path = Outputs(manifest.files()).claim(out_path)
@@ -210,25 +214,30 @@ def shuffle_dataset(
     n_chunks = max(1, -(-total // lines_per_chunk))
 
     with tempfile.TemporaryDirectory(prefix="mtforge-shuffle-") as tmp:
-        chunk_paths = [Path(tmp) / f"chunk{i:05d}" for i in range(n_chunks)]
-        handles = [p.open("w", encoding="utf-8", newline="\n") for p in chunk_paths]
-        try:
-            for entry in manifest.shards:
-                for shard_lines in iter_line_chunks(entry.path, entry.shard_id):
-                    for line in shard_lines:
-                        handles[rng.randrange(n_chunks)].write(line + "\n")
-        finally:
-            for h in handles:
-                h.close()
-        written = 0
-        with out_path.open("wb") as out:
-            for p in chunk_paths:
-                with p.open("rb") as fh:
-                    lines = fh.readlines()
+        chunks = [(Path(tmp) / f"chunk{i:05d}", []) for i in range(n_chunks)]
+        held = 0
+        for entry in manifest.shards:
+            for shard_lines in iter_line_chunks(entry.path, entry.shard_id):
+                for line in shard_lines:
+                    chunks[rng.randrange(n_chunks)][1].append(line)
+                held += len(shard_lines)
+                if held >= lines_per_chunk:
+                    _append_chunks(chunks)
+                    held = 0
+        _append_chunks(chunks)
+        written = write_shard(out_path, ())
+        for path, _ in chunks:
+            if lines := read_lines(path):
                 rng.shuffle(lines)
-                out.writelines(lines)
-                written += len(lines)
+                written += write_shard(out_path, [lines], append=True)
     return written
+
+
+def _append_chunks(chunks: list[tuple[Path, list[str]]]) -> None:
+    """Append each chunk's held lines to its file, then empty the list."""
+    for path, lines in chunks:
+        write_shard(path, [lines], append=True)
+        lines.clear()
 
 
 def filter_corpus(
@@ -253,10 +262,12 @@ def filter_corpus(
     Each batch of ``_PAIRS_PER_WRITE`` pairs is appended by ``write_shard``
     once filtered, so a bad shard line raises MalformedLineError after the
     earlier batches are written. Language-id verdicts come from
-    ``langid_dir/<shard-name>.langid`` sidecars (``src<TAB>tgt`` per shard
-    line) when present; a sidecar line without exactly one tab, or a
-    sidecar whose line count differs from its shard's, raises
-    MalformedLineError or LengthMismatchError before that shard is filtered.
+    ``langid_dir/<name>.langid`` sidecars (``src<TAB>tgt`` per shard line)
+    when present, where ``<name>`` is the filtered shard's name in
+    ``out_dir`` (``a.tsv``, or ``a.2.tsv`` for a second shard named
+    ``a.tsv``); a sidecar line without exactly one tab, or a sidecar whose
+    line count differs from its shard's, raises MalformedLineError or
+    LengthMismatchError before that shard is filtered.
 
     Returns the filtered manifest and a counter of kept/rejected lines.
     """
@@ -278,7 +289,7 @@ def filter_corpus(
 
     entries: list[ShardEntry] = []
     for entry, out_file, rej_file in zip(manifest.shards, out_files, rej_files):
-        verdicts = _shard_langid(langid_dir, entry) if langid_dir else None
+        verdicts = _shard_langid(langid_dir, out_file.name, entry) if langid_dir else None
         kept = 0
         for path in filter(None, (out_file, rej_file)):
             write_shard(path, ())   # start empty; batches are appended
@@ -304,13 +315,13 @@ def filter_corpus(
         counts["kept"] += kept
         entries.append(ShardEntry(out_file.name, out_file, entry.direction, entry.origin, kept))
 
-    filtered = CorpusManifest(entries, out_dir)
+    filtered = CorpusManifest(entries)
     write_manifest(filtered, manifest_path)
     return filtered, counts
 
 
-def _shard_langid(langid_dir, entry) -> list[tuple[str, str]] | None:
-    sidecar = Path(langid_dir) / (Path(entry.raw_path).name + ".langid")
+def _shard_langid(langid_dir, name: str, entry) -> list[tuple[str, str]] | None:
+    sidecar = Path(langid_dir) / f"{name}.langid"
     if not sidecar.exists():
         return None
     lines = read_lines(sidecar)

@@ -144,12 +144,10 @@ class ShardEntry:
 
 @dataclass
 class CorpusManifest:
-    """Ordered list of corpus shards plus the directory paths resolve against,
-    and the manifest file it was read from (None when built in code), which
-    a command must not write over."""
+    """Ordered list of corpus shards, and the manifest file it was read from
+    (None when built in code), which a command must not write over."""
 
     shards: list[ShardEntry] = field(default_factory=list)
-    root: Path = Path(".")
     path: Path | None = field(default=None, compare=False)
 
     def files(self) -> list[Path | None]:
@@ -341,7 +339,7 @@ def load_manifest(path: str | Path, verify: bool = False) -> CorpusManifest:
             raise ValueError(f"shard {raw}: declared {count} lines but found {actual}")
         return ShardEntry(raw, path.parent / raw, direction, origin, count)
 
-    return CorpusManifest(read_table(path, 5, shard, ManifestError), path.parent, path)
+    return CorpusManifest(read_table(path, 5, shard, ManifestError), path)
 
 
 def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
@@ -406,9 +404,9 @@ def write_shard(path: str | Path, columns: Sequence[Sequence[str]],
     field of a row, all of one length. Row ``i`` is ``columns[j][i]`` for
     each ``j``, joined by tabs and ended by ``\\n``. The rows go after the
     file's present lines when ``append`` is set; returns the row count, and
-    no columns, ``()``, write none. Every text file but
-    ``shuffle_dataset``'s scratch chunks is written here: shards, reject
-    rows, plain lines (one column) and tables.
+    no columns, ``()``, write none. Every text file is written here:
+    shards, reject rows, plain lines (one column), tables and
+    ``shuffle_dataset``'s scratch chunks and output.
 
     Columns of unequal lengths raise ValueError before the file is opened.
     Fields are not checked (a C-level count a batch slows ``augment`` by a

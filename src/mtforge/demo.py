@@ -23,7 +23,7 @@ from .augmentation import (
     run_plan,
 )
 from .cleaning import FilterConfig, filter_corpus
-from .corpus import (CorpusManifest, Direction, OriginPool, ShardEntry, corpus_stats,
+from .corpus import (CorpusManifest, Direction, OriginPool, Outputs, ShardEntry, corpus_stats,
                      write_manifest, write_shard, write_table)
 from .evaluation import ScoreMatrix, corpus_bleu, evaluate_directions
 from .routing import build_routing_table, route_translate
@@ -73,8 +73,7 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0) -> 
     rejects = out / "rejects"
     augment_dir = out / "augment"
     reports = out / "reports"
-    for d in (raw, clean, rejects, augment_dir, reports):
-        d.mkdir(parents=True, exist_ok=True)
+    Outputs(()).start(raw, reports)   # filter_corpus and run_plan make the others
 
     rng = random.Random(seed)
     summary: list[tuple[str, str, str]] = []
@@ -114,7 +113,7 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0) -> 
                                      for lang in (xy.src, xy.tgt)])
     shards.append(ShardEntry(name, raw / name, xy, OriginPool.BITEXT, count))
 
-    raw_manifest = CorpusManifest(shards, raw)
+    raw_manifest = CorpusManifest(shards)
     write_manifest(raw_manifest, raw / "manifest.tsv")
 
     # Filter.
@@ -149,7 +148,7 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0) -> 
                    e.declared_line_count)
         for e in augmented_clean.shards
     ]
-    merged = CorpusManifest(merged_entries, out)
+    merged = CorpusManifest(merged_entries)
     write_manifest(merged, out / "merged_manifest.tsv")
 
     # Sample batches and report the composition.

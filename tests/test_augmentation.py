@@ -119,6 +119,11 @@ class TestPlanTriangulation:
         with pytest.raises(ValueError):
             plan_triangulation(bitext, new_tgt="hr")
 
+    def test_new_source_collides_with_a_side(self, tmp_path):
+        bitext = BitextCorpusRef(tmp_path / "b.tsv", Direction("hr", "hu"))
+        with pytest.raises(ValueError, match="new source 'hu' collides with the bitext sides"):
+            plan_triangulation(bitext, new_src="hu")
+
 
 class TestRunPlan:
     def test_backtranslation_preserves_authentic_side(self, mono, translator, tmp_path):

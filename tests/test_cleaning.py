@@ -151,6 +151,11 @@ class TestApplyFilters:
         with pytest.raises(ValueError):
             FilterConfig(length_ratio_limit=limit)
 
+    @pytest.mark.parametrize("limits", [{"max_words": 0}, {"max_tokens": 0}])
+    def test_word_and_token_limits_must_be_positive(self, limits):
+        with pytest.raises(ValueError, match="max_words and max_tokens must be >= 1"):
+            FilterConfig(**limits)
+
     def test_verdict_shape_enforced(self):
         with pytest.raises(ValueError):
             FilterVerdict(True, RejectReason.EMPTY, None)
@@ -352,6 +357,22 @@ class TestShuffleDataset:
         assert b"\r" not in data and data.count(b"\n") == 3
         assert sorted(data.decode().splitlines()) == ["s1\tt1", "s2\tt2", "s3\tt3"]
 
+    def test_one_file_is_open_at_a_time(self, make_corpus, tmp_path, monkeypatch):
+        # 200 one-line chunks: the scatter used to hold all 200 open at once.
+        manifest = make_corpus([("a.tsv", "hr-en", "bitext",
+                                 [(f"s{i}", f"t{i}") for i in range(200)])])
+        opened, most, path_open = [], 0, Path.open
+
+        def counting_open(path, *args, **kwargs):
+            nonlocal most
+            opened.append(fh := path_open(path, *args, **kwargs))
+            most = max(most, sum(not f.closed for f in opened))
+            return fh
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        assert shuffle_dataset(manifest, 3, tmp_path / "out.tsv", lines_per_chunk=1) == 200
+        assert len(opened) > 200 and most <= 2   # a shard, and a scratch or output file
+
 
 _LINE_TEXT = st.text(alphabet="ab \u00e9\x85\u2028", max_size=6)
 
@@ -361,8 +382,10 @@ _LINE_TEXT = st.text(alphabet="ab \u00e9\x85\u2028", max_size=6)
                        min_size=1, max_size=3),
        seed=st.integers(0, 2**32), lines_per_chunk=st.integers(1, 5))
 def test_shuffle_is_a_seeded_permutation(shards, seed, lines_per_chunk):
-    """The output holds every input line once, and the same seed gives the
-    same bytes."""
+    """The output holds every input line once, the same seed gives the same
+    bytes, and they are those of the documented algorithm: one
+    ``randrange(n_chunks)`` per line in manifest order, then one ``shuffle``
+    per chunk in chunk order."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         manifest = build_manifest(root, [(f"s{i}.tsv", "hr-en", "bitext", rows)
@@ -374,6 +397,13 @@ def test_shuffle_is_a_seeded_permutation(shards, seed, lines_per_chunk):
     assert counts == [len(expected)] * 2
     assert data[0] == data[1]
     assert sorted(data[0].decode().split("\n")[:-1]) == sorted(expected)
+    rng = random.Random(seed)
+    chunks = [[] for _ in range(max(1, -(-len(expected) // lines_per_chunk)))]
+    for line in expected:
+        chunks[rng.randrange(len(chunks))].append(line)
+    for chunk in chunks:
+        rng.shuffle(chunk)
+    assert data[0] == "".join(line + "\n" for chunk in chunks for line in chunk).encode()
 
 
 class TestFilterCorpus:
@@ -408,6 +438,24 @@ class TestFilterCorpus:
                                   tmp_path / "clean", langid_dir=langid_dir)
         assert counts["kept"] == 1
         assert counts["rejected_BadLangId"] == 1
+
+    def test_same_basename_shards_read_their_own_sidecars(self, tmp_path):
+        # The filtered names a.tsv and a.2.tsv name the sidecars, not the
+        # shared basename, which gave sub/a.tsv the sidecar of a.tsv.
+        (tmp_path / "sub").mkdir()
+        for name in ("a.tsv", "sub/a.tsv"):
+            (tmp_path / name).write_text("prva recenica\tfirst sentence\n"
+                                         "druga recenica\tsecond sentence\n", encoding="utf-8")
+        (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t2\n"
+                                        "sub/a.tsv\thu\ten\tbitext\t2\n", encoding="utf-8")
+        langid_dir = tmp_path / "langid"
+        langid_dir.mkdir()
+        (langid_dir / "a.tsv.langid").write_text("hr\ten\nde\ten\n", encoding="utf-8")
+        (langid_dir / "a.2.tsv.langid").write_text("hu\ten\nhu\ten\n", encoding="utf-8")
+        filtered, counts = filter_corpus(load_manifest(tmp_path / "m.tsv"), FilterConfig(), TOK,
+                                         tmp_path / "clean", langid_dir=langid_dir)
+        assert [e.declared_line_count for e in filtered.shards] == [1, 2]
+        assert counts["kept"] == 3 and counts["rejected_BadLangId"] == 1
 
     @pytest.mark.parametrize("sidecar_text", ["hr\ten\n", "hr\ten\nhr\ten\nhr\ten\n"])
     def test_langid_sidecar_length_must_match_shard(self, make_corpus, tmp_path,

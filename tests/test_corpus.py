@@ -30,6 +30,10 @@ class TestDirection:
         assert d.src == "hr" and d.tgt == "en"
         assert str(d) == "hr-en"
 
+    def test_parse_needs_a_dash(self):
+        with pytest.raises(ValueError, match="expected src-tgt direction, got 'hren'"):
+            Direction.parse("hren")
+
     def test_same_sides_rejected(self):
         with pytest.raises(ValueError):
             Direction("en", "en")
@@ -394,7 +398,7 @@ class TestCorpusStats:
             ("b.tsv", "en-hu", "bt", [("s", "t")] * 7),
             ("c.tsv", "hu-hr", "dual_pseudo", [("s", "t")] * 2),
         ])
-        reordered = CorpusManifest(list(reversed(manifest.shards)), manifest.root)
+        reordered = CorpusManifest(list(reversed(manifest.shards)))
         assert corpus_stats(manifest) == corpus_stats(reordered)
 
     def test_language_total_is_twice_pair_total(self, tmp_path):

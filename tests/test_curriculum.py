@@ -93,6 +93,11 @@ class TestValidateTransition:
         with pytest.raises(ValueError):
             SelectedDirections(frozenset())
 
+    @pytest.mark.parametrize("enc, dec", [(0, 12), (24, 0)])
+    def test_layer_counts_must_be_positive(self, enc, dec):
+        with pytest.raises(ValueError, match="layer counts must be >= 1"):
+            stage("a", enc=enc, dec=dec)
+
 
 class TestStageSchedule:
     def test_three_stage_ladder_valid(self):

@@ -70,8 +70,8 @@ def build_tree(root):
     _write(root, "manifest.tsv", [f"{name}\t{meta}\t{len(rows)}" for name, meta, rows in shards])
     _write(root, "miscount.tsv", ["bt.tsv\ten\thr\tbt\t9"])
     _write(root, "none.tsv", [])
-    # One sidecar is read for both a.tsv shards (by basename), one for
-    # dp.tsv, and bt.tsv has none.
+    # A sidecar is named after the filtered shard: a.tsv and dp.tsv have
+    # one, and sub/a.tsv (filtered as a.2.tsv) and bt.tsv have none.
     _write(root, "langid/a.tsv.langid", ["hr\ten"] * 4 + ["hu\ten"] + ["hr\ten"] * 7)
     _write(root, "langid/dp.tsv.langid", ["hr\thu"] * 8)
     _write(root, "bad/x.tsv", _pairs(_rows(rng, 3)))

@@ -194,6 +194,16 @@ class TestScheduler:
             scheduler_for(manifest, MixtureWeights(0.33, 0.33, 0.33))
         assert "dual_pseudo" in str(err.value)
 
+    @pytest.mark.parametrize("q, error, message", [
+        ({"hr": 1.0, "en": 0.0}, EmptyPoolError, "no direction has positive sampling weight"),
+        ({"hr": 1e200, "en": 1e200}, ValueError, "direction weights must be finite"),  # 1e400
+    ], ids=["zero", "overflow"])
+    def test_pool_needs_a_positive_finite_direction_weight(self, make_corpus, q, error,
+                                                           message):
+        manifest = make_corpus([("bx.tsv", "hr-en", "bitext", [("s", "t")])])
+        with pytest.raises(error, match=f"pool bitext: {message}"):
+            BatchScheduler(manifest, SamplingDistribution(1.0, q), MixtureWeights(1, 0, 0), 8, 0)
+
     def test_batch_size_contract(self, make_corpus):
         sched = scheduler_for(three_pool_corpus(make_corpus),
                               MixtureWeights(0.6, 0.2, 0.2), batch_size=8)

@@ -295,7 +295,7 @@ def _counted_lines(path):
 def _shuffled_lines(path):
     entry = ShardEntry("s.tsv", path, Direction("hr", "en"), OriginPool.BITEXT, 0)
     out = path.with_name("shuffled.tsv")
-    n = shuffle_dataset(CorpusManifest([entry], path.parent), 7, out)
+    n = shuffle_dataset(CorpusManifest([entry]), 7, out)
     lines = read_lines(out)
     assert n == len(lines)
     return sorted(lines)
@@ -493,9 +493,6 @@ def test_text_writes_are_found():
 # with how many there are and why each is allowed.
 _ALLOWED_WRITES = {
     ("corpus.py", "write_shard"): (1, "the one text writer"),
-    # The scatter pass keeps one handle a chunk open; writing each line
-    # through write_shard would reopen every chunk file at every read.
-    ("cleaning.py", "shuffle_dataset"): (2, "scratch chunks, and their binary concatenation"),
 }
 
 
@@ -517,7 +514,6 @@ _ALLOWED_OUTPUT_CALLS = {
     ("corpus.py", "Outputs.__init__", "_file_id"): (1, "identifies the input files"),
     ("corpus.py", "Outputs.claim", "_file_id"): (1, "refuses an output that is an input file"),
     ("corpus.py", "Outputs.start", "mkdir"): (1, "makes the directories of the claimed files"),
-    ("demo.py", "pipeline_demo", "mkdir"): (1, "the demo writes its own inputs: it reads none"),
 }
 
 
