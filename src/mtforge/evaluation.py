@@ -13,26 +13,28 @@ one chunk of lines at a time; ``corpus_bleu`` is the one-chunk case. A
 segment whose hypothesis equals its reference is tokenized once and counts
 no n-grams: a deterministic tokenizer gives both sides the same ``L``
 tokens, so order ``n`` has ``L - n + 1`` n-grams and every one of them
-matches.
+matches. Its statistics are a function of ``L`` alone, so each chunk keeps
+only the lengths of its identical segments and adds them once per distinct
+length.
 
-Any other segment's clipped matches come from two Counters. The n-grams of
-every order of the shorter side go into one Counter (tuples of different
-lengths never collide). A second Counter counts only those n-grams of the
-longer side that the first one holds. Each of its keys adds the lesser of
-its two counts to its order's matches; ``min`` is symmetric, so it does not
-matter which side was counted whole. The n-gram counts per order follow
-from the hypothesis length alone.
+Any other segment's clipped matches come from two dicts. The n-grams of
+every order of the shorter side go into one: a unigram is the token string
+itself and a higher-order n-gram a tuple, and a string never equals a
+tuple, nor a tuple one of another length. The second counts only those
+n-grams of the longer side that the first one holds, one order after the
+other. Each of its keys adds the lesser of its two counts to its order's
+matches; ``min`` is symmetric, so it does not matter which side was counted
+whole. The n-gram counts per order follow from the hypothesis length alone.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Direction, finite_float, read_table, write_table
 from .errors import EmptyCorpusError, LengthMismatchError
@@ -46,7 +48,7 @@ from .translator import (
     pivot_translate,
 )
 
-MAX_ORDER = 4
+MAX_ORDER = 4    # BLEU-4; _orders spells the four orders out
 ENGLISH = "en"   # the language the ScoreMatrix direction classes are relative to
 
 
@@ -77,7 +79,8 @@ def stream_bleu(hyp_chunks: Iterable[Sequence[str]], ref_chunks: Iterable[Sequen
     both streams have ended; it then raises LengthMismatchError with both
     counts. Only ``tokenizer.tokenize`` is called (``str.split`` when
     ``tokenizer`` is None): once for a segment whose hypothesis equals its
-    reference, twice for any other."""
+    reference, twice for any other. Such identical segments are kept as
+    token lengths until their chunk ends, then added by distinct length."""
     split = tokenizer.tokenize if tokenizer is not None else str.split
     ref_lines = chain.from_iterable(ref_chunks)
     matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
@@ -86,21 +89,23 @@ def stream_bleu(hyp_chunks: Iterable[Sequence[str]], ref_chunks: Iterable[Sequen
         refs = list(islice(ref_lines, len(hyps)))
         n_hyps += len(hyps)
         n_refs += len(refs)
+        same = []   # the token length of each identical segment
         for hyp, ref in zip(hyps, refs):
             if hyp == ref:
-                length = len(split(hyp))
-                hyp_len += length
-                ref_len += length
-                for n in range(min(length, MAX_ORDER)):
-                    matches[n] += length - n
-                    totals[n] += length - n
+                same.append(len(split(hyp)))
                 continue
             hyp_tokens = split(hyp)
             ref_tokens = split(ref)
             hyp_len += len(hyp_tokens)
             ref_len += len(ref_tokens)
             _add_clipped_matches(hyp_tokens, ref_tokens, matches, totals)
-        del hyps, refs   # before the next chunk is read
+        for length, k in Counter(same).items():
+            hyp_len += k * length
+            ref_len += k * length
+            for n in range(min(length, MAX_ORDER)):
+                matches[n] += k * (length - n)
+                totals[n] += k * (length - n)
+        del hyps, refs, same   # before the next chunk is read
     n_refs += sum(1 for _ in ref_lines)
     if n_hyps != n_refs:
         raise LengthMismatchError(f"{n_hyps} hypotheses vs {n_refs} references")
@@ -109,10 +114,11 @@ def stream_bleu(hyp_chunks: Iterable[Sequence[str]], ref_chunks: Iterable[Sequen
     return bleu_from_stats(matches, totals, hyp_len, ref_len)
 
 
-def _orders(tokens: Sequence[str]) -> list[Iterator[tuple[str, ...]]]:
-    """The n-grams of ``tokens`` for n = 1 .. MAX_ORDER, one iterator each."""
-    shifted = [tokens[i:] for i in range(MAX_ORDER)]
-    return [zip(*shifted[:n]) for n in range(1, MAX_ORDER + 1)]
+def _orders(tokens: Sequence[str]) -> list[Iterable[str | tuple[str, ...]]]:
+    """The n-grams of ``tokens`` for n = 1 .. MAX_ORDER, one iterable each:
+    the tokens themselves for n = 1, ``zip`` tuples above."""
+    t1, t2, t3 = tokens[1:], tokens[2:], tokens[3:]
+    return [tokens, zip(tokens, t1), zip(tokens, t1, t2), zip(tokens, t1, t2, t3)]
 
 
 def _add_clipped_matches(hyp_tokens: Sequence[str], ref_tokens: Sequence[str],
@@ -120,28 +126,29 @@ def _add_clipped_matches(hyp_tokens: Sequence[str], ref_tokens: Sequence[str],
     """Add one segment's clipped n-gram matches and n-gram counts per order.
 
     (a) Order ``n`` has ``len(hyp_tokens) - n + 1`` hypothesis n-grams.
-    (b) One Counter holds every order of the shorter side: tuples of
-    different lengths never collide. (c) A second Counter counts only the
-    n-grams of the longer side that (b) holds, filtered in C. (d) Each of
-    its keys adds ``min`` of its two counts, the same whichever side (b)
-    counted, to its order's matches. The chain yields the orders in turn,
-    so the keys are grouped by tuple length and ``bisect_right`` over
-    their lengths splits the sums by order.
+    (b) One dict counts every order of the shorter side in one pass: a
+    unigram is the token string, a higher order a tuple, so no two orders
+    share a key. (c) A second dict counts, one order after the other, only
+    the n-grams of the longer side that (b) holds, filtered in C; its size
+    after each order is where the next order's keys begin. (d) Each of its
+    keys adds ``min`` of its two counts, the same whichever side (b)
+    counted, to its order's matches. ``collections._count_elements``, the C
+    loop behind ``Counter``, fills the dicts without a ``Counter`` frame per
+    pass, which is measurably faster on short segments.
     """
     length = len(hyp_tokens)
     for n in range(min(length, MAX_ORDER)):
         totals[n] += length - n
     short, long = ((hyp_tokens, ref_tokens) if length <= len(ref_tokens)
                    else (ref_tokens, hyp_tokens))
-    counts = Counter(chain.from_iterable(_orders(short)))
-    common = Counter(filter(counts.__contains__, chain.from_iterable(_orders(long))))
+    counts, common, bounds = {}, {}, [0]
+    _count_elements(counts, chain.from_iterable(_orders(short)))
+    for grams in _orders(long):
+        _count_elements(common, filter(counts.__contains__, grams))
+        bounds.append(len(common))
     clipped = list(map(min, common.values(), map(counts.__getitem__, common)))
-    lengths = list(map(len, common))
-    start = 0
     for n in range(MAX_ORDER):
-        stop = bisect_right(lengths, n + 1, start)
-        matches[n] += sum(clipped[start:stop])
-        start = stop
+        matches[n] += sum(clipped[bounds[n]:bounds[n + 1]])
 
 
 def bleu_from_stats(matches: Sequence[int], totals: Sequence[int],

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from bleu_oracle import bleu_oracle, bleu_oracle_full, clipped_matches
 from greedy_oracle import greedy_oracle
-from mtforge import subword
-from mtforge.corpus import Direction
+from mtforge import corpus, subword
+from mtforge.corpus import Direction, iter_line_chunks
 from mtforge.errors import (
     EmptyCorpusError,
     LengthMismatchError,
@@ -16,9 +17,10 @@ from mtforge.errors import (
     TableError,
 )
 from mtforge.evaluation import (MAX_ORDER, ScoreMatrix, _add_clipped_matches, corpus_bleu,
-                                evaluate_directions)
+                                evaluate_directions, stream_bleu)
 from mtforge.subword import SubwordTokenizer, default_tokenizer
 from mtforge.translator import (
+    NOISE_TOKEN,
     CipherLanguage,
     Direct,
     PivotVia,
@@ -405,6 +407,89 @@ def test_clipped_matches_equal_the_oracle_at_every_order(case):
     _add_clipped_matches(hyp, ref, matches, totals)
     assert list(zip(matches, totals)) == [clipped_matches(hyp, ref, n)
                                           for n in range(1, MAX_ORDER + 1)]
+
+
+# Tokens as the subword tokenizer emits them: whole words of several
+# characters, the " " between them and the pieces "<noise>" splits into.
+# A unigram whose order were taken from its length would land in order 2
+# ("no", "is") or 3 ("the", "cat").
+_PIECES = ["the", "cat", " ", *default_tokenizer().tokenize(NOISE_TOKEN)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hyp=st.lists(st.sampled_from(_PIECES), max_size=30),
+       ref=st.lists(st.sampled_from(_PIECES), max_size=30))
+@example(hyp=["the", " ", "cat"], ref=["the", " ", "cat", " ", "the"])
+@example(hyp=["<", "no", "is", "e", ">", "no"], ref=["no", "is", "<", "no", "is", "e", ">"])
+def test_clipped_matches_of_subword_pieces_equal_the_oracle_at_every_order(hyp, ref):
+    matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
+    _add_clipped_matches(hyp, ref, matches, totals)
+    assert list(zip(matches, totals)) == [clipped_matches(hyp, ref, n)
+                                          for n in range(1, MAX_ORDER + 1)]
+
+
+def _chunks(draw, lines):
+    """``lines`` cut at drawn places into chunks, some of them empty, as a
+    one-pass iterator."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(lines)), max_size=4)))
+    bounds = [0, *cuts, len(lines)]
+    return iter([lines[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       segments=st.lists(st.tuples(_TEXT, _TEXT, st.integers(0, 3)), min_size=1, max_size=10),
+       share=st.integers(0, 4), tokenizer=st.sampled_from(sorted(_BLEU_TOKENIZERS)),
+       extra=st.lists(_TEXT, max_size=2), longer=st.sampled_from(["hyps", "refs"]))
+def test_stream_bleu_equals_corpus_bleu_and_the_oracle(data, segments, share, tokenizer,
+                                                      extra, longer):
+    """Both streams are cut into chunks independently, and a drawn share
+    (0, 1/4, ... 4/4) of the segments has hyp == ref. Every field of the
+    score equals ``corpus_bleu`` on the joined lists and the oracle's; when
+    one stream has ``extra`` lines, the error names both counts."""
+    refs = [ref for ref, _, _ in segments]
+    hyps = [ref if k < share else hyp for ref, hyp, k in segments]
+    tok = _BLEU_TOKENIZERS[tokenizer]
+    if extra:
+        hyps, refs = (hyps + extra, refs) if longer == "hyps" else (hyps, refs + extra)
+        with pytest.raises(LengthMismatchError,
+                           match=f"^{len(hyps)} hypotheses vs {len(refs)} references$"):
+            stream_bleu(_chunks(data.draw, hyps), _chunks(data.draw, refs), tok)
+        return
+    result = stream_bleu(_chunks(data.draw, hyps), _chunks(data.draw, refs), tok)
+    assert result == corpus_bleu(hyps, refs, tok)
+    assert (result.score, result.precisions, result.brevity_penalty,
+            result.hyp_len, result.ref_len) == bleu_oracle_full(
+                hyps, refs, tok.tokenize if tok else str.split)
+
+
+def _stream_peak(tmp_path, n):
+    """Peak traced memory of ``stream_bleu`` over two files of ``n`` lines;
+    every other reference equals its hypothesis, the rest add " a"."""
+    rng = random.Random(n)
+    lines = [" ".join(rng.choices("abcdefgh", k=rng.randint(3, 12))) for _ in range(n)]
+    hyp, ref = tmp_path / f"h{n}.txt", tmp_path / f"r{n}.txt"
+    hyp.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    ref.write_text("".join(f"{line} a\n" if i % 2 else f"{line}\n"
+                           for i, line in enumerate(lines)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        stream_bleu(iter_line_chunks(hyp), iter_line_chunks(ref))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_bleu_memory_does_not_grow_with_identical_segments(tmp_path, monkeypatch):
+    """The token lengths of identical segments are held one chunk at a time.
+    Reads of 1 KiB keep the fixed peak (the read buffers and one chunk of
+    each side) small enough that a length list kept over the whole stream
+    would pass the bound at 8000 lines."""
+    monkeypatch.setattr(corpus, "_BYTES_PER_READ", 1024)
+    _stream_peak(tmp_path, 200)   # one-time allocations
+    small = _stream_peak(tmp_path, 2000)
+    large = _stream_peak(tmp_path, 8000)
+    assert large < 1.5 * small
 
 
 @pytest.fixture(scope="module")
