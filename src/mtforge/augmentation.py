@@ -11,7 +11,9 @@ pool:
   * triangulation: one side of an existing (X1, Y1) bitext is translated
     into a third language, yielding (X1, Y2) or (X2, Y1).
 
-All three put an input column beside translations of it, so
+Each task names its corpus: the ``MonoCorpusRef`` or ``BitextCorpusRef``
+it was planned from, whose ``sides`` are the languages of the input's
+columns. All three put an input column beside translations of it, so
 ``run_plan`` runs them by one rule: each side of an output direction names
 the input's own column in that language, or else a needed translation into
 it. Planning is pure; ``run_plan`` does the translation and I/O. It streams
@@ -58,6 +60,10 @@ class MonoCorpusRef:
     path: Path
     lang: str
 
+    @property
+    def sides(self) -> tuple[str, ...]:
+        return (self.lang,)
+
 
 @dataclass(frozen=True)
 class BitextCorpusRef:
@@ -65,6 +71,10 @@ class BitextCorpusRef:
 
     path: Path
     direction: Direction
+
+    @property
+    def sides(self) -> tuple[str, ...]:
+        return self.direction.src, self.direction.tgt
 
 
 @dataclass(frozen=True)
@@ -75,19 +85,13 @@ class TaskOutput:
 
 @dataclass(frozen=True)
 class AugmentationTask:
+    """Translate the lines of ``corpus``, the input the task names, in the
+    ``needed`` directions and write one shard per output."""
+
     kind: TaskKind
-    input_path: Path
-    input_lang: str | None          # set for mono inputs
-    input_direction: Direction | None   # set for bitext inputs
+    corpus: MonoCorpusRef | BitextCorpusRef
     needed: tuple[Direction, ...]
     outputs: tuple[TaskOutput, ...]
-
-    @property
-    def sides(self) -> tuple[str, ...]:
-        """The languages of the input's columns, in line order."""
-        if self.input_direction is None:
-            return (self.input_lang,)
-        return self.input_direction.src, self.input_direction.tgt
 
 
 @dataclass
@@ -122,9 +126,7 @@ def plan_backtranslation(mono: MonoCorpusRef, langs: Sequence[str]) -> Augmentat
     for lang in langs:
         tasks.append(AugmentationTask(
             kind=TaskKind.BACK_TRANSLATION,
-            input_path=mono.path,
-            input_lang=mono.lang,
-            input_direction=None,
+            corpus=mono,
             needed=(Direction(mono.lang, lang),),
             outputs=(
                 TaskOutput(Direction(lang, mono.lang), OriginPool.BACK_TRANSLATION),
@@ -148,9 +150,7 @@ def plan_dual_pseudo(mono: MonoCorpusRef, pairs: Sequence[Direction]) -> Augment
     for d in pairs:
         tasks.append(AugmentationTask(
             kind=TaskKind.DUAL_PSEUDO,
-            input_path=mono.path,
-            input_lang=mono.lang,
-            input_direction=None,
+            corpus=mono,
             needed=(Direction(mono.lang, d.src), Direction(mono.lang, d.tgt)),
             outputs=(TaskOutput(d, OriginPool.DUAL_PSEUDO),),
         ))
@@ -177,9 +177,7 @@ def plan_triangulation(
             raise ValueError(f"new target {new_tgt!r} collides with the bitext sides")
         tasks.append(AugmentationTask(
             kind=TaskKind.TRIANGULATION,
-            input_path=bitext.path,
-            input_lang=None,
-            input_direction=bitext.direction,
+            corpus=bitext,
             needed=(Direction(y1, new_tgt),),
             outputs=(TaskOutput(Direction(x1, new_tgt), OriginPool.DUAL_PSEUDO),),
         ))
@@ -188,9 +186,7 @@ def plan_triangulation(
             raise ValueError(f"new source {new_src!r} collides with the bitext sides")
         tasks.append(AugmentationTask(
             kind=TaskKind.TRIANGULATION,
-            input_path=bitext.path,
-            input_lang=None,
-            input_direction=bitext.direction,
+            corpus=bitext,
             needed=(Direction(x1, new_src),),
             outputs=(TaskOutput(Direction(new_src, y1), OriginPool.DUAL_PSEUDO),),
         ))
@@ -204,18 +200,18 @@ def _task_columns(task: AugmentationTask) -> list[tuple[str | Direction, str | D
     fit its kind, or which output side names neither; a plan file may pair
     any kind with any meta and directions."""
     tri = task.kind is TaskKind.TRIANGULATION
-    if tri and (task.input_direction is None or task.input_lang is not None):
-        raise ValueError("needs a bitext input (dir=)")
-    if not tri and (task.input_lang is None or task.input_direction is not None):
-        raise ValueError("needs a monolingual input (lang=)")
+    if tri != isinstance(task.corpus, BitextCorpusRef):
+        raise ValueError("needs a bitext input (dir=)" if tri
+                         else "needs a monolingual input (lang=)")
+    sides = task.corpus.sides
     needed = 2 if task.kind is TaskKind.DUAL_PSEUDO else 1
     if len(task.needed) != needed:
         raise ValueError(f"needs {needed} needed direction(s), got {len(task.needed)}")
     if task.kind is not TaskKind.BACK_TRANSLATION and len(task.outputs) != 1:
         raise ValueError(f"needs 1 output, got {len(task.outputs)}")
-    if any(d.src not in task.sides for d in task.needed):
-        raise ValueError(f"needs directions from {' or '.join(task.sides)}")
-    keys = {d.tgt: d for d in task.needed} | dict(zip(task.sides, task.sides))
+    if any(d.src not in sides for d in task.needed):
+        raise ValueError(f"needs directions from {' or '.join(sides)}")
+    keys = {d.tgt: d for d in task.needed} | dict(zip(sides, sides))
     for output in task.outputs:
         for lang in (output.direction.src, output.direction.tgt):
             if lang not in keys:
@@ -282,24 +278,24 @@ def run_plan(
         raise UnsupportedDirectionError(
             "translator does not support: " + ", ".join(str(d) for d in missing))
 
-    # Name each task's shards in plan order. Per input, note its first task
-    # and that task's number, the needed directions in plan order, and each
-    # output's column keys beside its shard.
+    # Name each task's shards in plan order. Per input path, note the number
+    # and corpus of its first task, the needed directions in plan order, and
+    # each output's column keys beside its shard.
     out_dir = Path(out_dir)
-    files = Outputs([plan.path] + [task.input_path for task in plan.tasks])
+    files = Outputs([plan.path] + [task.corpus.path for task in plan.tasks])
     shards = [[out_dir / files.name(f"{task.kind.value}.{output.direction}.tsv")
                for output in task.outputs] for task in plan.tasks]
-    inputs: dict[Path, tuple[int, AugmentationTask, dict[Direction, None], list]] = {}
+    inputs: dict[Path, tuple[int, MonoCorpusRef | BitextCorpusRef, dict, list]] = {}
     for number, (task, paths) in enumerate(zip(plan.tasks, shards), start=1):
-        first, first_task, needed, outputs = inputs.setdefault(
-            task.input_path, (number, task, {}, []))
+        first, corpus, needed, outputs = inputs.setdefault(
+            task.corpus.path, (number, task.corpus, {}, []))
         try:
             outputs += zip(_task_columns(task), paths)
-            if task.sides != first_task.sides:
+            if task.corpus != corpus:
                 raise ValueError(f"its input meta differs from that of plan task {first}")
         except ValueError as exc:
             raise MTForgeError(
-                f"plan task {number} ({task.kind.value} {task.input_path}): {exc}") from None
+                f"plan task {number} ({task.kind.value} {task.corpus.path}): {exc}") from None
         needed.update(dict.fromkeys(task.needed))
 
     for path in chain(*shards, [out_dir / "manifest.tsv"]):   # written last, so claimed last
@@ -307,8 +303,8 @@ def run_plan(
     files.start()
     counts = {path: write_shard(path, ()) for paths in shards for path in paths}
 
-    for input_path, (_, task, needed, outputs) in inputs.items():
-        sides = task.sides
+    for input_path, (_, corpus, needed, outputs) in inputs.items():
+        sides = corpus.sides
         passes = [(side, ds) for side in sides if (ds := [d for d in needed if d.src == side])]
         line_no = 0
         for lines in iter_line_chunks(input_path):
@@ -339,8 +335,9 @@ def run_plan(
 
 def save_plan(plan: AugmentationPlan, path: str | Path) -> None:
     write_table(path, (
-        (task.kind.value, task.input_path,
-         f"lang={task.input_lang}" if task.input_lang else f"dir={task.input_direction}",
+        (task.kind.value, task.corpus.path,
+         f"lang={task.corpus.lang}" if isinstance(task.corpus, MonoCorpusRef)
+         else f"dir={task.corpus.direction}",
          ",".join(str(d) for d in task.needed),
          ",".join(f"{o.direction}:{o.origin.value}" for o in task.outputs))
         for task in plan.tasks
@@ -349,17 +346,18 @@ def save_plan(plan: AugmentationPlan, path: str | Path) -> None:
 
 def _task(kind_text, input_path, meta, needed_text, outputs_text) -> AugmentationTask:
     kind = TaskKind(kind_text)
-    if not meta.startswith(("lang=", "dir=")):
+    if meta.startswith("lang="):
+        corpus = MonoCorpusRef(Path(input_path), meta[5:])
+    elif meta.startswith("dir="):
+        corpus = BitextCorpusRef(Path(input_path), Direction.parse(meta[4:]))
+    else:
         raise ValueError(f"input_meta must start with lang= or dir=, got {meta!r}")
-    input_lang = meta[5:] if meta.startswith("lang=") else None
-    input_direction = Direction.parse(meta[4:]) if meta.startswith("dir=") else None
     needed = tuple(Direction.parse(d) for d in needed_text.split(","))
     outputs = []
     for chunk in outputs_text.split(","):
         d, _, origin = chunk.partition(":")
         outputs.append(TaskOutput(Direction.parse(d), OriginPool.parse(origin)))
-    return AugmentationTask(kind, Path(input_path), input_lang,
-                            input_direction, needed, tuple(outputs))
+    return AugmentationTask(kind, corpus, needed, tuple(outputs))
 
 
 def load_plan(path: str | Path) -> AugmentationPlan:

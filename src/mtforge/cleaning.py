@@ -20,8 +20,9 @@ from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import (CorpusManifest, Outputs, SentencePair, ShardEntry, check_tabs, count_lines,
-                     iter_line_chunks, read_lines, read_pairs, write_manifest, write_shard)
+from .corpus import (CorpusManifest, Outputs, SentencePair, ShardEntry, check_lang_code,
+                     check_tabs, count_lines, iter_line_chunks, read_lines, read_pairs,
+                     write_manifest, write_shard)
 from .errors import AlreadyTaggedError, LengthMismatchError, MTForgeError
 from .subword import SubwordTokenizer
 
@@ -52,6 +53,8 @@ class FilterConfig:
             raise ValueError("max_words and max_tokens must be >= 1")
         if not math.isfinite(self.length_ratio_limit) or self.length_ratio_limit <= 1:
             raise ValueError("length_ratio_limit must be finite and > 1")
+        for lang in self.script_rules:
+            check_lang_code(lang)
 
 
 class RejectReason(enum.Enum):

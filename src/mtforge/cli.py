@@ -24,6 +24,7 @@ from .translator import (
     CipherLanguage,
     LineProtocolTranslator,
     PivotVia,
+    check_timeout,
     derive_language_seed,
     make_cipher_translator,
 )
@@ -57,6 +58,7 @@ def _tokenizer(args) -> SubwordTokenizer:
 def _make_translator(spec: str, directions, timeout: float | None):
     """Build a translator for ``directions`` from a ``cipher:SEED`` or
     ``exec:CMD`` spec; ``timeout`` limits each call of an ``exec:`` command."""
+    check_timeout(timeout)
     if spec.startswith("cipher:"):
         seed = int(spec[len("cipher:"):])
         langs = sorted({lang for d in directions for lang in (d.src, d.tgt)} - {"en"})

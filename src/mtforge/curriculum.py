@@ -137,10 +137,9 @@ class ModelShape:
             raise ValueError("provenance must list one entry per encoder layer")
 
     @classmethod
-    def pretrained(cls, encoder_layers: int, decoder_layers: int,
-                   stage_id: str = "pretrained") -> "ModelShape":
+    def pretrained(cls, encoder_layers: int, decoder_layers: int) -> "ModelShape":
         return cls(encoder_layers, decoder_layers,
-                   tuple(Inherited(stage_id) for _ in range(encoder_layers)))
+                   tuple(Inherited("pretrained") for _ in range(encoder_layers)))
 
     def count_inherited(self) -> int:
         return sum(isinstance(p, Inherited) for p in self.layer_provenance)

@@ -39,14 +39,7 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import Direction, finite_float, read_table, write_table
 from .errors import EmptyCorpusError, LengthMismatchError
 from .subword import SubwordTokenizer, default_tokenizer
-from .translator import (
-    DecodingConfig,
-    Direct,
-    PivotVia,
-    Strategy,
-    Translator,
-    pivot_translate,
-)
+from .translator import Direct, PivotVia, Strategy, Translator, pivot_translate
 
 MAX_ORDER = 4    # BLEU-4; _orders spells the four orders out
 ENGLISH = "en"   # the language the ScoreMatrix direction classes are relative to
@@ -216,9 +209,12 @@ class ScoreMatrix:
     @classmethod
     def load(cls, path: str | Path) -> "ScoreMatrix":
         def row(src, tgt, score, p1, p2, p3, p4, bp, hyp_len, ref_len):
-            return Direction(src, tgt), BleuScore(
+            bleu = BleuScore(
                 finite_float(score), tuple(map(finite_float, (p1, p2, p3, p4))),
                 finite_float(bp), int(hyp_len), int(ref_len))
+            if bleu.hyp_len < 0 or bleu.ref_len < 0:
+                raise ValueError(f"negative length: hyp_len {hyp_len}, ref_len {ref_len}")
+            return Direction(src, tgt), bleu
         return cls(dict(read_table(path, 10, row)))
 
 
@@ -228,7 +224,6 @@ DevSet = Mapping[Direction, tuple[Sequence[str], Sequence[str]]]
 def evaluate_directions(
     translator: Translator,
     devset: DevSet,
-    config: DecodingConfig | None = None,
     strategy: Strategy = Direct(),
     tokenizer: SubwordTokenizer | None = None,
 ) -> ScoreMatrix:
@@ -245,8 +240,8 @@ def evaluate_directions(
         if isinstance(strategy, PivotVia) and strategy.lang not in (direction.src,
                                                                     direction.tgt):
             hyps = pivot_translate(translator, sources, direction.src,
-                                   direction.tgt, strategy.lang, config)
+                                   direction.tgt, strategy.lang)
         else:
-            hyps = translator.translate(sources, direction, config)
+            hyps = translator.translate(sources, direction)
         scores[direction] = corpus_bleu(hyps, references, tok)
     return ScoreMatrix(scores)

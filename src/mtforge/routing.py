@@ -15,14 +15,7 @@ from pathlib import Path
 from .corpus import Direction, check_lang_code, finite_float, read_table, write_table
 from .errors import DirectionSetMismatchError, MTForgeError, UnknownDirectionError
 from .evaluation import ScoreMatrix
-from .translator import (
-    DecodingConfig,
-    Direct,
-    PivotVia,
-    Strategy,
-    Translator,
-    pivot_translate,
-)
+from .translator import Direct, PivotVia, Strategy, Translator, pivot_translate
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,6 @@ def route_translate(
     table: RoutingTable,
     sentences,
     direction: Direction,
-    config: DecodingConfig | None = None,
 ) -> list[str]:
     """Translate through whichever strategy the table chose for a direction."""
     entry = table.entries.get(direction)
@@ -107,5 +99,5 @@ def route_translate(
         raise UnknownDirectionError(f"no routing entry for {direction}")
     if isinstance(entry.strategy, PivotVia):
         return pivot_translate(translator, sentences, direction.src,
-                               direction.tgt, entry.strategy.lang, config)
-    return translator.translate(sentences, direction, config)
+                               direction.tgt, entry.strategy.lang)
+    return translator.translate(sentences, direction)

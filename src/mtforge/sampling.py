@@ -19,7 +19,7 @@ import weakref
 from array import array
 from bisect import bisect
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 from pathlib import Path
 from types import MappingProxyType
@@ -117,7 +117,7 @@ class MixtureWeights:
 @dataclass
 class Batch:
     pairs: list[SentencePair]
-    composition: dict[tuple[str, OriginPool], int] = field(default_factory=dict)
+    composition: dict[tuple[str, OriginPool], int]
 
 
 def language_distribution(stats: LanguageStats, temperature: float) -> SamplingDistribution:
@@ -282,7 +282,6 @@ class BatchScheduler:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
-        self.weights = weights
         self._rng = random.Random(seed)
 
         with ExitStack() as stack:

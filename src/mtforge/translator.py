@@ -105,9 +105,9 @@ class Translator(abc.ABC):
 class CipherLanguage:
     """A seeded token bijection standing in for one language.
 
-    ``token_map`` maps vocabulary words to pseudo-words. Out-of-vocabulary
-    tokens are wrapped in angle-bracket markers so decoding can restore them
-    exactly, keeping every round trip lossless.
+    ``token_map`` maps vocabulary words (``COMMON_WORDS`` for ``from_seed``) to
+    pseudo-words. Out-of-vocabulary tokens are wrapped in angle-bracket markers
+    so decoding can restore them exactly, keeping every round trip lossless.
     """
 
     lang: str
@@ -123,12 +123,11 @@ class CipherLanguage:
         object.__setattr__(self, "_decode", decode)
 
     @classmethod
-    def from_seed(cls, lang: str, seed: int,
-                  vocabulary: Sequence[str] = tuple(COMMON_WORDS)) -> "CipherLanguage":
+    def from_seed(cls, lang: str, seed: int) -> "CipherLanguage":
         rng = random.Random(seed)
-        taken = set(vocabulary)
+        taken = set(COMMON_WORDS)
         mapping: dict[str, str] = {}
-        for word in vocabulary:
+        for word in COMMON_WORDS:
             while True:
                 n = rng.randint(2, 4)
                 pseudo = "".join(rng.choice(_CONSONANTS) + rng.choice(_VOWELS)
@@ -292,6 +291,13 @@ def check_noise_rate(rate: float) -> float:
     return rate
 
 
+def check_timeout(timeout: float | None) -> float | None:
+    """``timeout``, or ValueError unless it is None or in (0, inf) (NaN is not)."""
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
+    return timeout
+
+
 class NoisyTranslator(Translator):
     """Wraps a translator, corrupting output tokens at a fixed rate.
 
@@ -360,14 +366,13 @@ def pivot_translate(
     src: str,
     tgt: str,
     pivot: str,
-    config: DecodingConfig | None = None,
 ) -> list[str]:
     """Translate src->pivot->tgt in two hops."""
     if pivot in (src, tgt):
         raise UnsupportedDirectionError(
             f"pivot {pivot!r} must differ from both endpoints {src!r}, {tgt!r}")
-    mid = translator.translate(sentences, Direction(src, pivot), config)
-    return translator.translate(mid, Direction(pivot, tgt), config)
+    mid = translator.translate(sentences, Direction(src, pivot))
+    return translator.translate(mid, Direction(pivot, tgt))
 
 
 class LineProtocolTranslator(Translator):
@@ -385,11 +390,9 @@ class LineProtocolTranslator(Translator):
 
     def __init__(self, command: str | Sequence[str], directions: Iterable[Direction],
                  timeout: float | None = None):
-        if timeout is not None and not 0 < timeout < math.inf:
-            raise ValueError(f"timeout must be a positive number of seconds, got {timeout!r}")
+        self._timeout = check_timeout(timeout)
         self._command = shlex.split(command) if isinstance(command, str) else list(command)
         self._supported = frozenset(directions)
-        self._timeout = timeout
 
     @property
     def supported_directions(self) -> frozenset[Direction]:

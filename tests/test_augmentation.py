@@ -314,9 +314,10 @@ class TestTaskKindChecks:
                                                  kind, meta, needed, outputs, problem):
         bitext = tmp_path / "b.tsv"
         bitext.write_text("hr words\thu words\n", encoding="utf-8")
-        lang, direction = (meta, None) if isinstance(meta, str) else (None, meta)
+        ref = MonoCorpusRef(bitext, meta) if isinstance(meta, str) \
+            else BitextCorpusRef(bitext, meta)
         task = AugmentationTask(
-            kind, bitext, lang, direction, tuple(map(Direction.parse, needed)),
+            kind, ref, tuple(map(Direction.parse, needed)),
             tuple(TaskOutput(Direction.parse(d), OriginPool.DUAL_PSEUDO) for d in outputs))
         plan = plan_backtranslation(mono, ["hr"]).extend(AugmentationPlan([task]))
         out = tmp_path / "out"
@@ -432,8 +433,8 @@ class TestStreaming:
         assert _outputs(mixed_plan, _Recorder(translator), tmp_path / "translate") == cipher
         recorder = _ManyRecorder(translator)
         assert _outputs(mixed_plan, recorder, tmp_path / "many") == cipher
-        mono_chunks = list(corpus.iter_line_chunks(mixed_plan.tasks[0].input_path))
-        bitext_chunks = list(corpus.iter_line_chunks(mixed_plan.tasks[-1].input_path))
+        mono_chunks = list(corpus.iter_line_chunks(mixed_plan.tasks[0].corpus.path))
+        bitext_chunks = list(corpus.iter_line_chunks(mixed_plan.tasks[-1].corpus.path))
         assert len(mono_chunks) > 1 and len(bitext_chunks) > 1
         # One call per input side per chunk: the mono column for all en->X
         # passes, and each bitext side for the hops that start from it.

@@ -156,6 +156,11 @@ class TestApplyFilters:
         with pytest.raises(ValueError, match="max_words and max_tokens must be >= 1"):
             FilterConfig(**limits)
 
+    @pytest.mark.parametrize("lang", ["HR", "sr-Latn", ""])
+    def test_script_rule_keys_must_be_language_codes(self, lang):
+        with pytest.raises(ValueError, match="invalid language code"):
+            FilterConfig(script_rules={"hr": "Latin", lang: "Latin"})
+
     def test_verdict_shape_enforced(self):
         with pytest.raises(ValueError):
             FilterVerdict(True, RejectReason.EMPTY, None)

@@ -58,6 +58,9 @@ class TestUsageErrors:
         pytest.param(["filter", "--manifest", "manifest.tsv", "--out", "out",
                       "--script", "sr"], "--script expects lang=Script, got 'sr'",
                      id="filter-script-without-equals"),
+        pytest.param(["filter", "--manifest", "manifest.tsv", "--out", "out",
+                      "--script", "HR=latn"], "invalid language code: 'HR'",
+                     id="filter-script-key-not-a-language-code"),
         pytest.param(PLAN + ["bt", "--mono", "mono.txt"], "--kind bt needs --mono and --langs",
                      id="plan-bt-without-langs"),
         pytest.param(PLAN + ["bt", "--langs", "hr"], "--kind bt needs --mono and --langs",
@@ -654,16 +657,27 @@ class TestAugmentCli:
         assert (out / "bt.hr-en.tsv").read_bytes() == b""
         assert not (out / "manifest.tsv").exists()
 
-    def test_timeout_must_be_positive_and_finite(self, tmp_path, capsys):
+    @pytest.mark.parametrize("timeout", ["nan", "-5", "inf"])
+    @pytest.mark.parametrize("translator", ["cipher:1", "exec:/nonexistent-binary"])
+    @pytest.mark.parametrize("command", ["augment run", "route translate"])
+    def test_timeout_must_be_positive_and_finite(self, tmp_path, capsys,
+                                                 command, translator, timeout):
         mono = tmp_path / "mono.en.txt"
         mono.write_text("hello\n", encoding="utf-8")
         plan_path = tmp_path / "plan.tsv"
         main(["augment", "plan", "--kind", "bt", "--mono", str(mono),
               "--langs", "de", "--out", str(plan_path)])
-        rc = main(["augment", "run", "--plan", str(plan_path), "--timeout", "nan",
-                   "--translator", "exec:/nonexistent-binary", "--out", str(tmp_path / "aug")])
+        table = tmp_path / "table.tsv"
+        table.write_text("en\tde\tdirect\ten\t10.0\t12.0\n", encoding="utf-8")
+        inputs = {"augment run": ["--plan", str(plan_path)],
+                  "route translate": ["--table", str(table), "--direction", "en-de",
+                                      "--input", str(mono)]}
+        out = tmp_path / "out"
+        rc = main([*command.split(), *inputs[command], f"--timeout={timeout}",
+                   "--translator", translator, "--out", str(out)])
         assert rc == 1
         assert "timeout must be a positive number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRouteCli:

@@ -22,6 +22,8 @@ from mtforge import corpus, sampling
 from mtforge.augmentation import (
     AugmentationPlan,
     AugmentationTask,
+    BitextCorpusRef,
+    MonoCorpusRef,
     TaskKind,
     TaskOutput,
     load_plan,
@@ -115,18 +117,19 @@ def test_loader_errors_are_located(tmp_path, fmt, case):
         assert isinstance(err.value, ManifestError)
 
 
-@pytest.mark.parametrize("row", [
-    "hr\ten\tnan\t0.5\t0.4\t0.3\t0.2\t1.0\t10\t11",
-    "hr\ten\t12.5\t0.5\tinf\t0.3\t0.2\t1.0\t10\t11",
-    "hr\ten\t12.5\t0.5\t0.4\t0.3\t0.2\t-inf\t10\t11",
+@pytest.mark.parametrize("row, reason", [
+    ("hr\ten\tnan\t0.5\t0.4\t0.3\t0.2\t1.0\t10\t11", "not a finite number"),
+    ("hr\ten\t12.5\t0.5\tinf\t0.3\t0.2\t1.0\t10\t11", "not a finite number"),
+    ("hr\ten\t12.5\t0.5\t0.4\t0.3\t0.2\t-inf\t10\t11", "not a finite number"),
+    ("hr\ten\t12.5\t0.5\t0.4\t0.3\t0.2\t1.0\t-5\t-7", "negative length"),
 ])
-def test_score_matrix_rejects_non_finite(tmp_path, row):
+def test_score_matrix_rejects_non_finite(tmp_path, row, reason):
     path = tmp_path / "scores.tsv"
     path.write_text(f"{GOOD_ROWS['scores'].replace('hr', 'hu')}\n{row}\n", encoding="utf-8")
     with pytest.raises(TableError) as err:
         ScoreMatrix.load(path)
     assert (err.value.path, err.value.line_no) == (path, 2)
-    assert "not a finite number" in err.value.reason
+    assert reason in err.value.reason
 
 
 @pytest.mark.parametrize("direct, pivot", [("nan", "12.0"), ("10.0", "inf"), ("-inf", "NaN")])
@@ -180,7 +183,7 @@ def test_write_table_rejects_rows_that_would_not_read_back(tmp_path, row):
 
 
 def test_save_plan_rejects_tab_in_input_path(tmp_path):
-    task = AugmentationTask(TaskKind.BACK_TRANSLATION, Path("mono\tcopy.txt"), "en", None,
+    task = AugmentationTask(TaskKind.BACK_TRANSLATION, MonoCorpusRef(Path("mono\tcopy.txt"), "en"),
                             (Direction("en", "hr"),),
                             (TaskOutput(Direction("hr", "en"), OriginPool.BACK_TRANSLATION),))
     with pytest.raises(TableError, match="mono\\\\tcopy"):
@@ -586,10 +589,10 @@ def test_routing_table_round_trip(pivot, data):
 
 
 _TASKS = st.builds(
-    lambda kind, path, meta, needed, outputs: AugmentationTask(
-        kind, Path(path), *meta, tuple(needed), tuple(outputs)),
-    st.sampled_from(TaskKind), _FIELD,
-    st.one_of(_LANGS.map(lambda lang: (lang, None)), _DIRECTIONS.map(lambda d: (None, d))),
+    lambda kind, ref, needed, outputs: AugmentationTask(kind, ref, tuple(needed), tuple(outputs)),
+    st.sampled_from(TaskKind),
+    st.one_of(st.builds(MonoCorpusRef, _FIELD.map(Path), _LANGS),
+              st.builds(BitextCorpusRef, _FIELD.map(Path), _DIRECTIONS)),
     st.lists(_DIRECTIONS, min_size=1, max_size=3),
     st.lists(st.builds(TaskOutput, _DIRECTIONS, st.sampled_from(OriginPool)),
              min_size=1, max_size=3))
