@@ -20,7 +20,6 @@ from .augmentation import (
 )
 from .cleaning import (
     FilterConfig,
-    FilterVerdict,
     RejectReason,
     apply_filters,
     filter_corpus,

@@ -1,7 +1,8 @@
 """Corpus cleaning: the filter ladder, language tagging, token truncation,
 and a seeded external-memory shuffle.
 
-Filter checks run in a fixed order so rejection reasons are deterministic:
+``apply_filters`` returns the kept pair, or the RejectReason of the first
+check that fails in this fixed order, so rejection reasons are deterministic:
 Empty -> BadLangId -> TooLong -> ContainsUnk -> WrongScript -> RatioExceeded.
 Word limits apply to whitespace-separated words; the ratio and truncation
 limits apply to subword tokens. The ratio is checked before truncation.
@@ -66,17 +67,6 @@ class RejectReason(enum.Enum):
     RATIO_EXCEEDED = "RatioExceeded"
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
-    kept: bool
-    reason: RejectReason | None = None
-    transformed: SentencePair | None = None
-
-    def __post_init__(self):
-        if self.kept != (self.reason is None) or self.kept != (self.transformed is not None):
-            raise ValueError("kept verdicts carry a pair, rejected ones a reason")
-
-
 def _script_prefix(name: str) -> str:
     return _SCRIPT_PREFIXES.get(name.strip().lower(), name.strip().upper())
 
@@ -100,8 +90,8 @@ def apply_filters(
     cfg: FilterConfig,
     tokenizer: SubwordTokenizer,
     langid: tuple[str, str] | None = None,
-) -> FilterVerdict:
-    """Run the filter ladder on one pair.
+) -> SentencePair | RejectReason:
+    """Return the pair kept by the filter ladder, or the reason it is rejected.
 
     ``langid`` is an externally supplied (source, target) language verdict;
     the toolkit itself does no language identification. A kept pair with no
@@ -111,34 +101,34 @@ def apply_filters(
     truncation would leave a side blank is rejected as TooLong.
     """
     if not pair.source.strip() or not pair.target.strip():
-        return FilterVerdict(False, RejectReason.EMPTY)
+        return RejectReason.EMPTY
 
     if langid is None:
         if cfg.langid_required:
-            return FilterVerdict(False, RejectReason.BAD_LANGID)
+            return RejectReason.BAD_LANGID
     elif langid != (pair.direction.src, pair.direction.tgt):
-        return FilterVerdict(False, RejectReason.BAD_LANGID)
+        return RejectReason.BAD_LANGID
 
     src_words = pair.source.split()
     tgt_words = pair.target.split()
     if len(src_words) > cfg.max_words or len(tgt_words) > cfg.max_words:
-        return FilterVerdict(False, RejectReason.TOO_LONG)
+        return RejectReason.TOO_LONG
 
     if cfg.unk_token in src_words or cfg.unk_token in tgt_words:
-        return FilterVerdict(False, RejectReason.CONTAINS_UNK)
+        return RejectReason.CONTAINS_UNK
 
     for text, lang in ((pair.source, pair.direction.src), (pair.target, pair.direction.tgt)):
         script = cfg.script_rules.get(lang)
         if script and _majority_outside_script(text, script):
-            return FilterVerdict(False, RejectReason.WRONG_SCRIPT)
+            return RejectReason.WRONG_SCRIPT
 
     src_tokens = tokenizer.tokenize(pair.source)
     tgt_tokens = tokenizer.tokenize(pair.target)
     n_src, n_tgt = len(src_tokens), len(tgt_tokens)
     if max(n_src, n_tgt) / min(n_src, n_tgt) > cfg.length_ratio_limit:
-        return FilterVerdict(False, RejectReason.RATIO_EXCEEDED)
+        return RejectReason.RATIO_EXCEEDED
     if n_src <= cfg.max_tokens and n_tgt <= cfg.max_tokens:
-        return FilterVerdict(True, transformed=pair)
+        return pair
 
     source = _truncate(pair.source, src_tokens, tokenizer, cfg.max_tokens)
     target = _truncate(pair.target, tgt_tokens, tokenizer, cfg.max_tokens)
@@ -146,8 +136,8 @@ def apply_filters(
         # The cut kept nothing but whitespace (e.g. it backed off past
         # combining marks to zero tokens): no non-blank prefix that ends on
         # a grapheme boundary fits in max_tokens.
-        return FilterVerdict(False, RejectReason.TOO_LONG)
-    return FilterVerdict(True, transformed=pair._replace(source=source, target=target))
+        return RejectReason.TOO_LONG
+    return pair._replace(source=source, target=target)
 
 
 def language_tag(direction) -> str:
@@ -302,16 +292,16 @@ def filter_corpus(
             rejected = ([], [], [])   # source, target, reason
             for pair in batch:
                 langid = verdicts[pair.line_no - 1] if verdicts is not None else None
-                verdict = apply_filters(pair, cfg, tokenizer, langid)
-                if verdict.kept:
-                    sources.append(verdict.transformed.source)
-                    targets.append(verdict.transformed.target)
-                else:
-                    reason = verdict.reason.value
+                result = apply_filters(pair, cfg, tokenizer, langid)
+                if type(result) is RejectReason:
+                    reason = result.value
                     counts[f"rejected_{reason}"] += 1
                     rejected[0].append(pair.source)
                     rejected[1].append(pair.target)
                     rejected[2].append(reason)
+                else:
+                    sources.append(result.source)
+                    targets.append(result.target)
             kept += write_shard(out_file, (sources, targets), append=True)
             if rej_file is not None:
                 write_shard(rej_file, rejected, append=True)

@@ -13,12 +13,13 @@ import sys
 from pathlib import Path
 
 from . import augmentation, cleaning, curriculum, demo
-from .corpus import (Direction, Outputs, corpus_stats, iter_line_chunks, load_manifest,
-                     read_lines, write_shard, write_table)
+from .corpus import (Direction, Outputs, check_lang_code, corpus_stats, iter_line_chunks,
+                     load_manifest, read_lines, write_shard, write_table)
 from .errors import MTForgeError
 from .evaluation import ScoreMatrix, stream_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
-from .sampling import BatchScheduler, MixtureWeights, language_distribution, write_composition
+from .sampling import (BatchScheduler, MixtureWeights, check_temperature, language_distribution,
+                       write_composition)
 from .subword import SubwordTokenizer, default_tokenizer
 from .translator import (
     CipherLanguage,
@@ -49,16 +50,9 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _tokenizer(args) -> SubwordTokenizer:
-    if getattr(args, "vocab", None):
-        return SubwordTokenizer.from_file(args.vocab)
-    return default_tokenizer()
-
-
 def _make_translator(spec: str, directions, timeout: float | None):
     """Build a translator for ``directions`` from a ``cipher:SEED`` or
     ``exec:CMD`` spec; ``timeout`` limits each call of an ``exec:`` command."""
-    check_timeout(timeout)
     if spec.startswith("cipher:"):
         seed = int(spec[len("cipher:"):])
         langs = sorted({lang for d in directions for lang in (d.src, d.tgt)} - {"en"})
@@ -86,7 +80,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    manifest = load_manifest(args.manifest)
     script_rules = {}
     for rule in args.script or []:
         lang, _, script = rule.partition("=")
@@ -101,8 +94,10 @@ def _cmd_filter(args) -> int:
         script_rules=script_rules,
         langid_required=args.langid_required,
     )
+    manifest = load_manifest(args.manifest)
+    tokenizer = SubwordTokenizer.from_file(args.vocab) if args.vocab else default_tokenizer()
     _, counts = cleaning.filter_corpus(
-        manifest, cfg, _tokenizer(args), args.out,
+        manifest, cfg, tokenizer, args.out,
         rejects_dir=args.rejects, langid_dir=args.langid)
     for key in sorted(counts):
         print(f"{key}\t{counts[key]}")
@@ -118,12 +113,13 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    weights = MixtureWeights.parse(args.mixture)
+    check_temperature(args.temperature)
     manifest = load_manifest(args.manifest)
     Outputs(manifest.files()).claim(args.report)
     seed = _resolve_seed(args)
     stats = corpus_stats(manifest)
     dist = language_distribution(stats, args.temperature)
-    weights = MixtureWeights.parse(args.mixture)
     with BatchScheduler(manifest, dist, weights, args.batch_size, seed) as scheduler:
         write_composition(scheduler, args.batches, args.report)
     print(f"batches\t{args.batches}")
@@ -170,6 +166,7 @@ def _cmd_augment_plan(args) -> int:
 
 
 def _cmd_augment_run(args) -> int:
+    check_timeout(args.timeout)
     plan = augmentation.load_plan(args.plan)
     translator = _make_translator(args.translator, plan.needed_directions, args.timeout)
     manifest = augmentation.run_plan(plan, translator, None, args.out)
@@ -178,6 +175,7 @@ def _cmd_augment_run(args) -> int:
 
 
 def _cmd_route_build(args) -> int:
+    check_lang_code(args.pivot_lang)
     Outputs([args.direct, args.pivot]).claim(args.out)
     direct = ScoreMatrix.load(args.direct)
     pivot = ScoreMatrix.load(args.pivot)
@@ -190,9 +188,10 @@ def _cmd_route_build(args) -> int:
 
 
 def _cmd_route_translate(args) -> int:
+    check_timeout(args.timeout)
+    direction = Direction.parse(args.direction)
     Outputs([args.table, args.input]).claim(args.out)
     table = RoutingTable.load(args.table)
-    direction = Direction.parse(args.direction)
     directions = set(table.entries) | {direction}
     if table.pivot_lang not in (direction.src, direction.tgt):
         directions.add(Direction(direction.src, table.pivot_lang))
@@ -343,7 +342,3 @@ def main(argv=None) -> int:
         detail = f"{exc.strerror}: {name}" if name else str(exc)
         print(f"io error: {detail}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -36,6 +36,13 @@ _NOT_TAB_OR_LF = bytes(b for b in range(256) if b not in b"\t\n")
 _I_OFFSET_LIMIT = 1 << 32
 
 
+def check_temperature(temperature: float) -> float:
+    """``temperature``, or ValueError unless it is in (0, inf) (NaN is not)."""
+    if not 0 < temperature < math.inf:
+        raise ValueError("temperature must be positive and finite")
+    return temperature
+
+
 @dataclass(frozen=True)
 class SamplingDistribution:
     """Temperature-rescaled language probabilities.
@@ -54,8 +61,7 @@ class SamplingDistribution:
         # bypass these checks or split ``q`` from ``sample``'s weights.
         q = MappingProxyType(dict(self.q))
         object.__setattr__(self, "q", q)
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError("temperature must be positive and finite")
+        check_temperature(self.temperature)
         if not all(math.isfinite(v) and v >= 0 for v in q.values()):
             raise ValueError("language probabilities must be finite and non-negative")
         if not 0 < sum(q.values()) < math.inf:
@@ -126,8 +132,7 @@ def language_distribution(stats: LanguageStats, temperature: float) -> SamplingD
     invariant under a common scaling of all counts. Languages with zero count
     get zero probability (they are dropped).
     """
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError("temperature must be positive and finite")
+    check_temperature(temperature)
     positive = {l: c for l, c in stats.per_language.items() if c > 0}
     if not positive:
         raise ValueError("no language has a positive sentence count")

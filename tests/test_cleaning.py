@@ -11,7 +11,6 @@ from conftest import build_manifest
 from mtforge import cleaning
 from mtforge.cleaning import (
     FilterConfig,
-    FilterVerdict,
     RejectReason,
     apply_filters,
     filter_corpus,
@@ -41,9 +40,9 @@ class TestProvenanceKept:
 
     def test_apply_filters(self):
         verdict = apply_filters(self.PAIR, FilterConfig(max_tokens=3), TOK)
-        assert verdict.kept and type(verdict.transformed) is SentencePair
-        assert verdict.transformed.source != self.PAIR.source   # truncated
-        assert self.provenance(verdict.transformed) == self.provenance(self.PAIR)
+        assert type(verdict) is SentencePair
+        assert verdict.source != self.PAIR.source   # truncated
+        assert self.provenance(verdict) == self.provenance(self.PAIR)
 
     def test_prefix_language_tag(self):
         tagged = prefix_language_tag(self.PAIR)
@@ -57,89 +56,90 @@ class TestApplyFilters:
     def test_too_long_source(self):
         p = pair(" ".join(["word"] * 1025), "short")
         verdict = apply_filters(p, FilterConfig(), TOK)
-        assert not verdict.kept and verdict.reason is RejectReason.TOO_LONG
+        assert verdict is RejectReason.TOO_LONG
 
     def test_at_word_limit_kept(self):
         p = pair(" ".join(["w"] * 1024), "w " * 5)
         cfg = FilterConfig(max_tokens=5000, length_ratio_limit=2000.0)
-        assert apply_filters(p, cfg, TOK).kept
+        assert isinstance(apply_filters(p, cfg, TOK), SentencePair)
 
     def test_latin_serbian_rejected(self):
         cfg = FilterConfig(script_rules={"sr": "Cyrillic"})
         p = pair("ovo je potpuno latinicno", "this is latin", direction="sr-en")
         verdict = apply_filters(p, cfg, TOK)
-        assert verdict.reason is RejectReason.WRONG_SCRIPT
+        assert verdict is RejectReason.WRONG_SCRIPT
 
     def test_cyrillic_serbian_kept(self):
         cfg = FilterConfig(script_rules={"sr": "Cyrl"})
         p = pair("ово је ћирилица",
                  "this is fine", direction="sr-en")
-        assert apply_filters(p, cfg, TOK).kept
+        assert isinstance(apply_filters(p, cfg, TOK), SentencePair)
 
     def test_mixed_script_majority_rule(self):
         # one Latin name inside a Cyrillic sentence stays below the majority
         cfg = FilterConfig(script_rules={"sr": "Cyrl"})
         p = pair("прича о граду Nis",
                  "a story about Nis", direction="sr-en")
-        assert apply_filters(p, cfg, TOK).kept
+        assert isinstance(apply_filters(p, cfg, TOK), SentencePair)
 
     def test_unk_in_target(self):
         p = pair("clean source", "bad [UNK] target")
         verdict = apply_filters(p, FilterConfig(), TOK)
-        assert verdict.reason is RejectReason.CONTAINS_UNK
+        assert verdict is RejectReason.CONTAINS_UNK
 
     def test_unk_must_be_whole_token(self):
         p = pair("clean source", "weird[UNK]glued target word")
-        assert apply_filters(p, FilterConfig(), TOK).kept
+        assert isinstance(apply_filters(p, FilterConfig(), TOK), SentencePair)
 
     def test_ratio_exceeded(self):
         # unknown single words tokenize to one piece per character
         p = pair("a" * 10, "b" * 31)
         cfg = FilterConfig(length_ratio_limit=3.0)
         verdict = apply_filters(p, cfg, TOK)
-        assert verdict.reason is RejectReason.RATIO_EXCEEDED
+        assert verdict is RejectReason.RATIO_EXCEEDED
 
     def test_ratio_at_limit_kept(self):
         p = pair("a" * 10, "b" * 30)
-        assert apply_filters(p, FilterConfig(length_ratio_limit=3.0), TOK).kept
+        verdict = apply_filters(p, FilterConfig(length_ratio_limit=3.0), TOK)
+        assert isinstance(verdict, SentencePair)
 
     def test_identical_sides_kept_unchanged(self):
         p = pair("w x y z q", "w x y z q")
         verdict = apply_filters(p, FilterConfig(length_ratio_limit=1.5), TOK)
-        assert verdict.kept and verdict.transformed == p
+        assert isinstance(verdict, SentencePair) and verdict == p
 
     def test_empty_side(self):
         verdict = apply_filters(pair("  ", "target"), FilterConfig(), TOK)
-        assert verdict.reason is RejectReason.EMPTY
+        assert verdict is RejectReason.EMPTY
 
     def test_langid_mismatch(self):
         verdict = apply_filters(pair("s", "t"), FilterConfig(), TOK,
                                 langid=("de", "en"))
-        assert verdict.reason is RejectReason.BAD_LANGID
+        assert verdict is RejectReason.BAD_LANGID
 
     def test_langid_match(self):
-        assert apply_filters(pair("s", "t"), FilterConfig(), TOK,
-                             langid=("hr", "en")).kept
+        verdict = apply_filters(pair("s", "t"), FilterConfig(), TOK, langid=("hr", "en"))
+        assert isinstance(verdict, SentencePair)
 
     def test_langid_required_but_missing(self):
         cfg = FilterConfig(langid_required=True)
-        assert apply_filters(pair("s", "t"), cfg, TOK).reason is RejectReason.BAD_LANGID
+        assert apply_filters(pair("s", "t"), cfg, TOK) is RejectReason.BAD_LANGID
 
     def test_check_order_empty_before_langid(self):
         cfg = FilterConfig(langid_required=True)
-        assert apply_filters(pair("", ""), cfg, TOK).reason is RejectReason.EMPTY
+        assert apply_filters(pair("", ""), cfg, TOK) is RejectReason.EMPTY
 
     def test_check_order_too_long_before_unk(self):
         p = pair(" ".join(["w"] * 1025), "[UNK]")
-        assert apply_filters(p, FilterConfig(), TOK).reason is RejectReason.TOO_LONG
+        assert apply_filters(p, FilterConfig(), TOK) is RejectReason.TOO_LONG
 
     def test_kept_pairs_truncated(self):
         cfg = FilterConfig(max_tokens=4, length_ratio_limit=3.0)
         p = pair("abcd efgh", "abcd efg")  # 9 vs 8 char-fallback tokens
         verdict = apply_filters(p, cfg, TOK)
-        assert verdict.kept
-        assert len(TOK.tokenize(verdict.transformed.source)) <= 4
-        assert len(TOK.tokenize(verdict.transformed.target)) <= 4
+        assert isinstance(verdict, SentencePair)
+        assert len(TOK.tokenize(verdict.source)) <= 4
+        assert len(TOK.tokenize(verdict.target)) <= 4
 
     def test_deterministic(self):
         p = pair("x" * 10, "y" * 25)
@@ -160,10 +160,6 @@ class TestApplyFilters:
     def test_script_rule_keys_must_be_language_codes(self, lang):
         with pytest.raises(ValueError, match="invalid language code"):
             FilterConfig(script_rules={"hr": "Latin", lang: "Latin"})
-
-    def test_verdict_shape_enforced(self):
-        with pytest.raises(ValueError):
-            FilterVerdict(True, RejectReason.EMPTY, None)
 
 
 class CountingTokenizer:
@@ -201,17 +197,18 @@ def test_apply_filters_tokenizes_each_side_once():
         assert stub.counted == 0
         assert sorted(stub.tokenized) == sorted([p.source, p.target])
         n_src, n_tgt = len(TOK.tokenize(p.source)), len(TOK.tokenize(p.target))
-        assert verdict.kept == (max(n_src, n_tgt) / min(n_src, n_tgt) <= 3.0)
-        if verdict.kept:
-            assert verdict.transformed.source == truncate_tokens(p.source, TOK, 3)
-            assert verdict.transformed.target == truncate_tokens(p.target, TOK, 3)
+        kept = isinstance(verdict, SentencePair)
+        assert kept == (max(n_src, n_tgt) / min(n_src, n_tgt) <= 3.0)
+        if kept:
+            assert verdict.source == truncate_tokens(p.source, TOK, 3)
+            assert verdict.target == truncate_tokens(p.target, TOK, 3)
             if max(n_src, n_tgt) <= 3:   # untruncated: the pair itself, not a copy
-                assert verdict.transformed is p
+                assert verdict is p
             else:
-                assert verdict.transformed is not p
-                assert type(verdict.transformed) is SentencePair
-                assert verdict.transformed[2:] == p[2:]   # provenance kept
-    combining = apply_filters(pairs[2], cfg, TOK).transformed
+                assert verdict is not p
+                assert type(verdict) is SentencePair
+                assert verdict[2:] == p[2:]   # provenance kept
+    combining = apply_filters(pairs[2], cfg, TOK)
     assert combining.source == "xx"
 
 
@@ -221,7 +218,7 @@ def test_apply_filters_tokenizes_each_side_once():
 ])
 def test_truncation_that_keeps_nothing_is_too_long(side, max_tokens):
     verdict = apply_filters(pair(side, side), FilterConfig(max_tokens=max_tokens), TOK)
-    assert not verdict.kept and verdict.reason is RejectReason.TOO_LONG
+    assert verdict is RejectReason.TOO_LONG
 
 
 def test_ratio_ladder_monotone():
@@ -230,7 +227,7 @@ def test_ratio_ladder_monotone():
     configs = [FilterConfig(length_ratio_limit=r) for r in (1.5, 2.0, 2.5, 3.0)]
     for _ in range(2000):
         p = pair("x" * rng.randint(1, 40), "y" * rng.randint(1, 40))
-        kept = [apply_filters(p, cfg, TOK).kept for cfg in configs]
+        kept = [isinstance(apply_filters(p, cfg, TOK), SentencePair) for cfg in configs]
         for tight, loose in zip(kept, kept[1:]):
             assert not tight or loose
 
@@ -242,7 +239,8 @@ def test_ratio_ladder_monotone():
 def test_ratio_ladder_monotone_property(source, target, limits):
     """Kept at ratio limit r implies kept at every r' > r, on any text."""
     tight, loose = sorted(limits)
-    kept = [apply_filters(pair(source, target), FilterConfig(length_ratio_limit=r), TOK).kept
+    kept = [isinstance(apply_filters(pair(source, target), FilterConfig(length_ratio_limit=r),
+                                     TOK), SentencePair)
             for r in (tight, loose)]
     assert not kept[0] or kept[1]
 

@@ -61,6 +61,36 @@ class TestUsageErrors:
         pytest.param(["filter", "--manifest", "manifest.tsv", "--out", "out",
                       "--script", "HR=latn"], "invalid language code: 'HR'",
                      id="filter-script-key-not-a-language-code"),
+        pytest.param(["filter", "--manifest", "absent.tsv", "--out", "out", "--ratio", "nan"],
+                     "length_ratio_limit must be finite and > 1",
+                     id="filter-ratio-nan-before-manifest"),
+        pytest.param(["filter", "--manifest", "absent.tsv", "--out", "out", "--script", "sr"],
+                     "--script expects lang=Script, got 'sr'",
+                     id="filter-script-without-equals-before-manifest"),
+        pytest.param(["filter", "--manifest", "absent.tsv", "--out", "out",
+                      "--script", "HR=latn"], "invalid language code: 'HR'",
+                     id="filter-script-key-before-manifest"),
+        pytest.param(["sample", "--manifest", "absent.tsv", "--report", "r.tsv",
+                      "--lambda", "1,1"], "expected three comma-separated weights, got '1,1'",
+                     id="sample-lambda-before-manifest"),
+        pytest.param(["sample", "--manifest", "absent.tsv", "--report", "r.tsv",
+                      "--temperature", "nan"], "temperature must be positive and finite",
+                     id="sample-temperature-before-manifest"),
+        pytest.param(["route", "build", "--direct", "absent.tsv", "--pivot", "absent2.tsv",
+                      "--pivot-lang", "EN", "--out", "t.tsv"], "invalid language code: 'EN'",
+                     id="route-build-pivot-lang-before-matrices"),
+        pytest.param(["route", "translate", "--table", "absent.tsv", "--translator", "cipher:1",
+                      "--direction", "hr", "--input", "absent.txt", "--out", "o.txt"],
+                     "expected src-tgt direction, got 'hr'",
+                     id="route-translate-direction-before-table"),
+        pytest.param(["route", "translate", "--table", "absent.tsv", "--translator", "cipher:1",
+                      "--timeout", "nan", "--direction", "hr-en", "--input", "absent.txt",
+                      "--out", "o.txt"], "timeout must be a positive number of seconds, got nan",
+                     id="route-translate-timeout-before-table"),
+        pytest.param(["augment", "run", "--plan", "absent.tsv", "--translator", "cipher:1",
+                      "--timeout", "nan", "--out", "o"],
+                     "timeout must be a positive number of seconds, got nan",
+                     id="augment-run-timeout-before-plan"),
         pytest.param(PLAN + ["bt", "--mono", "mono.txt"], "--kind bt needs --mono and --langs",
                      id="plan-bt-without-langs"),
         pytest.param(PLAN + ["bt", "--langs", "hr"], "--kind bt needs --mono and --langs",
