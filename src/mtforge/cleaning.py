@@ -5,7 +5,9 @@ and a seeded external-memory shuffle.
 check that fails in this fixed order, so rejection reasons are deterministic:
 Empty -> BadLangId -> TooLong -> ContainsUnk -> WrongScript -> RatioExceeded.
 Word limits apply to whitespace-separated words; the ratio and truncation
-limits apply to subword tokens. The ratio is checked before truncation.
+limits apply to subword tokens. The ratio is checked before truncation, on
+token counts (``SubwordTokenizer.count``); only a side over ``max_tokens``
+is tokenized, to be cut.
 """
 
 from __future__ import annotations
@@ -117,21 +119,24 @@ def apply_filters(
     if cfg.unk_token in src_words or cfg.unk_token in tgt_words:
         return RejectReason.CONTAINS_UNK
 
-    for text, lang in ((pair.source, pair.direction.src), (pair.target, pair.direction.tgt)):
-        script = cfg.script_rules.get(lang)
-        if script and _majority_outside_script(text, script):
-            return RejectReason.WRONG_SCRIPT
+    if cfg.script_rules:
+        for text, lang in ((pair.source, pair.direction.src),
+                           (pair.target, pair.direction.tgt)):
+            script = cfg.script_rules.get(lang)
+            if script and _majority_outside_script(text, script):
+                return RejectReason.WRONG_SCRIPT
 
-    src_tokens = tokenizer.tokenize(pair.source)
-    tgt_tokens = tokenizer.tokenize(pair.target)
-    n_src, n_tgt = len(src_tokens), len(tgt_tokens)
+    n_src, n_tgt = tokenizer.count(pair.source), tokenizer.count(pair.target)
     if max(n_src, n_tgt) / min(n_src, n_tgt) > cfg.length_ratio_limit:
         return RejectReason.RATIO_EXCEEDED
     if n_src <= cfg.max_tokens and n_tgt <= cfg.max_tokens:
         return pair
 
-    source = _truncate(pair.source, src_tokens, tokenizer, cfg.max_tokens)
-    target = _truncate(pair.target, tgt_tokens, tokenizer, cfg.max_tokens)
+    source, target = pair.source, pair.target   # only a side over the limit is tokenized
+    if n_src > cfg.max_tokens:
+        source = truncate_tokens(source, tokenizer, cfg.max_tokens)
+    if n_tgt > cfg.max_tokens:
+        target = truncate_tokens(target, tokenizer, cfg.max_tokens)
     if not source.strip() or not target.strip():
         # The cut kept nothing but whitespace (e.g. it backed off past
         # combining marks to zero tokens): no non-blank prefix that ends on
@@ -166,12 +171,7 @@ def truncate_tokens(text: str, tokenizer: SubwordTokenizer, max_tokens: int) -> 
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    return _truncate(text, tokenizer.tokenize(text), tokenizer, max_tokens)
-
-
-def _truncate(text: str, tokens: list[str], tokenizer: SubwordTokenizer,
-              max_tokens: int) -> str:
-    """``truncate_tokens`` on text that is already tokenized as ``tokens``."""
+    tokens = tokenizer.tokenize(text)
     if len(tokens) <= max_tokens:
         return text
     cut = max_tokens
@@ -190,11 +190,14 @@ def shuffle_dataset(
 
     External-memory: a seeded RNG scatters the lines into temporary chunk
     files, then each chunk is shuffled in memory and appended to the
-    output, so peak RAM is bounded by the chunk size rather than the corpus
-    size. The scatter holds each chunk's lines in a list and appends every
+    output. The scatter holds each chunk's lines in a list and appends every
     list to its chunk file once about ``lines_per_chunk`` lines are held, so
     no more than one file is open at a time, at the price of up to about
-    n_chunks² appends. Same seed, same inputs -> byte-identical output.
+    n_chunks² appends. The lines still held when the scatter ends are not
+    written out: each chunk is its file's lines, if any were appended,
+    followed by its held list. Peak RAM is thus the held lines (about
+    ``lines_per_chunk``) plus one chunk, not the corpus size. Same seed,
+    same inputs -> byte-identical output.
     Returns the line count. Lines are those of ``iter_line_chunks``,
     written with ``\\n`` ends. An ``out_path`` that is the manifest file or
     one of its shards raises MTForgeError (``corpus.Outputs``) before
@@ -209,6 +212,7 @@ def shuffle_dataset(
     with tempfile.TemporaryDirectory(prefix="mtforge-shuffle-") as tmp:
         chunks = [(Path(tmp) / f"chunk{i:05d}", []) for i in range(n_chunks)]
         held = 0
+        flushed = False
         for entry in manifest.shards:
             for shard_lines in iter_line_chunks(entry.path, entry.shard_id):
                 for line in shard_lines:
@@ -217,10 +221,11 @@ def shuffle_dataset(
                 if held >= lines_per_chunk:
                     _append_chunks(chunks)
                     held = 0
-        _append_chunks(chunks)
+                    flushed = True
         written = write_shard(out_path, ())
-        for path, _ in chunks:
-            if lines := read_lines(path):
+        for path, held_lines in chunks:
+            lines = read_lines(path) + held_lines if flushed else held_lines
+            if lines:
                 rng.shuffle(lines)
                 written += write_shard(out_path, [lines], append=True)
     return written

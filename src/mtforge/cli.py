@@ -18,8 +18,8 @@ from .corpus import (Direction, Outputs, check_lang_code, corpus_stats, iter_lin
 from .errors import MTForgeError
 from .evaluation import ScoreMatrix, stream_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
-from .sampling import (BatchScheduler, MixtureWeights, check_temperature, language_distribution,
-                       write_composition)
+from .sampling import (BatchScheduler, MixtureWeights, check_batch_size, check_batches,
+                       check_temperature, language_distribution, write_composition)
 from .subword import SubwordTokenizer, default_tokenizer
 from .translator import (
     CipherLanguage,
@@ -50,17 +50,26 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _make_translator(spec: str, directions, timeout: float | None):
-    """Build a translator for ``directions`` from a ``cipher:SEED`` or
-    ``exec:CMD`` spec; ``timeout`` limits each call of an ``exec:`` command."""
-    if spec.startswith("cipher:"):
-        seed = int(spec[len("cipher:"):])
-        langs = sorted({lang for d in directions for lang in (d.src, d.tgt)} - {"en"})
-        return make_cipher_translator(
-            CipherLanguage.from_seed(lang, derive_language_seed(seed, lang)) for lang in langs)
-    if spec.startswith("exec:"):
-        return LineProtocolTranslator(spec[len("exec:"):], directions, timeout)
+def _parse_translator(spec: str) -> tuple[str, int | str]:
+    """The kind of a ``cipher:SEED`` or ``exec:CMD`` spec and its seed or
+    command, so that a bad spec fails before any input is read."""
+    kind, colon, arg = spec.partition(":")
+    if colon and kind == "cipher":
+        return kind, int(arg)
+    if colon and kind == "exec":
+        return kind, arg
     raise MTForgeError(f"unknown translator spec {spec!r} (use cipher:SEED or exec:CMD)")
+
+
+def _make_translator(spec: tuple[str, int | str], directions, timeout: float | None):
+    """Build the translator of a parsed spec for ``directions``; ``timeout``
+    limits each call of an ``exec:`` command."""
+    kind, arg = spec
+    if kind == "exec":
+        return LineProtocolTranslator(arg, directions, timeout)
+    langs = sorted({lang for d in directions for lang in (d.src, d.tgt)} - {"en"})
+    return make_cipher_translator(
+        CipherLanguage.from_seed(lang, derive_language_seed(arg, lang)) for lang in langs)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -115,6 +124,8 @@ def _cmd_shuffle(args) -> int:
 def _cmd_sample(args) -> int:
     weights = MixtureWeights.parse(args.mixture)
     check_temperature(args.temperature)
+    check_batch_size(args.batch_size)
+    check_batches(args.batches)
     manifest = load_manifest(args.manifest)
     Outputs(manifest.files()).claim(args.report)
     seed = _resolve_seed(args)
@@ -167,8 +178,9 @@ def _cmd_augment_plan(args) -> int:
 
 def _cmd_augment_run(args) -> int:
     check_timeout(args.timeout)
+    spec = _parse_translator(args.translator)
     plan = augmentation.load_plan(args.plan)
-    translator = _make_translator(args.translator, plan.needed_directions, args.timeout)
+    translator = _make_translator(spec, plan.needed_directions, args.timeout)
     manifest = augmentation.run_plan(plan, translator, None, args.out)
     print(f"shards\t{len(manifest.shards)}")
     return 0
@@ -189,6 +201,7 @@ def _cmd_route_build(args) -> int:
 
 def _cmd_route_translate(args) -> int:
     check_timeout(args.timeout)
+    spec = _parse_translator(args.translator)
     direction = Direction.parse(args.direction)
     Outputs([args.table, args.input]).claim(args.out)
     table = RoutingTable.load(args.table)
@@ -196,7 +209,7 @@ def _cmd_route_translate(args) -> int:
     if table.pivot_lang not in (direction.src, direction.tgt):
         directions.add(Direction(direction.src, table.pivot_lang))
         directions.add(Direction(table.pivot_lang, direction.tgt))
-    translator = _make_translator(args.translator, directions, args.timeout)
+    translator = _make_translator(spec, directions, args.timeout)
     sentences = read_lines(args.input)
     write_shard(args.out, [route_translate(translator, table, sentences, direction)])
     print(f"sentences\t{len(sentences)}")

@@ -43,6 +43,20 @@ def check_temperature(temperature: float) -> float:
     return temperature
 
 
+def check_batch_size(batch_size: int) -> int:
+    """``batch_size``, or ValueError unless it is at least 1."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    return batch_size
+
+
+def check_batches(batches: int) -> int:
+    """``batches``, or ValueError if it is negative."""
+    if batches < 0:
+        raise ValueError(f"batches must be >= 0, got {batches}")
+    return batches
+
+
 @dataclass(frozen=True)
 class SamplingDistribution:
     """Temperature-rescaled language probabilities.
@@ -284,9 +298,7 @@ class BatchScheduler:
         batch_size: int,
         seed: int,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = batch_size
+        self.batch_size = check_batch_size(batch_size)
         self._rng = random.Random(seed)
 
         with ExitStack() as stack:
@@ -377,8 +389,7 @@ def write_composition(scheduler: BatchScheduler, batches: int, path: str | Path)
     ``next_batch`` had been called ``batches`` times. A negative
     ``batches`` or a closed scheduler, even with ``batches`` 0, raises
     ValueError before anything is drawn, and writes no report."""
-    if batches < 0:
-        raise ValueError(f"batches must be >= 0, got {batches}")
+    check_batches(batches)
     if scheduler.closed:
         raise ValueError("the scheduler is closed")
     rows = []

@@ -14,10 +14,13 @@ a piece (or a single character) is one token, and any other run is matched
 greedily on its own. The words of ``text.split(" ")`` are checked against
 the vocabulary first, in one C-level pass. If every word is a piece, the
 tokens are the words with one ``" "`` between each two, and nothing else
-is split or compared. Pieces are non-empty, so such a split had no
-leading, trailing or double space; a piece that holds whitespace is one
-character; and the run path makes each character of a whitespace run its
-own token, so it gives the same list. Otherwise the runs come from a
+is split or compared; ``count`` takes the same pass and then returns
+``2 * len(words) - 1`` without building the list. Pieces are non-empty,
+so such a split had no leading, trailing or double space; a piece that
+holds whitespace is one character; and the run path makes each character
+of a whitespace run its own token, so it gives the same list. Otherwise
+``tokenize`` and ``count`` both hand the words to the run path, so no
+text is split at ``" "`` or checked word by word twice. The runs come from a
 second C-level split when they can: if ``text.split(" ") == text.split()``,
 the text is non-empty words between single spaces. The whitespace split
 never yields an empty string or one that holds whitespace, and it cuts at
@@ -85,14 +88,30 @@ class SubwordTokenizer:
     def tokenize(self, text: str) -> list[str]:
         if not self._by_runs:
             return self._greedy(text)
-        vocab = self.vocab
         words = text.split(" ")
-        all_pieces = all(map(vocab.__contains__, words))   # " " is one token, piece or not
-        if all_pieces or words == text.split():   # non-empty words between single spaces
+        if all(map(self.vocab.__contains__, words)):   # " " is one token, piece or not
             runs = [" "] * (2 * len(words) - 1)
             runs[::2] = words
-            if all_pieces:
-                return runs
+            return runs
+        return self._run_tokens(text, words)
+
+    def count(self, text: str) -> int:
+        """``len(self.tokenize(text))``; no list is built when every word of
+        ``text.split(" ")`` is a piece."""
+        if not self._by_runs:
+            return len(self._greedy(text))
+        words = text.split(" ")
+        if all(map(self.vocab.__contains__, words)):
+            return 2 * len(words) - 1
+        return len(self._run_tokens(text, words))
+
+    def _run_tokens(self, text: str, words: list[str]) -> list[str]:
+        """The tokens of ``text``, whose split at ``" "`` is ``words``, when
+        some word is not a piece."""
+        vocab = self.vocab
+        if words == text.split():   # non-empty words between single spaces
+            runs = [" "] * (2 * len(words) - 1)
+            runs[::2] = words
         else:
             runs = _RUNS.findall(text)
             if all(map(vocab.__contains__, runs)):

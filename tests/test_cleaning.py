@@ -163,26 +163,26 @@ class TestApplyFilters:
 
 
 class CountingTokenizer:
-    """Passes calls through to a tokenizer and records them."""
+    """Passes calls through to a tokenizer and records the texts."""
 
     def __init__(self, inner):
         self.inner = inner
         self.tokenized: list[str] = []
-        self.counted = 0
+        self.counted: list[str] = []
 
     def tokenize(self, text):
         self.tokenized.append(text)
         return self.inner.tokenize(text)
 
     def count(self, text):
-        self.counted += 1
-        return len(self.inner.tokenize(text))
+        self.counted.append(text)
+        return self.inner.count(text)
 
     def detokenize(self, tokens):
         return self.inner.detokenize(tokens)
 
 
-def test_apply_filters_tokenizes_each_side_once():
+def test_apply_filters_counts_each_side_and_tokenizes_only_a_side_it_cuts():
     cfg = FilterConfig(max_tokens=3, length_ratio_limit=3.0)
     pairs = [
         pair("the cat", "the dog"),            # within the limit, unchanged
@@ -190,15 +190,17 @@ def test_apply_filters_tokenizes_each_side_once():
         pair("xx" + "e\u0301", "xxyy"),        # cut at max_tokens lands on a combining mark
         pair("x", "y" * 10),                   # rejected by the ratio check
         pair("same", "same"),
+        pair("the cat", "zzzz"),               # only the target truncated
     ]
     for p in pairs:
         stub = CountingTokenizer(TOK)
         verdict = apply_filters(p, cfg, stub)
-        assert stub.counted == 0
-        assert sorted(stub.tokenized) == sorted([p.source, p.target])
+        assert sorted(stub.counted) == sorted([p.source, p.target])
         n_src, n_tgt = len(TOK.tokenize(p.source)), len(TOK.tokenize(p.target))
         kept = isinstance(verdict, SentencePair)
         assert kept == (max(n_src, n_tgt) / min(n_src, n_tgt) <= 3.0)
+        cut = [text for text, n in ((p.source, n_src), (p.target, n_tgt)) if kept and n > 3]
+        assert sorted(stub.tokenized) == sorted(cut)
         if kept:
             assert verdict.source == truncate_tokens(p.source, TOK, 3)
             assert verdict.target == truncate_tokens(p.target, TOK, 3)
@@ -208,8 +210,8 @@ def test_apply_filters_tokenizes_each_side_once():
                 assert verdict is not p
                 assert type(verdict) is SentencePair
                 assert verdict[2:] == p[2:]   # provenance kept
-    combining = apply_filters(pairs[2], cfg, TOK)
-    assert combining.source == "xx"
+    assert apply_filters(pairs[2], cfg, TOK).source == "xx"
+    assert apply_filters(pairs[5], cfg, TOK) == pairs[5]._replace(target="zzz")
 
 
 @pytest.mark.parametrize("side, max_tokens", [

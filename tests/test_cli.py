@@ -76,6 +76,12 @@ class TestUsageErrors:
         pytest.param(["sample", "--manifest", "absent.tsv", "--report", "r.tsv",
                       "--temperature", "nan"], "temperature must be positive and finite",
                      id="sample-temperature-before-manifest"),
+        pytest.param(["sample", "--manifest", "absent.tsv", "--report", "r.tsv",
+                      "--batch-size", "0"], "batch_size must be >= 1",
+                     id="sample-batch-size-before-manifest"),
+        pytest.param(["sample", "--manifest", "absent.tsv", "--report", "r.tsv",
+                      "--batches", "-1"], "batches must be >= 0, got -1",
+                     id="sample-batches-before-manifest"),
         pytest.param(["route", "build", "--direct", "absent.tsv", "--pivot", "absent2.tsv",
                       "--pivot-lang", "EN", "--out", "t.tsv"], "invalid language code: 'EN'",
                      id="route-build-pivot-lang-before-matrices"),
@@ -91,6 +97,14 @@ class TestUsageErrors:
                       "--timeout", "nan", "--out", "o"],
                      "timeout must be a positive number of seconds, got nan",
                      id="augment-run-timeout-before-plan"),
+        pytest.param(["augment", "run", "--plan", "absent.tsv", "--translator", "foo:1",
+                      "--out", "o"],
+                     "unknown translator spec 'foo:1' (use cipher:SEED or exec:CMD)",
+                     id="augment-run-translator-before-plan"),
+        pytest.param(["route", "translate", "--table", "absent.tsv", "--translator", "foo:1",
+                      "--direction", "hr-en", "--input", "absent.txt", "--out", "o.txt"],
+                     "unknown translator spec 'foo:1' (use cipher:SEED or exec:CMD)",
+                     id="route-translate-translator-before-table"),
         pytest.param(PLAN + ["bt", "--mono", "mono.txt"], "--kind bt needs --mono and --langs",
                      id="plan-bt-without-langs"),
         pytest.param(PLAN + ["bt", "--langs", "hr"], "--kind bt needs --mono and --langs",

@@ -156,6 +156,39 @@ def test_tokenize_matches_greedy_and_round_trips(case):
         assert tok.detokenize(tokens) == text
 
 
+_COUNT_SEPARATORS = st.sampled_from([" ", " ", "  ", "\t", "\x85", "\u2028", "\u3000"])
+_COUNT_ENDS = st.sampled_from(["", "", " ", "  ", "\u3000"])
+
+
+@st.composite
+def _spaced_text(draw, words):
+    """Words between drawn whitespace, with drawn leading and trailing
+    whitespace; no words gives the empty text or whitespace alone."""
+    parts = [draw(_COUNT_ENDS)]
+    for i, word in enumerate(draw(st.lists(words, max_size=6))):
+        parts += [draw(_COUNT_SEPARATORS)] * (i > 0) + [word]
+    return "".join(parts + [draw(_COUNT_ENDS)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), words=st.lists(_word_pieces, max_size=6),
+       spaces=st.sets(st.sampled_from([" ", "\t"])),
+       wide_space=st.sampled_from([None, "  ", " \t", "\u3000 "]))
+def test_count_is_the_length_of_tokenize(data, words, spaces, wide_space):
+    """``count`` equals ``len(tokenize)``: on the all-piece path (pieces
+    between single spaces), off it, and when a multi-character whitespace
+    piece turns the run path off."""
+    tok = SubwordTokenizer(words + sorted(spaces) + [wide_space] * (wide_space is not None))
+    assert tok._by_runs == (wide_space is None)
+    texts = data.draw(st.lists(
+        st.one_of(st.lists(st.sampled_from(words or ["x"]), min_size=1, max_size=8).map(" ".join),
+                  _spaced_text(st.sampled_from(words + ["x"])), st.just(""),
+                  st.text(alphabet=_LETTERS + "x \t\x85\u2028\u3000", max_size=20)),
+        min_size=1, max_size=4))
+    for text in texts + texts:   # the second time, greedy runs come from the memo
+        assert tok.count(text) == len(tok.tokenize(text))
+
+
 class _Probes(dict):
     """A vocabulary that records every window looked up in it."""
 
