@@ -72,9 +72,7 @@ from .translator import (
     LineProtocolTranslator,
     PivotVia,
     Translator,
-    make_cipher_translator,
     pivot_translate,
-    with_noise,
 )
 
 __version__ = "0.1.0"

@@ -16,14 +16,16 @@ it was planned from, whose ``sides`` are the languages of the input's
 columns. All three put an input column beside translations of it, so
 ``run_plan`` runs them by one rule: each side of an output direction names
 the input's own column in that language, or else a needed translation into
-it. Planning is pure; ``run_plan`` does the translation and I/O. It streams
-each input one chunk of lines at a time, so its memory does not grow with
-the input, and computes the needed directions from each input side with
-one ``Translator.translate_many`` call per chunk, shared by the tasks on
-that input. The cipher translator splits each line once for all of them; a
-translator that implements only ``translate`` is called once per chunk per
-direction (an ``exec:`` command is started that many times). A translator
-must translate each sentence independently of the others in the call.
+it. Planning reads no input line; it checks only that a monolingual input
+exists and is not empty. ``run_plan`` does the translation and the rest of
+the I/O. It streams each input one chunk of lines at a time, so its memory
+does not grow with the input, and computes the needed directions from each
+input side with one ``Translator.translate_many`` call per chunk, shared by
+the tasks on that input. The cipher translator splits each line once for
+all of them; a translator that implements only ``translate`` is called
+once per chunk per direction (an ``exec:`` command is started that many
+times). A translator must translate each sentence independently of the
+others in the call.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .errors import AlreadyTaggedError, LengthMismatchError, MTForgeError
 from .subword import SubwordTokenizer
 
 _PAIRS_PER_WRITE = 4096   # pairs that filter_corpus filters per append of their rows
+_LINES_PER_CHUNK = 100_000   # lines per shuffle_dataset chunk, and held before a flush
 # ISO 15924-ish names -> Unicode character-name prefixes.
 _SCRIPT_PREFIXES = {
     "cyrl": "CYRILLIC", "cyrillic": "CYRILLIC",
@@ -180,23 +181,18 @@ def truncate_tokens(text: str, tokenizer: SubwordTokenizer, max_tokens: int) -> 
     return tokenizer.detokenize(tokens[:cut])
 
 
-def shuffle_dataset(
-    manifest: CorpusManifest,
-    seed: int,
-    out_path: str | Path,
-    lines_per_chunk: int = 100_000,
-) -> int:
+def shuffle_dataset(manifest: CorpusManifest, seed: int, out_path: str | Path) -> int:
     """Shuffle every line of every shard into one output file.
 
     External-memory: a seeded RNG scatters the lines into temporary chunk
     files, then each chunk is shuffled in memory and appended to the
     output. The scatter holds each chunk's lines in a list and appends every
-    list to its chunk file once about ``lines_per_chunk`` lines are held, so
+    list to its chunk file once about ``_LINES_PER_CHUNK`` lines are held, so
     no more than one file is open at a time, at the price of up to about
     n_chunks² appends. The lines still held when the scatter ends are not
     written out: each chunk is its file's lines, if any were appended,
     followed by its held list. Peak RAM is thus the held lines (about
-    ``lines_per_chunk``) plus one chunk, not the corpus size. Same seed,
+    ``_LINES_PER_CHUNK``) plus one chunk, not the corpus size. Same seed,
     same inputs -> byte-identical output.
     Returns the line count. Lines are those of ``iter_line_chunks``,
     written with ``\\n`` ends. An ``out_path`` that is the manifest file or
@@ -207,7 +203,7 @@ def shuffle_dataset(
     out_path = Outputs(manifest.files()).claim(out_path)
 
     total = sum(count_lines(entry.path) for entry in manifest.shards)
-    n_chunks = max(1, -(-total // lines_per_chunk))
+    n_chunks = max(1, -(-total // _LINES_PER_CHUNK))
 
     with tempfile.TemporaryDirectory(prefix="mtforge-shuffle-") as tmp:
         chunks = [(Path(tmp) / f"chunk{i:05d}", []) for i in range(n_chunks)]
@@ -218,7 +214,7 @@ def shuffle_dataset(
                 for line in shard_lines:
                     chunks[rng.randrange(n_chunks)][1].append(line)
                 held += len(shard_lines)
-                if held >= lines_per_chunk:
+                if held >= _LINES_PER_CHUNK:
                     _append_chunks(chunks)
                     held = 0
                     flushed = True
@@ -256,7 +252,8 @@ def filter_corpus(
     ``os.path.realpath`` while either does not exist), or an output file
     that is an input shard or the manifest file it was loaded from
     (``corpus.Outputs.claim``), raises MTForgeError before any directory
-    or shard is made.
+    or shard is made; a ``langid_dir`` that is missing or not a directory
+    raises OSError, also before.
     Each batch of ``_PAIRS_PER_WRITE`` pairs is appended by ``write_shard``
     once filtered, so a bad shard line raises MalformedLineError after the
     earlier batches are written. Language-id verdicts come from
@@ -277,6 +274,8 @@ def filter_corpus(
         raise MTForgeError(f"the rejects directory {rejects_dir} is the output directory "
                            f"{out_dir}: reject rows would be appended to the kept shards")
 
+    if langid_dir is not None:
+        os.scandir(langid_dir).close()   # OSError unless it is a directory
     files = Outputs(manifest.files())
     out_files = [files.claim(out_dir / files.name(Path(e.raw_path).name)) for e in manifest.shards]
     rej_files = [files.claim(rejects_dir / p.name) if rejects_dir else None for p in out_files]

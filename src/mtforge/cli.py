@@ -16,18 +16,18 @@ from . import augmentation, cleaning, curriculum, demo
 from .corpus import (Direction, Outputs, check_lang_code, corpus_stats, iter_line_chunks,
                      load_manifest, read_lines, write_shard, write_table)
 from .errors import MTForgeError
-from .evaluation import ScoreMatrix, stream_bleu
+from .evaluation import ScoreMatrix, strategy_hops, stream_bleu
 from .routing import RoutingTable, build_routing_table, route_translate
 from .sampling import (BatchScheduler, MixtureWeights, check_batch_size, check_batches,
                        check_temperature, language_distribution, write_composition)
 from .subword import SubwordTokenizer, default_tokenizer
 from .translator import (
     CipherLanguage,
+    CipherTranslator,
     LineProtocolTranslator,
     PivotVia,
     check_timeout,
     derive_language_seed,
-    make_cipher_translator,
 )
 
 
@@ -68,7 +68,7 @@ def _make_translator(spec: tuple[str, int | str], directions, timeout: float | N
     if kind == "exec":
         return LineProtocolTranslator(arg, directions, timeout)
     langs = sorted({lang for d in directions for lang in (d.src, d.tgt)} - {"en"})
-    return make_cipher_translator(
+    return CipherTranslator(
         CipherLanguage.from_seed(lang, derive_language_seed(arg, lang)) for lang in langs)
 
 
@@ -205,11 +205,8 @@ def _cmd_route_translate(args) -> int:
     direction = Direction.parse(args.direction)
     Outputs([args.table, args.input]).claim(args.out)
     table = RoutingTable.load(args.table)
-    directions = set(table.entries) | {direction}
-    if table.pivot_lang not in (direction.src, direction.tgt):
-        directions.add(Direction(direction.src, table.pivot_lang))
-        directions.add(Direction(table.pivot_lang, direction.tgt))
-    translator = _make_translator(spec, directions, args.timeout)
+    hops = strategy_hops(direction, table.strategy(direction))
+    translator = _make_translator(spec, hops, args.timeout)
     sentences = read_lines(args.input)
     write_shard(args.out, [route_translate(translator, table, sentences, direction)])
     print(f"sentences\t{len(sentences)}")

@@ -31,12 +31,12 @@ from .sampling import BatchScheduler, MixtureWeights, language_distribution, wri
 from .subword import DEFAULT_VOCAB, SubwordTokenizer
 from .translator import (
     CipherLanguage,
+    CipherTranslator,
     Direct,
+    NoisyTranslator,
     PivotVia,
     check_noise_rate,
     derive_language_seed,
-    make_cipher_translator,
-    with_noise,
 )
 from .wordlist import COMMON_WORDS
 
@@ -81,7 +81,7 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0) -> 
     # Cipher languages and the exact reference translator.
     ciphers = [CipherLanguage.from_seed(lang, derive_language_seed(seed, lang))
                for lang in DEMO_LANGS]
-    perfect = make_cipher_translator(ciphers)
+    perfect = CipherTranslator(ciphers)
 
     # Shared multilingual subword vocabulary: without the cipher words the
     # non-English side falls back to character pieces and the length-ratio
@@ -177,8 +177,8 @@ def pipeline_demo(out_dir: str | Path, seed: int, direct_noise: float = 0.0) -> 
     devtest = make_devset(DEV_LINES)
 
     # Direct decoding is degraded on X->Y only; pivot hops stay exact.
-    system = with_noise(perfect, direct_noise, seed=rng.randrange(2**63),
-                        directions=grid)
+    system = NoisyTranslator(perfect, direct_noise, seed=rng.randrange(2**63),
+                             directions=grid)
     direct_scores = evaluate_directions(system, dev, strategy=Direct())
     pivot_scores = evaluate_directions(system, dev, strategy=PivotVia("en"))
     direct_scores.save(reports / "bleu_direct.tsv")

@@ -221,27 +221,38 @@ class ScoreMatrix:
 DevSet = Mapping[Direction, tuple[Sequence[str], Sequence[str]]]
 
 
+def strategy_hops(direction: Direction, strategy: Strategy) -> list[Direction]:
+    """The one or two directions ``strategy`` decodes ``direction`` through.
+    A pivot that is one of the direction's languages decodes directly."""
+    if isinstance(strategy, PivotVia) and strategy.lang not in (direction.src, direction.tgt):
+        return [Direction(direction.src, strategy.lang), Direction(strategy.lang, direction.tgt)]
+    return [direction]
+
+
+def decode(translator: Translator, sentences: Sequence[str], direction: Direction,
+           strategy: Strategy) -> list[str]:
+    """``sentences`` translated in ``direction`` through its ``strategy_hops``;
+    two hops are one ``pivot_translate`` call."""
+    hops = strategy_hops(direction, strategy)
+    if len(hops) == 2:
+        return pivot_translate(translator, sentences, direction.src, direction.tgt, hops[0].tgt)
+    return translator.translate(sentences, direction)
+
+
 def evaluate_directions(
     translator: Translator,
     devset: DevSet,
     strategy: Strategy = Direct(),
     tokenizer: SubwordTokenizer | None = None,
 ) -> ScoreMatrix:
-    """Score every devset direction under one decoding strategy.
-
-    With a pivot strategy, directions into or out of the pivot language are
-    decoded directly (a pivot through itself is undefined). ``tokenizer``
-    defaults to the toolkit's subword tokenizer.
+    """Score every devset direction under one decoding strategy (``decode``;
+    directions into or out of a pivot language are decoded directly).
+    ``tokenizer`` defaults to the toolkit's subword tokenizer.
     """
     tok = tokenizer if tokenizer is not None else default_tokenizer()
     scores: dict[Direction, BleuScore] = {}
     for direction in sorted(devset):
         sources, references = devset[direction]
-        if isinstance(strategy, PivotVia) and strategy.lang not in (direction.src,
-                                                                    direction.tgt):
-            hyps = pivot_translate(translator, sources, direction.src,
-                                   direction.tgt, strategy.lang)
-        else:
-            hyps = translator.translate(sources, direction)
+        hyps = decode(translator, sources, direction, strategy)
         scores[direction] = corpus_bleu(hyps, references, tok)
     return ScoreMatrix(scores)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .corpus import Direction, check_lang_code, finite_float, read_table, write_table
 from .errors import DirectionSetMismatchError, MTForgeError, UnknownDirectionError
-from .evaluation import ScoreMatrix
-from .translator import Direct, PivotVia, Strategy, Translator, pivot_translate
+from .evaluation import ScoreMatrix, decode
+from .translator import Direct, PivotVia, Strategy, Translator
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,13 @@ class RouteEntry:
 class RoutingTable:
     entries: dict[Direction, RouteEntry]
     pivot_lang: str
+
+    def strategy(self, direction: Direction) -> Strategy:
+        """``direction``'s strategy; UnknownDirectionError if it has no entry."""
+        entry = self.entries.get(direction)
+        if entry is None:
+            raise UnknownDirectionError(f"no routing entry for {direction}")
+        return entry.strategy
 
     def save(self, path: str | Path) -> None:
         write_table(path, (
@@ -93,11 +100,5 @@ def route_translate(
     sentences,
     direction: Direction,
 ) -> list[str]:
-    """Translate through whichever strategy the table chose for a direction."""
-    entry = table.entries.get(direction)
-    if entry is None:
-        raise UnknownDirectionError(f"no routing entry for {direction}")
-    if isinstance(entry.strategy, PivotVia):
-        return pivot_translate(translator, sentences, direction.src,
-                               direction.tgt, entry.strategy.lang)
-    return translator.translate(sentences, direction)
+    """Translate by the table's strategy for ``direction`` (``evaluation.decode``)."""
+    return decode(translator, sentences, direction, table.strategy(direction))

@@ -59,15 +59,13 @@ def check_batches(batches: int) -> int:
 
 @dataclass(frozen=True)
 class SamplingDistribution:
-    """Temperature-rescaled language probabilities.
+    """Language probabilities, as ``language_distribution`` rescales them.
 
-    The temperature must be finite and positive, and every ``q`` finite and
-    non-negative with a positive, finite sum; anything else raises
-    ValueError. ``q`` is kept as a read-only copy. ``sample`` makes the one
-    RNG call of ``random.choices``.
+    Every ``q`` must be finite and non-negative with a positive, finite
+    sum; anything else raises ValueError. ``q`` is kept as a read-only
+    copy. ``sample`` makes the one RNG call of ``random.choices``.
     """
 
-    temperature: float
     q: Mapping[str, float]
 
     def __post_init__(self):
@@ -75,7 +73,6 @@ class SamplingDistribution:
         # bypass these checks or split ``q`` from ``sample``'s weights.
         q = MappingProxyType(dict(self.q))
         object.__setattr__(self, "q", q)
-        check_temperature(self.temperature)
         if not all(math.isfinite(v) and v >= 0 for v in q.values()):
             raise ValueError("language probabilities must be finite and non-negative")
         if not 0 < sum(q.values()) < math.inf:
@@ -156,7 +153,7 @@ def language_distribution(stats: LanguageStats, temperature: float) -> SamplingD
     z = sum(scaled.values())
     if z <= 0:
         raise ValueError(f"temperature {temperature:g} gives every language zero weight")
-    return SamplingDistribution(temperature, {l: w / z for l, w in scaled.items()})
+    return SamplingDistribution({l: w / z for l, w in scaled.items()})
 
 
 def _index_lines(raw: BinaryIO, shard_id: str) -> array:

@@ -267,10 +267,6 @@ class CipherTranslator(Translator):
                 lambda tokens: tgt.encode(src.decode(" ".join(tokens))))
 
 
-def make_cipher_translator(languages: Iterable[CipherLanguage]) -> CipherTranslator:
-    return CipherTranslator(languages)
-
-
 def derive_language_seed(master_seed: int, lang: str) -> int:
     """Stable per-language seed derived from a master seed."""
     digest = hashlib.blake2b(f"{master_seed}:{lang}".encode(), digest_size=8).digest()
@@ -302,11 +298,14 @@ class NoisyTranslator(Translator):
     """Wraps a translator, corrupting output tokens at a fixed rate.
 
     Corruption replaces a token with a marker rather than deleting it, so
-    lengths (and the BLEU brevity penalty) are unaffected. Each (sentence
-    index, token index) position corrupts independently, keyed only by the
-    seed and position, never by call order. The sentence index counts from
-    the start of each call, so a caller that splits its sentences over
-    several calls, as ``run_plan`` does, gets other noise than one call.
+    lengths (and the BLEU brevity penalty) are unaffected. ``directions``
+    restricts the noise to a subset of directions (all when None), which is
+    how an imperfect direct system with clean pivot hops is modeled. Each
+    (sentence index, token index) position corrupts independently, keyed
+    only by the seed and position, never by call order. The sentence index
+    counts from the start of each call, so a caller that splits its
+    sentences over several calls, as ``run_plan`` does, gets other noise
+    than one call.
 
     Each position's flag is computed once per instance and reused by later
     calls and other directions. The flags are one ``bytes`` per sentence
@@ -349,15 +348,9 @@ class NoisyTranslator(Translator):
         return noisy
 
 
-def with_noise(translator: Translator, noise_rate: float, seed: int,
-               directions: Collection[Direction] | None = None) -> NoisyTranslator:
-    """Wrap a translator with positional token corruption.
-
-    ``directions`` restricts the noise to a subset of directions (all when
-    None), which is how an imperfect direct system with clean pivot hops is
-    modeled.
-    """
-    return NoisyTranslator(translator, noise_rate, seed, directions)
+# perfbench/workloads.py is the only caller of these aliases; ROADMAP item 7 deletes them.
+make_cipher_translator = CipherTranslator
+with_noise = NoisyTranslator
 
 
 def pivot_translate(

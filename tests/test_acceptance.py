@@ -39,10 +39,10 @@ from mtforge.sampling import BatchScheduler, MixtureWeights, language_distributi
 from mtforge.subword import default_tokenizer
 from mtforge.translator import (
     CipherLanguage,
+    CipherTranslator,
     Direct,
+    NoisyTranslator,
     PivotVia,
-    make_cipher_translator,
-    with_noise,
 )
 from mtforge.augmentation import MonoCorpusRef, all_ordered_pairs, plan_dual_pseudo, run_plan
 from mtforge.wordlist import COMMON_WORDS
@@ -194,7 +194,7 @@ def test_criterion_4_bleu_oracle():
 def test_criterion_5_pivot_routing_end_to_end():
     started = time.perf_counter()
 
-    translator = make_cipher_translator([
+    translator = CipherTranslator([
         CipherLanguage.from_seed(lang, 1000 + i)
         for i, lang in enumerate(["hr", "hu", "mk"])])
     grid = all_ordered_pairs(["hr", "hu", "mk"])
@@ -210,7 +210,7 @@ def test_criterion_5_pivot_routing_end_to_end():
 
     dev, devtest = devset(), devset()
 
-    noisy = with_noise(translator, 0.5, seed=77, directions=grid)
+    noisy = NoisyTranslator(translator, 0.5, seed=77, directions=grid)
     table = build_routing_table(
         evaluate_directions(noisy, dev, strategy=Direct()),
         evaluate_directions(noisy, dev, strategy=PivotVia("en")), "en")
@@ -230,7 +230,7 @@ def test_criterion_5_pivot_routing_end_to_end():
                   else entry.bleu_pivot)
         assert chosen == max(entry.bleu_direct, entry.bleu_pivot)
 
-    clean = with_noise(translator, 0.0, seed=77, directions=grid)
+    clean = NoisyTranslator(translator, 0.0, seed=77, directions=grid)
     tie_table = build_routing_table(
         evaluate_directions(clean, dev, strategy=Direct()),
         evaluate_directions(clean, dev, strategy=PivotVia("en")), "en")
@@ -243,7 +243,7 @@ def test_criterion_5_pivot_routing_end_to_end():
 
 
 def test_criterion_6_dual_pseudo_exactness(tmp_path):
-    translator = make_cipher_translator([
+    translator = CipherTranslator([
         CipherLanguage.from_seed(lang, 9000 + i)
         for i, lang in enumerate(["hr", "hu", "mk"])])
     rng = random.Random(606)

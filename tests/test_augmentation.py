@@ -30,8 +30,7 @@ from mtforge.errors import (
     TableError,
     UnsupportedDirectionError,
 )
-from mtforge.translator import (CipherLanguage, CipherTranslator, Translator,
-                                make_cipher_translator)
+from mtforge.translator import CipherLanguage, CipherTranslator, Translator
 from mtforge.wordlist import COMMON_WORDS
 
 
@@ -45,8 +44,8 @@ def mono(tmp_path):
 
 @pytest.fixture
 def translator():
-    return make_cipher_translator([CipherLanguage.from_seed(lang, i)
-                                   for i, lang in enumerate(["hr", "hu", "mk"])])
+    return CipherTranslator([CipherLanguage.from_seed(lang, i)
+                             for i, lang in enumerate(["hr", "hu", "mk"])])
 
 
 class TestPlanBacktranslation:
@@ -470,7 +469,7 @@ class TestStreaming:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_descriptors_do_not_grow_with_shards(self, tmp_path, monkeypatch):
         langs = ["hr", "hu", "mk", "sr", "bs", "sl"]
-        recorder = _Recorder(make_cipher_translator(
+        recorder = _Recorder(CipherTranslator(
             CipherLanguage.from_seed(lang, i) for i, lang in enumerate(langs)))
         mono = tmp_path / "mono.en.txt"
         mono.write_text("".join(line + "\n" for line in _english(200)), encoding="utf-8")

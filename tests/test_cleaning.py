@@ -1,6 +1,7 @@
 import random
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -304,11 +305,12 @@ class TestShuffleDataset:
         shuffle_dataset(manifest, 7, out2)
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_permutation_of_lines(self, make_corpus, tmp_path):
+    def test_permutation_of_lines(self, make_corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(cleaning, "_LINES_PER_CHUNK", 20)
         rows = [(f"s{i}", f"t{i}") for i in range(137)]
         manifest = make_corpus([("a.tsv", "hr-en", "bitext", rows)])
         out = tmp_path / "out.tsv"
-        n = shuffle_dataset(manifest, 99, out, lines_per_chunk=20)
+        n = shuffle_dataset(manifest, 99, out)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert n == 137
         assert sorted(lines) == sorted(f"s{i}\tt{i}" for i in range(137))
@@ -375,7 +377,8 @@ class TestShuffleDataset:
             return fh
 
         monkeypatch.setattr(Path, "open", counting_open)
-        assert shuffle_dataset(manifest, 3, tmp_path / "out.tsv", lines_per_chunk=1) == 200
+        monkeypatch.setattr(cleaning, "_LINES_PER_CHUNK", 1)
+        assert shuffle_dataset(manifest, 3, tmp_path / "out.tsv") == 200
         assert len(opened) > 200 and most <= 2   # a shard, and a scratch or output file
 
 
@@ -391,12 +394,13 @@ def test_shuffle_is_a_seeded_permutation(shards, seed, lines_per_chunk):
     bytes, and they are those of the documented algorithm: one
     ``randrange(n_chunks)`` per line in manifest order, then one ``shuffle``
     per chunk in chunk order."""
-    with tempfile.TemporaryDirectory() as tmp:
+    with (tempfile.TemporaryDirectory() as tmp,
+          patch.object(cleaning, "_LINES_PER_CHUNK", lines_per_chunk)):
         root = Path(tmp)
         manifest = build_manifest(root, [(f"s{i}.tsv", "hr-en", "bitext", rows)
                                          for i, rows in enumerate(shards)])
         outputs = [root / "o1.tsv", root / "o2.tsv"]
-        counts = [shuffle_dataset(manifest, seed, out, lines_per_chunk) for out in outputs]
+        counts = [shuffle_dataset(manifest, seed, out) for out in outputs]
         data = [out.read_bytes() for out in outputs]
     expected = [f"{s}\t{t}" for rows in shards for s, t in rows]
     assert counts == [len(expected)] * 2

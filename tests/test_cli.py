@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import random
@@ -13,7 +14,7 @@ from mtforge import corpus
 from mtforge.cli import main
 from mtforge.corpus import Direction, load_manifest
 from mtforge.evaluation import corpus_bleu
-from mtforge.translator import CipherLanguage, derive_language_seed, make_cipher_translator
+from mtforge.translator import CipherLanguage, CipherTranslator, derive_language_seed
 
 
 def tree_digest(root):
@@ -385,6 +386,22 @@ class TestFilterCli:
               "--out", str(tmp_path / "clean"), "--script", "sr=Cyrl"])
         assert "rejected_WrongScript\t1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("is_file, code", [(False, errno.ENOENT), (True, errno.ENOTDIR)],
+                             ids=["missing", "file"])
+    def test_langid_that_is_not_a_directory_is_io_error(self, tmp_path, capsys, is_file, code):
+        # It exited 0 with "kept 2", or "rejected_BadLangId 2" with
+        # --langid-required: no sidecar was found, so no verdict applied.
+        build_manifest(tmp_path, [("a.tsv", "hr-en", "bitext", [("s1", "t1"), ("s2", "t2")])])
+        langid = tmp_path / "langid"
+        if is_file:
+            langid.write_text("hr\ten\nhr\ten\n", encoding="utf-8")
+        for extra in ([], ["--langid-required"]):
+            assert main(["filter", "--manifest", str(tmp_path / "manifest.tsv"),
+                         "--out", str(tmp_path / "o1"), "--langid", str(langid), *extra]) == 2
+            assert capsys.readouterr().err.splitlines() == \
+                [f"io error: {os.strerror(code)}: {langid}"]
+            assert not (tmp_path / "o1").exists()
+
 
 class TestShuffleCli:
     def test_deterministic(self, tmp_path, capsys):
@@ -518,7 +535,7 @@ class TestAugmentCli:
         assert {str(s.direction) for s in manifest.shards} == {"hr-hu", "hu-hr"}
 
         # cipher:SEED must reproduce the same translator independently
-        ciphers = make_cipher_translator([
+        ciphers = CipherTranslator([
             CipherLanguage.from_seed(lang, derive_language_seed(42, lang))
             for lang in ("hr", "hu")])
         english = mono.read_text(encoding="utf-8").splitlines()
@@ -736,7 +753,7 @@ class TestRouteCli:
         assert rc == 0
         assert "pivot_routed\t1" in capsys.readouterr().out
 
-        ciphers = make_cipher_translator([
+        ciphers = CipherTranslator([
             CipherLanguage.from_seed(lang, derive_language_seed(7, lang))
             for lang in ("hr", "hu")])
         english = ["the cat sat", "good day"]
@@ -750,6 +767,30 @@ class TestRouteCli:
                    "--input", str(src_file), "--out", str(out_file)])
         assert rc == 0
         assert out_file.read_bytes() == "".join(s + "\n" for s in expected).encode()
+
+    def test_endpoint_pivot_row_decodes_directly(self, tmp_path, capsys):
+        # It failed with "pivot 'en' must differ from both endpoints" and no
+        # table location, while evaluate_directions decodes en-hr directly.
+        table = tmp_path / "table.tsv"
+        table.write_text("en\thr\tpivot\ten\t10.0\t60.0\n", encoding="utf-8")
+        (tmp_path / "in.txt").write_text("the cat sat\ngood day\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert main(["route", "translate", "--table", str(table), "--translator", "cipher:7",
+                     "--direction", "en-hr", "--input", str(tmp_path / "in.txt"),
+                     "--out", str(out)]) == 0
+        hr = CipherTranslator([CipherLanguage.from_seed("hr", derive_language_seed(7, "hr"))])
+        expected = hr.translate(["the cat sat", "good day"], Direction("en", "hr"))
+        assert out.read_bytes() == "".join(s + "\n" for s in expected).encode()
+
+    def test_unknown_direction_is_found_before_the_input_is_read(self, tmp_path, capsys):
+        # It read --input first, so a missing input exited 2 (io error).
+        table = tmp_path / "table.tsv"
+        table.write_text("hr\thu\tdirect\ten\t60.0\t10.0\n", encoding="utf-8")
+        assert main(["route", "translate", "--table", str(table), "--translator", "cipher:7",
+                     "--direction", "hr-mk", "--input", str(tmp_path / "absent.txt"),
+                     "--out", str(tmp_path / "out.txt")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: no routing entry for hr-mk"]
+        assert not (tmp_path / "out.txt").exists()
 
     def test_mismatched_matrices(self, tmp_path):
         direct = tmp_path / "direct.tsv"

@@ -22,10 +22,10 @@ from mtforge.subword import SubwordTokenizer, default_tokenizer
 from mtforge.translator import (
     NOISE_TOKEN,
     CipherLanguage,
+    CipherTranslator,
     Direct,
+    NoisyTranslator,
     PivotVia,
-    make_cipher_translator,
-    with_noise,
 )
 
 
@@ -527,7 +527,7 @@ def test_stream_bleu_memory_does_not_grow_with_identical_segments(tmp_path, monk
 
 @pytest.fixture(scope="module")
 def cipher_world():
-    translator = make_cipher_translator([
+    translator = CipherTranslator([
         CipherLanguage.from_seed(lang, i) for i, lang in enumerate(["hr", "hu", "mk"])
     ])
     rng = random.Random(99)
@@ -574,14 +574,14 @@ class TestEvaluateDirections:
 
     def test_full_noise_scores_at_smoothing_floor(self, cipher_world):
         translator, devset = cipher_world
-        noisy = with_noise(translator, 1.0, seed=1)
+        noisy = NoisyTranslator(translator, 1.0, seed=1)
         matrix = evaluate_directions(noisy, devset(all_directions()))
         assert all(s.score < 5.0 for s in matrix.scores.values())
 
     def test_pivot_strategy_uses_bridge(self, cipher_world):
         translator, devset = cipher_world
         grid = [d for d in all_directions() if "en" not in (d.src, d.tgt)]
-        noisy = with_noise(translator, 0.8, seed=2, directions=grid)
+        noisy = NoisyTranslator(translator, 0.8, seed=2, directions=grid)
         dev = devset(grid)
         direct = evaluate_directions(noisy, dev, strategy=Direct())
         pivoted = evaluate_directions(noisy, dev, strategy=PivotVia("en"))
@@ -602,7 +602,7 @@ class TestEvaluateDirections:
         dev = devset([Direction("hr", "hu")], n=30)
         scores = []
         for i, rate in enumerate(r / 10 for r in range(10)):
-            noisy = with_noise(translator, rate, seed=500 + i)
+            noisy = NoisyTranslator(translator, rate, seed=500 + i)
             matrix = evaluate_directions(noisy, dev)
             scores.append(matrix.avg_all)
         inversions = sum(1 for a, b in zip(scores, scores[1:]) if b > a + 1e-9)
@@ -611,7 +611,7 @@ class TestEvaluateDirections:
 
     def test_matrix_save_load_round_trip(self, cipher_world, tmp_path):
         translator, devset = cipher_world
-        noisy = with_noise(translator, 0.4, seed=9)
+        noisy = NoisyTranslator(translator, 0.4, seed=9)
         matrix = evaluate_directions(noisy, devset(all_directions()[:4]))
         path = tmp_path / "scores.tsv"
         matrix.save(path)

@@ -6,14 +6,15 @@ import pytest
 from mtforge.corpus import Direction
 from mtforge.errors import (DirectionSetMismatchError, MTForgeError, TableError,
                             UnknownDirectionError)
-from mtforge.evaluation import BleuScore, ScoreMatrix, corpus_bleu, evaluate_directions
+from mtforge.evaluation import (BleuScore, ScoreMatrix, corpus_bleu, evaluate_directions,
+                                strategy_hops)
 from mtforge.routing import RouteEntry, RoutingTable, build_routing_table, route_translate
 from mtforge.translator import (
     CipherLanguage,
+    CipherTranslator,
     Direct,
+    NoisyTranslator,
     PivotVia,
-    make_cipher_translator,
-    with_noise,
 )
 from mtforge.wordlist import COMMON_WORDS
 
@@ -128,7 +129,7 @@ def test_load_refuses_a_second_pivot_language(tmp_path):
 
 @pytest.fixture(scope="module")
 def world():
-    translator = make_cipher_translator([
+    translator = CipherTranslator([
         CipherLanguage.from_seed(lang, 7 + i)
         for i, lang in enumerate(["hr", "hu", "mk"])])
     rng = random.Random(3)
@@ -164,6 +165,23 @@ class TestRouteTranslate:
         assert route_translate(translator, table, sources, d) == \
             pivot_translate(translator, sources, d.src, d.tgt, "en")
 
+    def test_endpoint_pivot_decodes_directly(self, world):
+        # A loaded table may route en-hr "via en"; evaluate_directions decodes
+        # such a direction directly, and route_translate used to raise.
+        translator, _, _ = world
+        d = Direction("en", "hr")
+        table = RoutingTable({d: RouteEntry(PivotVia("en"), 10.0, 90.0)}, "en")
+        sources = ["the cat sat", "good day"]
+        assert route_translate(translator, table, sources, d) == \
+            translator.translate(sources, d)
+
+    def test_strategy_hops(self):
+        d = Direction("hr", "hu")
+        assert strategy_hops(d, Direct()) == [d]
+        assert strategy_hops(d, PivotVia("en")) == [Direction("hr", "en"), Direction("en", "hu")]
+        for endpoint in (Direction("en", "hr"), Direction("hr", "en")):
+            assert strategy_hops(endpoint, PivotVia("en")) == [endpoint]
+
     def test_unknown_direction(self, world):
         translator, grid, _ = world
         table = RoutingTable({}, "en")
@@ -174,7 +192,7 @@ class TestRouteTranslate:
 class TestEndToEnd:
     def test_noisy_direct_routes_everything_through_pivot(self, world):
         translator, grid, devset = world
-        system = with_noise(translator, 0.5, seed=101, directions=grid)
+        system = NoisyTranslator(translator, 0.5, seed=101, directions=grid)
         dev = devset()
         direct = evaluate_directions(system, dev, strategy=Direct())
         pivot = evaluate_directions(system, dev, strategy=PivotVia("en"))
@@ -189,7 +207,7 @@ class TestEndToEnd:
 
     def test_zero_noise_ties_go_direct(self, world):
         translator, grid, devset = world
-        system = with_noise(translator, 0.0, seed=101, directions=grid)
+        system = NoisyTranslator(translator, 0.0, seed=101, directions=grid)
         dev = devset()
         direct = evaluate_directions(system, dev, strategy=Direct())
         pivot = evaluate_directions(system, dev, strategy=PivotVia("en"))
@@ -198,7 +216,7 @@ class TestEndToEnd:
 
     def test_table_save_load_round_trip(self, world, tmp_path):
         translator, grid, devset = world
-        system = with_noise(translator, 0.5, seed=5, directions=grid)
+        system = NoisyTranslator(translator, 0.5, seed=5, directions=grid)
         dev = devset()
         table = build_routing_table(
             evaluate_directions(system, dev, strategy=Direct()),

@@ -112,16 +112,11 @@ class TestSamplingDistribution:
     ])
     def test_bad_probabilities_rejected(self, q):
         with pytest.raises(ValueError):
-            SamplingDistribution(1.0, q)
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_bad_temperature_rejected(self, t):
-        with pytest.raises(ValueError, match="temperature"):
-            SamplingDistribution(t, {"en": 0.5, "hr": 0.5})
+            SamplingDistribution(q)
 
     def test_q_is_a_read_only_copy(self):
         q = {"en": 0.5, "hr": 0.5}
-        dist = SamplingDistribution(1.0, q)
+        dist = SamplingDistribution(q)
         q["hr"] = -0.2
         assert dist.q == {"en": 0.5, "hr": 0.5}
         with pytest.raises(TypeError):
@@ -129,7 +124,7 @@ class TestSamplingDistribution:
 
     def test_sample_is_random_choices(self):
         q = {"hu": 0.25, "en": 0.0, "hr": 0.5, "mk": 0.125}
-        dist = SamplingDistribution(5.0, q)
+        dist = SamplingDistribution(q)
         got, want = random.Random(11), random.Random(11)
         for _ in range(500):
             assert dist.sample(got) == want.choices(sorted(q), [q[l] for l in sorted(q)])[0]
@@ -202,7 +197,7 @@ class TestScheduler:
                                                            message):
         manifest = make_corpus([("bx.tsv", "hr-en", "bitext", [("s", "t")])])
         with pytest.raises(error, match=f"pool bitext: {message}"):
-            BatchScheduler(manifest, SamplingDistribution(1.0, q), MixtureWeights(1, 0, 0), 8, 0)
+            BatchScheduler(manifest, SamplingDistribution(q), MixtureWeights(1, 0, 0), 8, 0)
 
     def test_batch_size_contract(self, make_corpus):
         sched = scheduler_for(three_pool_corpus(make_corpus),

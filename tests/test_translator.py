@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mtforge import translator
 from mtforge.corpus import Direction
 from mtforge.errors import (
     DuplicateLanguageError,
@@ -19,19 +20,19 @@ from mtforge.translator import (
     OOV_OPEN,
     _SPLIT_BLOCK,
     CipherLanguage,
+    CipherTranslator,
     DecodingConfig,
     LineProtocolTranslator,
+    NoisyTranslator,
     Translator,
     _noise_draw,
-    make_cipher_translator,
     pivot_translate,
-    with_noise,
 )
 
 
 @pytest.fixture(scope="module")
 def ciphers():
-    return make_cipher_translator([
+    return CipherTranslator([
         CipherLanguage.from_seed("xx", 1),
         CipherLanguage.from_seed("yy", 2),
     ])
@@ -99,12 +100,18 @@ class TestCipherTranslator:
 
     def test_duplicate_language(self):
         with pytest.raises(DuplicateLanguageError):
-            make_cipher_translator([CipherLanguage.from_seed("xx", 1),
-                                    CipherLanguage.from_seed("xx", 2)])
+            CipherTranslator([CipherLanguage.from_seed("xx", 1),
+                              CipherLanguage.from_seed("xx", 2)])
 
     def test_english_cipher_rejected(self):
         with pytest.raises(DuplicateLanguageError):
-            make_cipher_translator([CipherLanguage.from_seed("en", 1)])
+            CipherTranslator([CipherLanguage.from_seed("en", 1)])
+
+
+def test_benchmark_constructor_names_are_the_classes():
+    # perfbench/workloads.py builds its translators through these names.
+    assert translator.make_cipher_translator is CipherTranslator
+    assert translator.with_noise is NoisyTranslator
 
 
 class TestPivotTranslate:
@@ -133,35 +140,35 @@ class TestPivotTranslate:
 
 class TestNoise:
     def test_zero_noise_identity(self, ciphers):
-        noisy = with_noise(ciphers, 0.0, seed=5)
+        noisy = NoisyTranslator(ciphers, 0.0, seed=5)
         text = ["the cat sat", "good day"]
         assert noisy.translate(text, Direction("en", "xx")) == \
             ciphers.translate(text, Direction("en", "xx"))
 
     def test_full_noise_corrupts_everything(self, ciphers):
-        noisy = with_noise(ciphers, 1.0, seed=5)
+        noisy = NoisyTranslator(ciphers, 1.0, seed=5)
         out = noisy.translate(["the cat sat"], Direction("en", "xx"))
         assert out[0].split() == [NOISE_TOKEN] * 3
 
     def test_rate_matches_binomial_bound(self, ciphers):
         # 10k tokens at rate 0.3: observed fraction within 0.3 +/- 0.02
         sentences = ["the cat sat on the mat and so on there"] * 1000
-        noisy = with_noise(ciphers, 0.3, seed=11)
+        noisy = NoisyTranslator(ciphers, 0.3, seed=11)
         out = noisy.translate(sentences, Direction("en", "xx"))
         tokens = [t for s in out for t in s.split()]
         fraction = sum(t == NOISE_TOKEN for t in tokens) / len(tokens)
         assert abs(fraction - 0.3) <= 0.02
 
     def test_position_keyed_not_call_order(self, ciphers):
-        noisy = with_noise(ciphers, 0.5, seed=3)
+        noisy = NoisyTranslator(ciphers, 0.5, seed=3)
         first = noisy.translate(["the cat sat"], Direction("en", "xx"))
         noisy.translate(["other call in between"], Direction("en", "xx"))
         again = noisy.translate(["the cat sat"], Direction("en", "xx"))
         assert first == again
 
     def test_direction_restriction(self, ciphers):
-        noisy = with_noise(ciphers, 1.0, seed=3,
-                           directions=[Direction("xx", "yy")])
+        noisy = NoisyTranslator(ciphers, 1.0, seed=3,
+                                directions=[Direction("xx", "yy")])
         assert noisy.supported_directions == ciphers.supported_directions
         clean_out = noisy.translate(["the cat"], Direction("en", "xx"))
         assert NOISE_TOKEN not in clean_out[0]
@@ -170,7 +177,7 @@ class TestNoise:
 
     def test_bad_rate(self, ciphers):
         with pytest.raises(ValueError):
-            with_noise(ciphers, 1.5, seed=0)
+            NoisyTranslator(ciphers, 1.5, seed=0)
 
 
 _NOISE_DIRECTIONS = [Direction(a, b) for a in ("en", "xx", "yy")
@@ -197,10 +204,10 @@ def test_noise_is_the_same_on_every_call(ciphers, rate, seed, noisy_directions, 
     """One instance, through calls of mixed directions, sizes and sentence
     lengths, and the same calls again in reverse order, gives what a fresh
     instance per call gives, and the per-position draw."""
-    noisy = with_noise(ciphers, rate, seed, noisy_directions)
+    noisy = NoisyTranslator(ciphers, rate, seed, noisy_directions)
     for direction, sentences in calls + calls[::-1]:
         got = noisy.translate(sentences, direction)
-        assert got == with_noise(ciphers, rate, seed, noisy_directions).translate(
+        assert got == NoisyTranslator(ciphers, rate, seed, noisy_directions).translate(
             sentences, direction)
         out = ciphers.translate(sentences, direction)
         noised = noisy_directions is None or direction in noisy_directions
@@ -386,7 +393,7 @@ def _sentences(draw, words, oov=st.one_of(_WORDS, st.just(OOV_OPEN + OOV_CLOSE))
 @given(data=st.data(), xx=_vocab(_WORDS, _WORDS), yy=_vocab(_WORDS, _WORDS))
 def test_cipher_translate_matches_oracle(data, xx, yy):
     languages = [CipherLanguage("xx", 0, xx), CipherLanguage("yy", 0, yy)]
-    fast = make_cipher_translator(languages)
+    fast = CipherTranslator(languages)
     oracle = OracleCipherTranslator(languages)
     words = sorted({*xx, *xx.values(), *yy, *yy.values()})
     sentences = data.draw(st.lists(_sentences(words), max_size=6))
@@ -399,7 +406,7 @@ def test_cipher_translate_matches_oracle(data, xx, yy):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), xx=_vocab(_WORDS, _PLAIN_WORDS))
 def test_cipher_round_trip(data, xx):
-    ciphers = make_cipher_translator([CipherLanguage("xx", 0, xx)])
+    ciphers = CipherTranslator([CipherLanguage("xx", 0, xx)])
     words = sorted(w for w in {*xx, *xx.values()} if not w.startswith(OOV_OPEN))
     sentence = data.draw(_sentences(words, oov=st.text(alphabet="abc \u2028", max_size=4)))
     assume(not any(t.startswith(OOV_OPEN) for t in sentence.split()))
@@ -416,7 +423,7 @@ def test_translate_many_equals_translate(data, xx, yy):
     """Empty sentences, tabs and other whitespace, OOV tokens and markers;
     vocabulary keys holding whitespace send X->Y sentences down the
     whole-sentence fallback."""
-    ciphers = make_cipher_translator([CipherLanguage("xx", 0, xx), CipherLanguage("yy", 0, yy)])
+    ciphers = CipherTranslator([CipherLanguage("xx", 0, xx), CipherLanguage("yy", 0, yy)])
     words = sorted({*xx, *xx.values(), *yy, *yy.values()})
     sentences = data.draw(st.lists(st.just("") | _sentences(words), max_size=6))
     directions = data.draw(st.lists(st.sampled_from(_DIRECTIONS), max_size=8))
@@ -431,7 +438,7 @@ def test_translate_many_falls_back_per_sentence_and_direction():
     # long way for the sentences holding it, and only for that direction.
     xx = CipherLanguage("xx", 0, {"a b": "p", "c": "q"})
     yy = CipherLanguage("yy", 0, {"a": "r", "b": "s", "c": "t"})
-    ciphers = make_cipher_translator([xx, yy])
+    ciphers = CipherTranslator([xx, yy])
     sentences = ["p q", "q", "", "q  p"]
     directions = [Direction("xx", "yy"), Direction("xx", "en"), Direction("en", "yy")]
     assert ciphers.translate_many(sentences, directions) == {
@@ -451,7 +458,7 @@ def test_translate_many_across_split_blocks():
     # them; translating each sentence alone never crosses a block.
     xx = CipherLanguage("xx", 0, {"a b": "p", "c": "q"})
     yy = CipherLanguage("yy", 0, {"a": "r", "b": "s", "c": "t"})
-    ciphers = make_cipher_translator([xx, yy])
+    ciphers = CipherTranslator([xx, yy])
     rng = random.Random(0)
     sentences = [" ".join(rng.choices(["p", "q", "z", "⟨p⟩"], k=rng.randint(0, 5)))
                  for _ in range(3 * _SPLIT_BLOCK + 5)]
@@ -471,6 +478,6 @@ def test_translate_many_checks_every_direction_first(ciphers):
        sentences=st.lists(_SENTENCES, max_size=8),
        directions=st.lists(st.sampled_from(_NOISE_DIRECTIONS), max_size=6))
 def test_default_translate_many_calls_translate(ciphers, rate, seed, sentences, directions):
-    noisy = with_noise(ciphers, rate, seed, _NOISE_DIRECTIONS[:3])
+    noisy = NoisyTranslator(ciphers, rate, seed, _NOISE_DIRECTIONS[:3])
     assert noisy.translate_many(sentences, directions) == \
         {d: noisy.translate(sentences, d) for d in directions}
