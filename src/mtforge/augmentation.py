@@ -38,14 +38,7 @@ from typing import Sequence
 
 from .corpus import (CorpusManifest, Direction, OriginPool, Outputs, ShardEntry, check_tabs,
                      iter_line_chunks, read_table, write_manifest, write_shard, write_table)
-from .errors import (
-    EmptyMonolingualError,
-    EnglishInPairError,
-    MTForgeError,
-    NothingToDoError,
-    TableError,
-    UnsupportedDirectionError,
-)
+from .errors import MTForgeError, TableError
 from .translator import DecodingConfig, Translator
 
 
@@ -114,7 +107,17 @@ class AugmentationPlan:
 
 def _require_nonempty(ref: MonoCorpusRef) -> None:
     if not ref.path.exists() or ref.path.stat().st_size == 0:
-        raise EmptyMonolingualError(f"monolingual corpus {ref.path} is missing or empty")
+        raise MTForgeError(f"monolingual corpus {ref.path} is missing or empty")
+
+
+def _check_once(items: Sequence, what: str) -> None:
+    """ValueError naming the first of ``items`` that an earlier one equals:
+    a repeated task would write the same rows twice."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValueError(f"{what} {item} is given twice")
+        seen.add(item)
 
 
 def plan_backtranslation(mono: MonoCorpusRef, langs: Sequence[str]) -> AugmentationPlan:
@@ -122,6 +125,7 @@ def plan_backtranslation(mono: MonoCorpusRef, langs: Sequence[str]) -> Augmentat
     and emit both the X->en and en->X orientations from the single pass."""
     if mono.lang in langs:
         raise ValueError(f"target languages must exclude the monolingual side {mono.lang!r}")
+    _check_once(langs, "target language")
     tasks = []
     if langs:
         _require_nonempty(mono)
@@ -144,8 +148,9 @@ def plan_dual_pseudo(mono: MonoCorpusRef, pairs: Sequence[Direction]) -> Augment
     the input."""
     for d in pairs:
         if mono.lang in (d.src, d.tgt):
-            raise EnglishInPairError(
+            raise MTForgeError(
                 f"dual-pseudo pair {d} must not contain the pivot language {mono.lang!r}")
+    _check_once(pairs, "dual-pseudo pair")
     tasks = []
     if pairs:
         _require_nonempty(mono)
@@ -160,7 +165,9 @@ def plan_dual_pseudo(mono: MonoCorpusRef, pairs: Sequence[Direction]) -> Augment
 
 
 def all_ordered_pairs(langs: Sequence[str]) -> list[Direction]:
-    """All K*(K-1) ordered directions over a language set."""
+    """All K*(K-1) ordered directions over a language set; a language
+    given twice raises ValueError."""
+    _check_once(langs, "language")
     return [Direction(a, b) for a in langs for b in langs if a != b]
 
 
@@ -171,7 +178,7 @@ def plan_triangulation(
 ) -> AugmentationPlan:
     """Extend an (X1, Y1) bitext with a third language on either side."""
     if new_src is None and new_tgt is None:
-        raise NothingToDoError("triangulation needs new_src and/or new_tgt")
+        raise MTForgeError("triangulation needs new_src and/or new_tgt")
     x1, y1 = bitext.direction.src, bitext.direction.tgt
     tasks = []
     if new_tgt is not None:
@@ -252,11 +259,10 @@ def run_plan(
     Each side of an output direction names a column: the input's own column
     in that language (a monolingual line, or a side of a bitext line), else
     the task's needed translation into it. Before writing anything, raises
-    UnsupportedDirectionError if the translator lacks a needed direction,
-    and MTForgeError naming the task if it does not fit its kind, an output
-    side names neither kind of column or tasks on one input disagree on its
-    meta, or naming both files if an output is an input file or the plan
-    file (``corpus.Outputs.claim``).
+    MTForgeError if the translator lacks a needed direction, naming the
+    task if it does not fit its kind, an output side names neither kind of
+    column or tasks on one input disagree on its meta, or naming both files
+    if an output is an input file or the plan file (``corpus.Outputs.claim``).
 
     Each input is read one chunk of lines at a time (``iter_line_chunks``)
     and split into its side columns once. One ``translator.translate_many``
@@ -277,8 +283,7 @@ def run_plan(
     """
     missing = sorted(plan.needed_directions - translator.supported_directions)
     if missing:
-        raise UnsupportedDirectionError(
-            "translator does not support: " + ", ".join(str(d) for d in missing))
+        raise MTForgeError("translator does not support: " + ", ".join(str(d) for d in missing))
 
     # Name each task's shards in plan order. Per input path, note the number
     # and corpus of its first task, the needed directions in plan order, and

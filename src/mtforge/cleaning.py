@@ -26,7 +26,7 @@ from typing import Mapping
 from .corpus import (CorpusManifest, Outputs, SentencePair, ShardEntry, check_lang_code,
                      check_tabs, count_lines, iter_line_chunks, read_lines, read_pairs,
                      write_manifest, write_shard)
-from .errors import AlreadyTaggedError, LengthMismatchError, MTForgeError
+from .errors import MTForgeError
 from .subword import SubwordTokenizer
 
 _PAIRS_PER_WRITE = 4096   # pairs that filter_corpus filters per append of their rows
@@ -156,7 +156,7 @@ def prefix_language_tag(pair: SentencePair) -> SentencePair:
     """Prefix the source with the target-language tag. Tagging twice raises."""
     head = pair.source.split(" ", 1)[0]
     if len(head) > 4 and head.startswith("__") and head.endswith("__"):
-        raise AlreadyTaggedError(f"source already tagged: {head}")
+        raise MTForgeError(f"source already tagged: {head}")
     return pair._replace(source=f"{language_tag(pair.direction)} {pair.source}")
 
 
@@ -262,7 +262,7 @@ def filter_corpus(
     ``out_dir`` (``a.tsv``, or ``a.2.tsv`` for a second shard named
     ``a.tsv``); a sidecar line without exactly one tab, or a sidecar whose
     line count differs from its shard's, raises MalformedLineError or
-    LengthMismatchError before that shard is filtered.
+    MTForgeError before that shard is filtered.
 
     Returns the filtered manifest and a counter of kept/rejected lines.
     """
@@ -325,7 +325,7 @@ def _shard_langid(langid_dir, name: str, entry) -> list[tuple[str, str]] | None:
     check_tabs(lines, 1, sidecar)
     shard_lines = count_lines(entry.path)
     if len(lines) != shard_lines:
-        raise LengthMismatchError(
+        raise MTForgeError(
             f"{sidecar}: {len(lines)} langid lines, but shard {entry.path} "
             f"has {shard_lines} lines")
     return [line.partition("\t")[::2] for line in lines]

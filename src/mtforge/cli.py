@@ -94,6 +94,8 @@ def _cmd_filter(args) -> int:
         lang, _, script = rule.partition("=")
         if not script:
             raise MTForgeError(f"--script expects lang=Script, got {rule!r}")
+        if lang in script_rules:
+            raise MTForgeError(f"--script gives language {lang!r} twice")
         script_rules[lang] = script
     cfg = cleaning.FilterConfig(
         max_words=args.max_words,

@@ -20,8 +20,7 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (DuplicateShardPathError, MalformedLineError, ManifestError, MTForgeError,
-                     TableError)
+from .errors import MalformedLineError, MTForgeError, TableError
 
 _LANG_RE = re.compile(r"[a-z]{2,8}\Z")
 _ROWS_PER_WRITE = 512
@@ -177,33 +176,26 @@ class LanguageStats:
         return sum(self.per_direction.values())
 
 
-def read_table(path: str | Path, arity: int, parse: Callable[..., object],
-               error: type[TableError] = TableError) -> list:
+def read_table(path: str | Path, arity: int, parse: Callable[..., object]) -> list:
     """``parse(*fields)`` of every row of a TSV table, in file order.
 
-    Lines are those of ``iter_line_chunks``. Blank lines and lines whose
+    Lines are those of ``iter_line_chunks``, so a line that breaks the line
+    rule raises MalformedLineError at ``path``. Blank lines and lines whose
     first non-blank character is ``#`` are skipped; every other line must
     have ``arity`` tab-separated fields. A ValueError on a row, from these
-    checks or from ``parse``, and a stray ``\\r`` become
-    ``error(path, line_no, reason)``; a TableError raised by ``parse`` keeps
-    its own class and gets the row's location.
+    checks or from ``parse``, becomes ``TableError(path, line_no, reason)``.
     """
     rows = []
-    try:
-        for line_no, line in enumerate(chain.from_iterable(iter_line_chunks(path)), start=1):
-            try:
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != arity:
-                    raise ValueError(f"expected {arity} fields, got {len(fields)}")
-                rows.append(parse(*fields))
-            except TableError as exc:
-                raise type(exc)(path, line_no, exc.reason) from None
-            except ValueError as exc:
-                raise error(path, line_no, str(exc)) from None
-    except MalformedLineError as exc:
-        raise error(path, exc.line_no, exc.reason) from None
+    for line_no, line in enumerate(chain.from_iterable(iter_line_chunks(path)), start=1):
+        try:
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != arity:
+                raise ValueError(f"expected {arity} fields, got {len(fields)}")
+            rows.append(parse(*fields))
+        except ValueError as exc:
+            raise TableError(path, line_no, str(exc)) from None
     return rows
 
 
@@ -319,27 +311,28 @@ def read_lines(path: str | Path) -> list[str]:
 def load_manifest(path: str | Path, verify: bool = False) -> CorpusManifest:
     """Read a manifest file.
 
-    Declared line counts are advisory; with ``verify=True`` each shard is
-    recounted as its row is read, and a mismatch raises ManifestError at
-    the row's line.
+    Declared line counts are advisory; with ``verify=True`` each shard's
+    lines are recounted by the line rule of ``iter_line_chunks`` as its row
+    is read, and a mismatch or a bad shard line raises TableError at the
+    row's line.
     """
     path = Path(path)
     seen: set[str] = set()
 
     def shard(raw, src, tgt, origin_text, count_text) -> ShardEntry:
-        if raw in seen:   # read_table puts in the line number
-            raise DuplicateShardPathError(path, 0, f"duplicate shard path {raw!r}")
+        if raw in seen:
+            raise ValueError(f"duplicate shard path {raw!r}")
         seen.add(raw)
         direction = Direction(src, tgt)
         origin = OriginPool.parse(origin_text)
         count = int(count_text)
         if count < 0:
             raise ValueError("negative line count")
-        if verify and (actual := count_lines(path.parent / raw)) != count:
+        if verify and (actual := sum(map(len, iter_line_chunks(path.parent / raw, raw)))) != count:
             raise ValueError(f"shard {raw}: declared {count} lines but found {actual}")
         return ShardEntry(raw, path.parent / raw, direction, origin, count)
 
-    return CorpusManifest(read_table(path, 5, shard, ManifestError), path)
+    return CorpusManifest(read_table(path, 5, shard), path)
 
 
 def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Direction, finite_float, read_table, write_table
-from .errors import EmptyCorpusError, LengthMismatchError
+from .errors import MTForgeError
 from .subword import SubwordTokenizer, default_tokenizer
 from .translator import Direct, PivotVia, Strategy, Translator, pivot_translate
 
@@ -69,7 +69,7 @@ def stream_bleu(hyp_chunks: Iterable[Sequence[str]], ref_chunks: Iterable[Sequen
     yields them. Each hypothesis chunk is zipped with as many reference
     lines and its segments' statistics are added to the sums, so memory
     holds about one chunk of each side. A length mismatch is known only when
-    both streams have ended; it then raises LengthMismatchError with both
+    both streams have ended; it then raises MTForgeError with both
     counts. Only ``tokenizer.tokenize`` is called (``str.split`` when
     ``tokenizer`` is None): once for a segment whose hypothesis equals its
     reference, twice for any other. Such identical segments are kept as
@@ -101,9 +101,9 @@ def stream_bleu(hyp_chunks: Iterable[Sequence[str]], ref_chunks: Iterable[Sequen
         del hyps, refs, same   # before the next chunk is read
     n_refs += sum(1 for _ in ref_lines)
     if n_hyps != n_refs:
-        raise LengthMismatchError(f"{n_hyps} hypotheses vs {n_refs} references")
+        raise MTForgeError(f"{n_hyps} hypotheses vs {n_refs} references")
     if not n_hyps:
-        raise EmptyCorpusError("need at least one segment")
+        raise MTForgeError("need at least one segment")
     return bleu_from_stats(matches, totals, hyp_len, ref_len)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Direction, check_lang_code, finite_float, read_table, write_table
-from .errors import DirectionSetMismatchError, MTForgeError, UnknownDirectionError
+from .errors import MTForgeError
 from .evaluation import ScoreMatrix, decode
 from .translator import Direct, PivotVia, Strategy, Translator
 
@@ -31,10 +31,10 @@ class RoutingTable:
     pivot_lang: str
 
     def strategy(self, direction: Direction) -> Strategy:
-        """``direction``'s strategy; UnknownDirectionError if it has no entry."""
+        """``direction``'s strategy; MTForgeError if it has no entry."""
         entry = self.entries.get(direction)
         if entry is None:
-            raise UnknownDirectionError(f"no routing entry for {direction}")
+            raise MTForgeError(f"no routing entry for {direction}")
         return entry.strategy
 
     def save(self, path: str | Path) -> None:
@@ -77,8 +77,7 @@ def build_routing_table(
     """
     check_lang_code(pivot_lang)
     if set(direct.scores) != set(pivot.scores):
-        raise DirectionSetMismatchError(
-            "direct and pivot matrices cover different direction sets")
+        raise MTForgeError("direct and pivot matrices cover different direction sets")
     entries: dict[Direction, RouteEntry] = {}
     for direction in sorted(direct.scores):
         d = direct.scores[direction].score

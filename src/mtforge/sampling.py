@@ -28,7 +28,7 @@ from typing import BinaryIO, Mapping
 from . import corpus
 from .corpus import (CorpusManifest, Direction, LanguageStats, OriginPool,
                      SentencePair, check_tabs, decode_lines, line_text, write_table)
-from .errors import EmptyPoolError
+from .errors import MTForgeError
 
 _NOT_TAB_OR_LF = bytes(b for b in range(256) if b not in b"\t\n")
 # A shard smaller than this has every line offset, and its size, in
@@ -317,7 +317,7 @@ class BatchScheduler:
                     continue
                 by_dir = shards.get(pool)
                 if not by_dir:
-                    raise EmptyPoolError(
+                    raise MTForgeError(
                         f"pool {pool.value} has weight {lam:g} but no pairs in the manifest")
                 directions = sorted(by_dir)
                 cum, total, hi = _cumulative([
@@ -325,7 +325,7 @@ class BatchScheduler:
                     for d in directions
                 ])
                 if total <= 0:
-                    raise EmptyPoolError(
+                    raise MTForgeError(
                         f"pool {pool.value}: no direction has positive sampling weight")
                 if not math.isfinite(total):
                     raise ValueError(f"pool {pool.value}: direction weights must be finite")

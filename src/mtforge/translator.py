@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import Direction, check_lang_code, decode_lines
-from .errors import DuplicateLanguageError, MTForgeError, UnsupportedDirectionError
+from .errors import MTForgeError
 from .wordlist import COMMON_WORDS
 
 OOV_OPEN = "⟨"    # mathematical left angle bracket
@@ -98,7 +98,7 @@ class Translator(abc.ABC):
 
     def _check_direction(self, direction: Direction) -> None:
         if direction not in self.supported_directions:
-            raise UnsupportedDirectionError(f"direction {direction} not supported")
+            raise MTForgeError(f"direction {direction} not supported")
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ class CipherTranslator(Translator):
         self._ciphers: dict[str, CipherLanguage] = {}
         for cipher in languages:
             if cipher.lang == "en" or cipher.lang in self._ciphers:
-                raise DuplicateLanguageError(f"duplicate language {cipher.lang!r}")
+                raise MTForgeError(f"duplicate language {cipher.lang!r}")
             self._ciphers[cipher.lang] = cipher
         codes = ["en"] + sorted(self._ciphers)
         self._supported = frozenset(
@@ -362,8 +362,7 @@ def pivot_translate(
 ) -> list[str]:
     """Translate src->pivot->tgt in two hops."""
     if pivot in (src, tgt):
-        raise UnsupportedDirectionError(
-            f"pivot {pivot!r} must differ from both endpoints {src!r}, {tgt!r}")
+        raise MTForgeError(f"pivot {pivot!r} must differ from both endpoints {src!r}, {tgt!r}")
     mid = translator.translate(sentences, Direction(src, pivot))
     return translator.translate(mid, Direction(pivot, tgt))
 

@@ -21,15 +21,7 @@ from mtforge.augmentation import (
     save_plan,
 )
 from mtforge.corpus import Direction, OriginPool
-from mtforge.errors import (
-    EmptyMonolingualError,
-    EnglishInPairError,
-    MalformedLineError,
-    MTForgeError,
-    NothingToDoError,
-    TableError,
-    UnsupportedDirectionError,
-)
+from mtforge.errors import MalformedLineError, MTForgeError, TableError
 from mtforge.translator import CipherLanguage, CipherTranslator, Translator
 from mtforge.wordlist import COMMON_WORDS
 
@@ -67,12 +59,17 @@ class TestPlanBacktranslation:
     def test_empty_monolingual(self, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")
-        with pytest.raises(EmptyMonolingualError):
+        with pytest.raises(MTForgeError, match=f"monolingual corpus {empty} is missing or empty"):
             plan_backtranslation(MonoCorpusRef(empty, "en"), ["hr"])
 
     def test_mono_language_excluded(self, mono):
         with pytest.raises(ValueError):
             plan_backtranslation(mono, ["en", "hr"])
+
+    def test_repeated_language(self, tmp_path):
+        # Checked before the corpus is, so the missing file is not named.
+        with pytest.raises(ValueError, match="^target language hr is given twice$"):
+            plan_backtranslation(MonoCorpusRef(tmp_path / "absent.txt", "en"), ["hr", "hu", "hr"])
 
 
 class TestPlanDualPseudo:
@@ -89,8 +86,17 @@ class TestPlanDualPseudo:
         assert plan.needed_directions == {Direction("en", l) for l in langs}
 
     def test_english_in_pair(self, mono):
-        with pytest.raises(EnglishInPairError):
+        with pytest.raises(MTForgeError, match="pair hr-en must not contain the pivot language"):
             plan_dual_pseudo(mono, [Direction("hr", "en")])
+
+    def test_repeated_pair(self, tmp_path):
+        pairs = [Direction("hr", "hu"), Direction("hu", "hr"), Direction("hr", "hu")]
+        with pytest.raises(ValueError, match="^dual-pseudo pair hr-hu is given twice$"):
+            plan_dual_pseudo(MonoCorpusRef(tmp_path / "absent.txt", "en"), pairs)
+
+    def test_repeated_language_in_grid(self):
+        with pytest.raises(ValueError, match="^language hr is given twice$"):
+            all_ordered_pairs(["hr", "hu", "hr"])
 
 
 class TestPlanTriangulation:
@@ -110,7 +116,7 @@ class TestPlanTriangulation:
 
     def test_neither_side(self, tmp_path):
         bitext = BitextCorpusRef(tmp_path / "b.tsv", Direction("hr", "hu"))
-        with pytest.raises(NothingToDoError):
+        with pytest.raises(MTForgeError, match="triangulation needs new_src and/or new_tgt"):
             plan_triangulation(bitext)
 
     def test_collision_with_existing_side(self, tmp_path):
@@ -183,7 +189,7 @@ class TestRunPlan:
     def test_fail_fast_before_output(self, mono, translator, tmp_path):
         plan = plan_backtranslation(mono, ["de"])  # no such cipher
         out = tmp_path / "out"
-        with pytest.raises(UnsupportedDirectionError):
+        with pytest.raises(MTForgeError, match="translator does not support: en-de"):
             run_plan(plan, translator, None, out)
         assert not out.exists() or not list(out.iterdir())
 

@@ -20,7 +20,7 @@ from mtforge.cleaning import (
     truncate_tokens,
 )
 from mtforge.corpus import Direction, OriginPool, SentencePair, load_manifest
-from mtforge.errors import AlreadyTaggedError, LengthMismatchError, MalformedLineError
+from mtforge.errors import MalformedLineError, MTForgeError
 from mtforge.subword import SubwordTokenizer, default_tokenizer
 
 TOK = default_tokenizer()
@@ -256,7 +256,7 @@ class TestPrefixLanguageTag:
 
     def test_double_tagging_rejected(self):
         tagged = prefix_language_tag(pair("dobar dan", "good day", "hr-en"))
-        with pytest.raises(AlreadyTaggedError):
+        with pytest.raises(MTForgeError, match="^source already tagged: __en__$"):
             prefix_language_tag(tagged)
 
     def test_tamil_direction(self):
@@ -349,10 +349,10 @@ class TestShuffleDataset:
         # One line by count_lines; text mode would write two.
         (tmp_path / "a.tsv").write_bytes(b"s0\tt0\ns1\tt1\rs2\tt2\n")
         (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t2\n", encoding="utf-8")
-        manifest = load_manifest(tmp_path / "m.tsv", verify=True)
+        manifest = load_manifest(tmp_path / "m.tsv")
         with pytest.raises(MalformedLineError) as err:
             shuffle_dataset(manifest, 5, tmp_path / "out.tsv")
-        assert (err.value.shard_id, err.value.line_no) == ("a.tsv", 2)
+        assert (err.value.path, err.value.line_no) == ("a.tsv", 2)
         assert not (tmp_path / "out.tsv").exists()
 
     def test_crlf_shard_gives_lf_output(self, tmp_path):
@@ -477,7 +477,7 @@ class TestFilterCorpus:
         langid_dir.mkdir()
         sidecar = langid_dir / "a.tsv.langid"
         sidecar.write_text(sidecar_text, encoding="utf-8")
-        with pytest.raises(LengthMismatchError) as exc:
+        with pytest.raises(MTForgeError, match="langid lines, but shard") as exc:
             filter_corpus(manifest, FilterConfig(), TOK, tmp_path / "clean",
                           langid_dir=langid_dir)
         message = str(exc.value)
@@ -485,19 +485,20 @@ class TestFilterCorpus:
         assert f"{sidecar_text.count(chr(10))} langid lines" in message
         assert "2 lines" in message
 
-    @pytest.mark.parametrize("sidecar_text, error", [
-        ("hr\ten\n", MalformedLineError),
-        ("hr\ten\nhr\ten\n", LengthMismatchError),
+    @pytest.mark.parametrize("sidecar_text, error, message", [
+        ("hr\ten\n", MalformedLineError, "^a.tsv:1: carriage return outside"),
+        ("hr\ten\nhr\ten\n", MTForgeError, "2 langid lines, but shard .* has 1 lines$"),
     ])
-    def test_stray_carriage_return_counts_one_line(self, tmp_path, sidecar_text, error):
+    def test_stray_carriage_return_counts_one_line(self, tmp_path, sidecar_text, error,
+                                                   message):
         # One line by count_lines; text mode would read two and filter both.
         (tmp_path / "a.tsv").write_bytes(b"s1\tt1\rs2\tt2\n")
         (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t1\n", encoding="utf-8")
-        manifest = load_manifest(tmp_path / "m.tsv", verify=True)
+        manifest = load_manifest(tmp_path / "m.tsv")
         langid_dir = tmp_path / "langid"
         langid_dir.mkdir()
         (langid_dir / "a.tsv.langid").write_text(sidecar_text, encoding="utf-8")
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             filter_corpus(manifest, FilterConfig(), TOK, tmp_path / "clean",
                           langid_dir=langid_dir)
 

@@ -71,6 +71,9 @@ class TestUsageErrors:
         pytest.param(["filter", "--manifest", "absent.tsv", "--out", "out",
                       "--script", "HR=latn"], "invalid language code: 'HR'",
                      id="filter-script-key-before-manifest"),
+        pytest.param(["filter", "--manifest", "absent.tsv", "--out", "out",
+                      "--script", "hr=Cyrl", "--script", "hr=Latn"],
+                     "--script gives language 'hr' twice", id="filter-script-language-twice"),
         pytest.param(["sample", "--manifest", "absent.tsv", "--report", "r.tsv",
                       "--lambda", "1,1"], "expected three comma-separated weights, got '1,1'",
                      id="sample-lambda-before-manifest"),
@@ -118,6 +121,12 @@ class TestUsageErrors:
                      "--kind tri needs --bitext and --direction", id="plan-tri-without-direction"),
         pytest.param(PLAN + ["tri", "--direction", "hr-en"],
                      "--kind tri needs --bitext and --direction", id="plan-tri-without-bitext"),
+        pytest.param(PLAN + ["bt", "--mono", "mono.txt", "--langs", "hr,hr"],
+                     "target language hr is given twice", id="plan-bt-language-twice"),
+        pytest.param(PLAN + ["dual", "--mono", "mono.txt", "--pairs", "hr-hu,hr-hu"],
+                     "dual-pseudo pair hr-hu is given twice", id="plan-dual-pair-twice"),
+        pytest.param(PLAN + ["dual", "--mono", "mono.txt", "--langs", "hr,hr,hu"],
+                     "language hr is given twice", id="plan-dual-language-twice"),
     ])
     def test_one_error_line_and_nothing_written(self, tmp_path, capsys, monkeypatch,
                                                 argv, message):
@@ -187,6 +196,16 @@ class TestStats:
         manifest = tmp_path / "manifest.tsv"
         manifest.write_text("a.tsv\thr\ten\tbitext\t9\n", encoding="utf-8")
         assert main(["stats", "--manifest", str(manifest), "--verify"]) == 1
+
+    def test_verify_reads_shards_by_the_line_rule(self, tmp_path, capsys):
+        # Two lines by their \n bytes, but the second is not UTF-8: the
+        # count fails where shuffle and sample would.
+        (tmp_path / "a.tsv").write_bytes(b"s0\tt0\nsource \xff\ttarget\n")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("a.tsv\thr\ten\tbitext\t2\n", encoding="utf-8")
+        assert main(["stats", "--manifest", str(manifest), "--verify"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {manifest}:1: a.tsv:2: not UTF-8 at byte 8 (invalid start byte)\n")
 
 
 class TestBleu:

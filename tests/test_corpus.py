@@ -21,7 +21,7 @@ from mtforge.corpus import (
     read_pairs,
     write_manifest,
 )
-from mtforge.errors import DuplicateShardPathError, MalformedLineError, ManifestError
+from mtforge.errors import MalformedLineError, TableError
 
 
 class TestDirection:
@@ -86,28 +86,28 @@ class TestLoadManifest:
         write_shard(tmp_path / "a.tsv", [("x", "y")])
         (tmp_path / "m.tsv").write_text(
             "a.tsv\thr\ten\tbitext\t1\na.tsv\ten\thr\tbitext\t1\n", encoding="utf-8")
-        with pytest.raises(DuplicateShardPathError):
+        with pytest.raises(TableError, match=":2: duplicate shard path 'a.tsv'"):
             load_manifest(tmp_path / "m.tsv")
 
     def test_same_language_direction(self, tmp_path):
         (tmp_path / "m.tsv").write_text("a.tsv\ten\ten\tbitext\t1\n", encoding="utf-8")
-        with pytest.raises(ManifestError):
+        with pytest.raises(TableError, match="direction must have distinct sides"):
             load_manifest(tmp_path / "m.tsv")
 
     def test_bad_field_count(self, tmp_path):
         (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\n", encoding="utf-8")
-        with pytest.raises(ManifestError) as err:
+        with pytest.raises(TableError, match="expected 5 fields, got 4") as err:
             load_manifest(tmp_path / "m.tsv")
         assert err.value.line_no == 1
 
     def test_bad_origin(self, tmp_path):
         (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tnope\t1\n", encoding="utf-8")
-        with pytest.raises(ManifestError):
+        with pytest.raises(TableError, match="unknown origin pool: 'nope'"):
             load_manifest(tmp_path / "m.tsv")
 
     def test_negative_count(self, tmp_path):
         (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t-3\n", encoding="utf-8")
-        with pytest.raises(ManifestError):
+        with pytest.raises(TableError, match="negative line count"):
             load_manifest(tmp_path / "m.tsv")
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -124,7 +124,7 @@ class TestLoadManifest:
         write_shard(tmp_path / "a.tsv", [("x", "y"), ("p", "q")])
         (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t5\n", encoding="utf-8")
         load_manifest(tmp_path / "m.tsv")  # advisory count: fine unverified
-        with pytest.raises(ManifestError):
+        with pytest.raises(TableError, match="declared 5 lines but found 2"):
             load_manifest(tmp_path / "m.tsv", verify=True)
 
     def test_verify_mismatch_names_its_line(self, tmp_path):
@@ -133,11 +133,20 @@ class TestLoadManifest:
         (tmp_path / "m.tsv").write_text(
             "# path\tsrc\ttgt\torigin\tcount\na.tsv\thr\ten\tbitext\t1\n"
             "b.tsv\thr\ten\tbitext\t1\n", encoding="utf-8")
-        with pytest.raises(ManifestError) as info:
+        with pytest.raises(TableError) as info:
             load_manifest(tmp_path / "m.tsv", verify=True)
         assert info.value.line_no == 3
         assert str(info.value) == (f"{tmp_path / 'm.tsv'}:3: shard b.tsv: "
                                    "declared 1 lines but found 2")
+
+    def test_verify_reads_shards_by_the_line_rule(self, tmp_path):
+        (tmp_path / "a.tsv").write_bytes(b"s0\tt0\nsource \xff\ttarget\n")
+        (tmp_path / "m.tsv").write_text("a.tsv\thr\ten\tbitext\t2\n", encoding="utf-8")
+        load_manifest(tmp_path / "m.tsv")   # unverified, the shard is not read
+        with pytest.raises(TableError) as info:
+            load_manifest(tmp_path / "m.tsv", verify=True)
+        assert (info.value.path, info.value.line_no) == (tmp_path / "m.tsv", 1)
+        assert info.value.reason == "a.tsv:2: not UTF-8 at byte 8 (invalid start byte)"
 
     def test_write_round_trip(self, tmp_path):
         manifest = build_manifest(tmp_path, [
@@ -211,7 +220,7 @@ class TestReadPairs:
         (tmp_path / "a.tsv").write_bytes(data)
         n = count_lines(tmp_path / "a.tsv")
         (tmp_path / "m.tsv").write_text(f"a.tsv\thr\ten\tbitext\t{n}\n", encoding="utf-8")
-        return load_manifest(tmp_path / "m.tsv", verify=True).shard("a.tsv")
+        return load_manifest(tmp_path / "m.tsv").shard("a.tsv")
 
     @pytest.mark.parametrize("data, line_no", [
         (b"s1\tt1\rs2\tt2\ns3\tt3\n", 1),   # counted as 2 lines, not 3
@@ -223,7 +232,7 @@ class TestReadPairs:
         entry = self.raw_shard(tmp_path, data)
         with pytest.raises(MalformedLineError) as err:
             list(read_pairs(entry))
-        assert (err.value.shard_id, err.value.line_no) == ("a.tsv", line_no)
+        assert (err.value.path, err.value.line_no) == ("a.tsv", line_no)
         assert "carriage return outside a CRLF line end" in str(err.value)
 
     @pytest.mark.parametrize("data, rows", [

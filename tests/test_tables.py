@@ -54,12 +54,7 @@ from mtforge.curriculum import (
     StageDescriptor,
     load_schedule,
 )
-from mtforge.errors import (
-    DuplicateShardPathError,
-    MalformedLineError,
-    ManifestError,
-    TableError,
-)
+from mtforge.errors import MalformedLineError, TableError
 from mtforge.evaluation import BleuScore, ScoreMatrix
 from mtforge.routing import RouteEntry, RoutingTable
 from mtforge.sampling import MixtureWeights
@@ -113,8 +108,6 @@ def test_loader_errors_are_located(tmp_path, fmt, case):
     assert str(err.value).startswith(f"{path}:3: ")
     if case == "stray_cr":
         assert err.value.reason == STRAY_CR
-    if fmt == "manifest":
-        assert isinstance(err.value, ManifestError)
 
 
 @pytest.mark.parametrize("row, reason", [
@@ -159,7 +152,7 @@ def test_duplicate_shard_path_is_located(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("a.tsv\thr\ten\tbitext\t1\n# again\na.tsv\ten\thr\tbt\t1\n",
                     encoding="utf-8")
-    with pytest.raises(DuplicateShardPathError) as err:
+    with pytest.raises(TableError, match="duplicate shard path 'a.tsv'") as err:
         load_manifest(path)
     assert err.value.line_no == 3 and str(err.value).startswith(f"{path}:3: ")
 
@@ -534,6 +527,41 @@ def test_calls_are_named_with_their_class():
     assert [call[:2] for call in _file_calls(
         "class A:\n    def f(self):\n        g()\n        def h():\n            k()\nm()")] \
         == [("A.f", "g"), ("A.f.h", "k"), (None, "m")]
+
+
+def _unjustified_errors(errors_source: str, package_sources: list[str]) -> list[str]:
+    """The classes defined in ``errors_source`` that no ``except`` clause in
+    ``package_sources`` names and whose ``__init__`` sets no attribute."""
+    caught = {node.id for source in package_sources for handler in ast.walk(ast.parse(source))
+              if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+              for node in ast.walk(handler.type) if isinstance(node, ast.Name)}
+    found = []
+    for cls in ast.parse(errors_source).body:
+        if isinstance(cls, ast.ClassDef) and cls.name not in caught and not any(
+                isinstance(target, ast.Attribute)
+                for init in cls.body if getattr(init, "name", None) == "__init__"
+                for node in ast.walk(init) if isinstance(node, ast.Assign)
+                for target in node.targets):
+            found.append(cls.name)
+    return found
+
+
+def test_unjustified_errors_are_found():
+    errors = ("class Base(Exception):\n    pass\n"
+              "class Named(Base):\n    pass\n"
+              "class Located(Base):\n    def __init__(self, at):\n        self.at = at\n")
+    assert _unjustified_errors(errors, ["try:\n    f()\nexcept (Base, ValueError):\n    pass"]) \
+        == ["Named"]
+    assert _unjustified_errors(errors, []) == ["Base", "Named"]
+
+
+def test_each_error_class_carries_data_or_is_caught():
+    """A failure that needs only its message raises MTForgeError; a class in
+    ``mtforge.errors`` is kept only when some code catches it by type or it
+    carries fields beyond its message."""
+    package = Path(mtforge.__file__).parent
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
+    assert _unjustified_errors((package / "errors.py").read_text(encoding="utf-8"), sources) == []
 
 
 # --- save -> load round trips ------------------------------------------------

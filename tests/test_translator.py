@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from mtforge import translator
 from mtforge.corpus import Direction
-from mtforge.errors import (
-    DuplicateLanguageError,
-    MalformedLineError,
-    MTForgeError,
-    UnsupportedDirectionError,
-)
+from mtforge.errors import MalformedLineError, MTForgeError
 from mtforge.translator import (
     NOISE_TOKEN,
     OOV_CLOSE,
@@ -79,7 +74,7 @@ class TestCipherTranslator:
         assert ciphers.translate([], Direction("en", "xx")) == []
 
     def test_unsupported_direction(self, ciphers):
-        with pytest.raises(UnsupportedDirectionError):
+        with pytest.raises(MTForgeError, match="^direction en-de not supported$"):
             ciphers.translate(["x"], Direction("en", "de"))
 
     def test_cross_language_equals_composition(self, ciphers):
@@ -99,12 +94,12 @@ class TestCipherTranslator:
         assert len(ciphers.supported_directions) == 6  # {en,xx,yy} ordered pairs
 
     def test_duplicate_language(self):
-        with pytest.raises(DuplicateLanguageError):
+        with pytest.raises(MTForgeError, match="^duplicate language 'xx'$"):
             CipherTranslator([CipherLanguage.from_seed("xx", 1),
                               CipherLanguage.from_seed("xx", 2)])
 
     def test_english_cipher_rejected(self):
-        with pytest.raises(DuplicateLanguageError):
+        with pytest.raises(MTForgeError, match="^duplicate language 'en'$"):
             CipherTranslator([CipherLanguage.from_seed("en", 1)])
 
 
@@ -123,9 +118,9 @@ class TestPivotTranslate:
         assert pivot_translate(ciphers, src, "xx", "yy", "en") == expected
 
     def test_pivot_equal_to_endpoint_rejected(self, ciphers):
-        with pytest.raises(UnsupportedDirectionError):
+        with pytest.raises(MTForgeError, match="pivot 'xx' must differ from both endpoints"):
             pivot_translate(ciphers, ["x"], "xx", "yy", "xx")
-        with pytest.raises(UnsupportedDirectionError):
+        with pytest.raises(MTForgeError, match="pivot 'yy' must differ from both endpoints"):
             pivot_translate(ciphers, ["x"], "xx", "yy", "yy")
 
     def test_pivot_direct_equivalence(self, ciphers):
@@ -282,7 +277,7 @@ class TestLineProtocolTranslator:
 
     def test_unsupported_direction(self):
         t = LineProtocolTranslator(["true"], [Direction("en", "de")])
-        with pytest.raises(UnsupportedDirectionError):
+        with pytest.raises(MTForgeError, match="^direction de-en not supported$"):
             t.translate(["a"], Direction("de", "en"))
 
     def test_only_newline_ends_an_output_line(self):
@@ -468,7 +463,7 @@ def test_translate_many_across_split_blocks():
 
 
 def test_translate_many_checks_every_direction_first(ciphers):
-    with pytest.raises(UnsupportedDirectionError):
+    with pytest.raises(MTForgeError, match="^direction en-zz not supported$"):
         ciphers.translate_many(["the cat"], [Direction("en", "xx"), Direction("en", "zz")])
     assert ciphers.translate_many(["the cat"], []) == {}
 
