@@ -165,8 +165,10 @@ def plan_dual_pseudo(mono: MonoCorpusRef, pairs: Sequence[Direction]) -> Augment
 
 
 def all_ordered_pairs(langs: Sequence[str]) -> list[Direction]:
-    """All K*(K-1) ordered directions over a language set; a language
-    given twice raises ValueError."""
+    """All K*(K-1) ordered directions over a language set; fewer than two
+    languages, or a language given twice, raises ValueError."""
+    if len(langs) < 2:
+        raise ValueError(f"ordered pairs need at least two languages, got {len(langs)}")
     _check_once(langs, "language")
     return [Direction(a, b) for a in langs for b in langs if a != b]
 
@@ -368,4 +370,16 @@ def _task(kind_text, input_path, meta, needed_text, outputs_text) -> Augmentatio
 
 
 def load_plan(path: str | Path) -> AugmentationPlan:
-    return AugmentationPlan(read_table(path, 5, _task), Path(path))
+    """The plan in a plan file. A task equal to an earlier one, which would
+    write the same rows twice, raises TableError at its line."""
+    numbers: dict[AugmentationTask, int] = {}
+
+    def task(*fields) -> AugmentationTask:
+        parsed = _task(*fields)
+        if parsed in numbers:
+            raise ValueError(f"plan task {len(numbers) + 1} ({parsed.kind.value} "
+                             f"{parsed.corpus.path}) repeats plan task {numbers[parsed]}")
+        numbers[parsed] = len(numbers) + 1
+        return parsed
+
+    return AugmentationPlan(read_table(path, 5, task), Path(path))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import augmentation, cleaning, curriculum, demo
@@ -26,6 +27,7 @@ from .translator import (
     CipherTranslator,
     LineProtocolTranslator,
     PivotVia,
+    check_noise_rate,
     check_timeout,
     derive_language_seed,
 )
@@ -50,26 +52,53 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _parse_translator(spec: str) -> tuple[str, int | str]:
-    """The kind of a ``cipher:SEED`` or ``exec:CMD`` spec and its seed or
-    command, so that a bad spec fails before any input is read."""
+def _flag(check, convert=str):
+    """An argparse ``type`` that converts a flag's text and returns
+    ``check(value)``. A text that does not convert stays argparse's usage
+    error, named by ``convert``; the check's ValueError becomes MTForgeError,
+    which argparse lets through to ``main``'s one ``error:`` line."""
+    def parse(text):
+        value = convert(text)
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise MTForgeError(str(exc)) from None
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _translator(spec: str):
+    """The builder, called with ``(directions, timeout)``, of the translator
+    that a ``cipher:SEED`` or ``exec:CMD`` spec names; ``timeout`` limits
+    each call of an ``exec:`` command."""
     kind, colon, arg = spec.partition(":")
-    if colon and kind == "cipher":
-        return kind, int(arg)
     if colon and kind == "exec":
-        return kind, arg
-    raise MTForgeError(f"unknown translator spec {spec!r} (use cipher:SEED or exec:CMD)")
+        return partial(LineProtocolTranslator, arg)
+    if colon and kind == "cipher":
+        seed = int(arg)
+        return lambda directions, timeout: CipherTranslator(
+            CipherLanguage.from_seed(lang, derive_language_seed(seed, lang))
+            for lang in sorted({lang for d in directions for lang in (d.src, d.tgt)} - {"en"}))
+    raise ValueError(f"unknown translator spec {spec!r} (use cipher:SEED or exec:CMD)")
 
 
-def _make_translator(spec: tuple[str, int | str], directions, timeout: float | None):
-    """Build the translator of a parsed spec for ``directions``; ``timeout``
-    limits each call of an ``exec:`` command."""
-    kind, arg = spec
-    if kind == "exec":
-        return LineProtocolTranslator(arg, directions, timeout)
-    langs = sorted({lang for d in directions for lang in (d.src, d.tgt)} - {"en"})
-    return CipherTranslator(
-        CipherLanguage.from_seed(lang, derive_language_seed(arg, lang)) for lang in langs)
+def _each(check):
+    """A ``type`` that returns ``check`` of each item of a comma-separated list."""
+    return _flag(lambda text: [check(item) for item in text.split(",")])
+
+
+class _ScriptRules(argparse.Action):
+    """Repeated ``--script LANG=SCRIPT`` flags, gathered into a new dict on
+    each flag; a language given twice is an error."""
+
+    def __call__(self, parser, namespace, rule, option_string=None):
+        lang, _, script = rule.partition("=")
+        if not script:
+            raise MTForgeError(f"--script expects lang=Script, got {rule!r}")
+        rules = getattr(namespace, self.dest)
+        if lang in rules:
+            raise MTForgeError(f"--script gives language {lang!r} twice")
+        setattr(namespace, self.dest, {**rules, lang: script})
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -89,20 +118,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    script_rules = {}
-    for rule in args.script or []:
-        lang, _, script = rule.partition("=")
-        if not script:
-            raise MTForgeError(f"--script expects lang=Script, got {rule!r}")
-        if lang in script_rules:
-            raise MTForgeError(f"--script gives language {lang!r} twice")
-        script_rules[lang] = script
     cfg = cleaning.FilterConfig(
         max_words=args.max_words,
         max_tokens=args.max_tokens,
         length_ratio_limit=args.ratio,
         unk_token=args.unk_token,
-        script_rules=script_rules,
+        script_rules=args.script,
         langid_required=args.langid_required,
     )
     manifest = load_manifest(args.manifest)
@@ -124,16 +145,12 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    weights = MixtureWeights.parse(args.mixture)
-    check_temperature(args.temperature)
-    check_batch_size(args.batch_size)
-    check_batches(args.batches)
     manifest = load_manifest(args.manifest)
     Outputs(manifest.files()).claim(args.report)
     seed = _resolve_seed(args)
     stats = corpus_stats(manifest)
     dist = language_distribution(stats, args.temperature)
-    with BatchScheduler(manifest, dist, weights, args.batch_size, seed) as scheduler:
+    with BatchScheduler(manifest, dist, args.mixture, args.batch_size, seed) as scheduler:
         write_composition(scheduler, args.batches, args.report)
     print(f"batches\t{args.batches}")
     return 0
@@ -153,25 +170,20 @@ def _cmd_augment_plan(args) -> int:
         if not args.mono or not args.langs:
             raise MTForgeError("--kind bt needs --mono and --langs")
         plan = augmentation.plan_backtranslation(
-            augmentation.MonoCorpusRef(Path(args.mono), args.mono_lang),
-            args.langs.split(","))
+            augmentation.MonoCorpusRef(Path(args.mono), args.mono_lang), args.langs)
     elif args.kind == "dual":
         if not args.mono:
             raise MTForgeError("--kind dual needs --mono")
-        if args.pairs:
-            pairs = [Direction.parse(p) for p in args.pairs.split(",")]
-        elif args.langs:
-            pairs = augmentation.all_ordered_pairs(args.langs.split(","))
-        else:
+        if not args.pairs and not args.langs:
             raise MTForgeError("--kind dual needs --pairs or --langs")
         plan = augmentation.plan_dual_pseudo(
-            augmentation.MonoCorpusRef(Path(args.mono), args.mono_lang), pairs)
+            augmentation.MonoCorpusRef(Path(args.mono), args.mono_lang),
+            args.pairs or augmentation.all_ordered_pairs(args.langs))
     else:  # tri
         if not args.bitext or not args.direction:
             raise MTForgeError("--kind tri needs --bitext and --direction")
         plan = augmentation.plan_triangulation(
-            augmentation.BitextCorpusRef(Path(args.bitext),
-                                         Direction.parse(args.direction)),
+            augmentation.BitextCorpusRef(Path(args.bitext), args.direction),
             new_src=args.new_src, new_tgt=args.new_tgt)
     augmentation.save_plan(plan, args.out)
     print(f"tasks\t{len(plan.tasks)}")
@@ -179,17 +191,14 @@ def _cmd_augment_plan(args) -> int:
 
 
 def _cmd_augment_run(args) -> int:
-    check_timeout(args.timeout)
-    spec = _parse_translator(args.translator)
     plan = augmentation.load_plan(args.plan)
-    translator = _make_translator(spec, plan.needed_directions, args.timeout)
+    translator = args.translator(plan.needed_directions, args.timeout)
     manifest = augmentation.run_plan(plan, translator, None, args.out)
     print(f"shards\t{len(manifest.shards)}")
     return 0
 
 
 def _cmd_route_build(args) -> int:
-    check_lang_code(args.pivot_lang)
     Outputs([args.direct, args.pivot]).claim(args.out)
     direct = ScoreMatrix.load(args.direct)
     pivot = ScoreMatrix.load(args.pivot)
@@ -202,15 +211,12 @@ def _cmd_route_build(args) -> int:
 
 
 def _cmd_route_translate(args) -> int:
-    check_timeout(args.timeout)
-    spec = _parse_translator(args.translator)
-    direction = Direction.parse(args.direction)
     Outputs([args.table, args.input]).claim(args.out)
     table = RoutingTable.load(args.table)
-    hops = strategy_hops(direction, table.strategy(direction))
-    translator = _make_translator(spec, hops, args.timeout)
+    hops = strategy_hops(args.direction, table.strategy(args.direction))
+    translator = args.translator(hops, args.timeout)
     sentences = read_lines(args.input)
-    write_shard(args.out, [route_translate(translator, table, sentences, direction)])
+    write_shard(args.out, [route_translate(translator, table, sentences, args.direction)])
     print(f"sentences\t{len(sentences)}")
     return 0
 
@@ -230,7 +236,13 @@ def _cmd_demo(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-_TIMEOUT_HELP = "kill an exec: translator call that runs longer than this"
+# The options that augment run and route translate both take.
+_TRANSLATOR_OPTIONS = {
+    "--translator": dict(type=_flag(_translator), required=True,
+                         metavar="cipher:SEED|exec:CMD"),
+    "--timeout": dict(type=_flag(check_timeout, float), metavar="SECONDS",
+                      help="kill an exec: translator call that runs longer than this"),
+}
 
 
 def build_parser() -> _Parser:
@@ -252,7 +264,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-words", type=int, default=1024)
     p.add_argument("--max-tokens", type=int, default=512)
     p.add_argument("--unk-token", default="[UNK]")
-    p.add_argument("--script", action="append", metavar="LANG=SCRIPT")
+    p.add_argument("--script", action=_ScriptRules, default={}, metavar="LANG=SCRIPT")
     p.add_argument("--langid", help="directory of per-shard langid sidecar files")
     p.add_argument("--langid-required", action="store_true")
     p.add_argument("--vocab")
@@ -266,11 +278,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="draw batches from the three-pool mixture")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--temperature", type=float, default=5.0)
-    p.add_argument("--lambda", dest="mixture", default="0.6,0.2,0.2",
-                   metavar="L1,L2,L3")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--batches", type=int, default=10)
+    p.add_argument("--temperature", type=_flag(check_temperature, float), default=5.0)
+    p.add_argument("--lambda", dest="mixture", type=_flag(MixtureWeights.parse),
+                   default="0.6,0.2,0.2", metavar="L1,L2,L3")
+    p.add_argument("--batch-size", type=_flag(check_batch_size, int), default=32)
+    p.add_argument("--batches", type=_flag(check_batches, int), default=10)
     p.add_argument("--seed", type=int)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -286,19 +298,19 @@ def build_parser() -> _Parser:
     pp = aug.add_parser("plan")
     pp.add_argument("--kind", choices=["bt", "dual", "tri"], required=True)
     pp.add_argument("--mono")
-    pp.add_argument("--mono-lang", default="en")
-    pp.add_argument("--langs")
-    pp.add_argument("--pairs")
+    pp.add_argument("--mono-lang", type=_flag(check_lang_code), default="en")
+    pp.add_argument("--langs", type=_each(check_lang_code))
+    pp.add_argument("--pairs", type=_each(Direction.parse))
     pp.add_argument("--bitext")
-    pp.add_argument("--direction")
-    pp.add_argument("--new-src")
-    pp.add_argument("--new-tgt")
+    pp.add_argument("--direction", type=_flag(Direction.parse))
+    pp.add_argument("--new-src", type=_flag(check_lang_code))
+    pp.add_argument("--new-tgt", type=_flag(check_lang_code))
     pp.add_argument("--out", required=True)
     pp.set_defaults(func=_cmd_augment_plan)
     pr = aug.add_parser("run")
     pr.add_argument("--plan", required=True)
-    pr.add_argument("--translator", required=True, metavar="cipher:SEED|exec:CMD")
-    pr.add_argument("--timeout", type=float, metavar="SECONDS", help=_TIMEOUT_HELP)
+    for option, kwargs in _TRANSLATOR_OPTIONS.items():
+        pr.add_argument(option, **kwargs)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_augment_run)
 
@@ -307,14 +319,14 @@ def build_parser() -> _Parser:
     rb = route.add_parser("build")
     rb.add_argument("--direct", required=True)
     rb.add_argument("--pivot", required=True)
-    rb.add_argument("--pivot-lang", default="en")
+    rb.add_argument("--pivot-lang", type=_flag(check_lang_code), default="en")
     rb.add_argument("--out", required=True)
     rb.set_defaults(func=_cmd_route_build)
     rt = route.add_parser("translate")
     rt.add_argument("--table", required=True)
-    rt.add_argument("--translator", required=True, metavar="cipher:SEED|exec:CMD")
-    rt.add_argument("--timeout", type=float, metavar="SECONDS", help=_TIMEOUT_HELP)
-    rt.add_argument("--direction", required=True)
+    for option, kwargs in _TRANSLATOR_OPTIONS.items():
+        rt.add_argument(option, **kwargs)
+    rt.add_argument("--direction", type=_flag(Direction.parse), required=True)
     rt.add_argument("--input", required=True)
     rt.add_argument("--out", required=True)
     rt.set_defaults(func=_cmd_route_translate)
@@ -328,7 +340,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("demo", help="end-to-end pipeline on synthetic cipher data")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--direct-noise", type=float, default=0.0)
+    p.add_argument("--direct-noise", type=_flag(check_noise_rate, float), default=0.0)
     p.set_defaults(func=_cmd_demo)
 
     return parser
@@ -338,14 +350,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        return args.func(args)
     except (MTForgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

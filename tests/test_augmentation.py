@@ -98,6 +98,13 @@ class TestPlanDualPseudo:
         with pytest.raises(ValueError, match="^language hr is given twice$"):
             all_ordered_pairs(["hr", "hu", "hr"])
 
+    @pytest.mark.parametrize("langs", [[], ["hr"]])
+    def test_grid_needs_two_languages(self, langs):
+        # One language made an empty grid, and so a plan of no tasks.
+        with pytest.raises(ValueError, match="^ordered pairs need at least two languages, "
+                                             f"got {len(langs)}$"):
+            all_ordered_pairs(langs)
+
 
 class TestPlanTriangulation:
     def test_new_target(self, tmp_path):
@@ -502,3 +509,19 @@ class TestPlanSerialization:
         assert [t.kind for t in loaded.tasks] == [
             TaskKind.BACK_TRANSLATION, TaskKind.DUAL_PSEUDO, TaskKind.TRIANGULATION]
         assert loaded.tasks == plan.tasks
+
+    def test_repeated_task_is_refused_at_its_line(self, tmp_path):
+        bt = "bt\tmono.en.txt\tlang=en\ten-hr\thr-en:bt,en-hr:bt"
+        dual = "dual\tmono.en.txt\tlang=en\ten-hr,en-hu\thr-hu:dp"
+        path = tmp_path / "plan.tsv"
+        path.write_text(f"# kind\n{bt}\n{dual}\n{bt}\n", encoding="utf-8")
+        with pytest.raises(TableError) as caught:
+            load_plan(path)
+        assert (caught.value.line_no, caught.value.reason) == \
+            (4, "plan task 3 (bt mono.en.txt) repeats plan task 1")
+
+    def test_tasks_that_differ_only_in_their_input_stay_legal(self, tmp_path):
+        path = tmp_path / "plan.tsv"
+        path.write_text("".join(f"bt\t{name}\tlang=en\ten-hr\thr-en:bt\n"
+                                for name in ("a.txt", "b.txt")), encoding="utf-8")
+        assert [str(task.corpus.path) for task in load_plan(path).tasks] == ["a.txt", "b.txt"]

@@ -55,7 +55,7 @@ class TestUsageErrors:
 
     PLAN = ["augment", "plan", "--out", "plan.tsv", "--kind"]
 
-    @pytest.mark.parametrize("argv, message", [
+    ROWS = [
         pytest.param(["filter", "--manifest", "manifest.tsv", "--out", "out",
                       "--script", "sr"], "--script expects lang=Script, got 'sr'",
                      id="filter-script-without-equals"),
@@ -127,7 +127,28 @@ class TestUsageErrors:
                      "dual-pseudo pair hr-hu is given twice", id="plan-dual-pair-twice"),
         pytest.param(PLAN + ["dual", "--mono", "mono.txt", "--langs", "hr,hr,hu"],
                      "language hr is given twice", id="plan-dual-language-twice"),
-    ])
+        pytest.param(PLAN + ["dual", "--mono", "absent.txt", "--langs", "hr"],
+                     "ordered pairs need at least two languages, got 1",
+                     id="plan-dual-one-language"),
+        # A value that one flag holds is checked before the corpus is looked
+        # at, and before a check of two flags.
+        pytest.param(PLAN + ["bt", "--mono", "absent.txt", "--langs", "HR"],
+                     "invalid language code: 'HR'", id="plan-bt-langs-code-before-mono"),
+        pytest.param(PLAN + ["bt", "--mono", "absent.txt", "--mono-lang", "EN", "--langs", "hr"],
+                     "invalid language code: 'EN'", id="plan-mono-lang-before-mono"),
+        pytest.param(PLAN + ["tri", "--bitext", "absent.tsv", "--new-src", "MK"],
+                     "invalid language code: 'MK'", id="plan-new-src-before-direction-check"),
+        pytest.param(PLAN + ["tri", "--direction", "hr-en", "--new-tgt", "HU"],
+                     "invalid language code: 'HU'", id="plan-new-tgt-before-bitext-check"),
+        pytest.param(PLAN + ["tri", "--direction", "hr"], "expected src-tgt direction, got 'hr'",
+                     id="plan-direction-before-bitext-check"),
+        pytest.param(PLAN + ["dual", "--pairs", "hr"], "expected src-tgt direction, got 'hr'",
+                     id="plan-pairs-before-mono-check"),
+        pytest.param(["demo", "--out", "d", "--direct-noise", "nan"],
+                     "noise_rate must be in [0, 1]", id="demo-direct-noise-before-seed"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", ROWS)
     def test_one_error_line_and_nothing_written(self, tmp_path, capsys, monkeypatch,
                                                 argv, message):
         monkeypatch.chdir(tmp_path)
@@ -135,7 +156,8 @@ class TestUsageErrors:
         (tmp_path / "mono.txt").write_text("the cat sat\n", encoding="utf-8")
         before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
         assert main(argv) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == \
             [f"error: {message}"]
         assert "Traceback" not in err
@@ -669,6 +691,23 @@ class TestAugmentCli:
         assert f"error: output {mono} is the input {mono}" in capsys.readouterr().err
         assert mono.read_text(encoding="utf-8") == "the cat sat\ngood day\n"
         assert sorted(p.name for p in Path("aug").iterdir()) == ["bt.hr-en.tsv"]
+
+    def test_repeated_plan_task_is_refused(self, tmp_path, capsys, monkeypatch):
+        # A plan that gave one task twice ran, and wrote bt.hr-en.tsv and
+        # bt.hr-en.2.tsv with the same rows.
+        monkeypatch.chdir(tmp_path)
+        Path("mono.en.txt").write_text("the cat sat\n", encoding="utf-8")
+        main(["augment", "plan", "--kind", "bt", "--mono", "mono.en.txt",
+              "--langs", "hr", "--out", "plan.tsv"])
+        capsys.readouterr()
+        header, task = Path("plan.tsv").read_text(encoding="utf-8").splitlines()
+        Path("plan.tsv").write_text(f"{header}\n{task}\n{task}\n", encoding="utf-8")
+        rc = main(["augment", "run", "--plan", "plan.tsv",
+                   "--translator", "cipher:1", "--out", "aug"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: plan.tsv:3: plan task 2 (bt mono.en.txt) repeats plan task 1\n"
+        assert not Path("aug").exists()
 
     def test_output_manifest_that_is_the_plan_is_refused(self, tmp_path, capsys, monkeypatch):
         # The plan was replaced by the output manifest and the run exited 0.

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import test_cli
 from mtforge.cli import build_parser, main
 from mtforge.wordlist import COMMON_WORDS
 
@@ -222,19 +223,37 @@ def test_table_holds_the_cases():
 
 
 def _options(parser, command=()):
-    """(subcommand words, option string) of every option of every subcommand."""
+    """(subcommand words, option string, action) of every option of every
+    subcommand."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
                 yield from _options(sub, command + (name,))
         elif not isinstance(action, argparse._HelpAction):
-            yield from ((command, option) for option in action.option_strings)
+            yield from ((command, option, action) for option in action.option_strings)
+
+
+def _unused(options, argvs):
+    """The (subcommand words, option string) of ``options`` that no argv runs."""
+    return [(command, option) for command, option, _ in options
+            if not any(tuple(argv[:len(command)]) == command and option in argv
+                       for argv in argvs)]
 
 
 def test_every_option_is_run():
-    assert [(command, option) for command, option in _options(build_parser())
-            if not any(tuple(argv[:len(command)]) == command and option in argv
-                       for _, argv in CASES)] == []
+    assert _unused(_options(build_parser()), [argv for _, argv in CASES]) == []
+
+
+def test_every_checked_option_has_a_usage_error_row():
+    # A value checked while the command line is parsed, by a ``type`` that
+    # is more than a converter or by an action of the CLI's own, has a row
+    # of test_cli.TestUsageErrors, which gives it a bad value.
+    checked = [(command, option, action) for command, option, action in _options(build_parser())
+               if action.type not in (None, int, float)
+               or type(action).__module__ == "mtforge.cli"]
+    assert {("sample", "--temperature"), ("filter", "--script")} <= \
+        {(command[0], option) for command, option, _ in checked}
+    assert _unused(checked, [row.values[0] for row in test_cli.TestUsageErrors.ROWS]) == []
 
 
 def regenerate():

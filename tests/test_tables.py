@@ -627,7 +627,7 @@ _TASKS = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(tasks=st.lists(_TASKS, max_size=5))
+@given(tasks=st.lists(_TASKS, max_size=5, unique=True))   # load_plan refuses a repeat
 def test_plan_round_trip(tasks):
     plan = AugmentationPlan(tasks)
     assert _round_trip(lambda p: save_plan(plan, p), load_plan) == plan
