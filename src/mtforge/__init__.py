@@ -23,7 +23,6 @@ from .cleaning import (
     RejectReason,
     apply_filters,
     filter_corpus,
-    prefix_language_tag,
     shuffle_dataset,
     truncate_tokens,
 )

@@ -1,5 +1,5 @@
-"""Corpus cleaning: the filter ladder, language tagging, token truncation,
-and a seeded external-memory shuffle.
+"""Corpus cleaning: the filter ladder, token truncation, and a seeded
+external-memory shuffle.
 
 ``apply_filters`` returns the kept pair, or the RejectReason of the first
 check that fails in this fixed order, so rejection reasons are deterministic:
@@ -144,20 +144,6 @@ def apply_filters(
         # a grapheme boundary fits in max_tokens.
         return RejectReason.TOO_LONG
     return pair._replace(source=source, target=target)
-
-
-def language_tag(direction) -> str:
-    """The tag prefixed to a source sentence: the *target* language, which is
-    what actually encodes the translation direction for a shared encoder."""
-    return f"__{direction.tgt}__"
-
-
-def prefix_language_tag(pair: SentencePair) -> SentencePair:
-    """Prefix the source with the target-language tag. Tagging twice raises."""
-    head = pair.source.split(" ", 1)[0]
-    if len(head) > 4 and head.startswith("__") and head.endswith("__"):
-        raise MTForgeError(f"source already tagged: {head}")
-    return pair._replace(source=f"{language_tag(pair.direction)} {pair.source}")
 
 
 def _starts_with_combining(token: str) -> bool:

@@ -164,7 +164,17 @@ def _cmd_bleu(args) -> int:
     return 0
 
 
+# The input flags of augment plan that each --kind uses (--mono-lang has a default).
+_PLAN_FLAGS = {"bt": {"mono", "langs"}, "dual": {"mono", "langs", "pairs"},
+               "tri": {"bitext", "direction", "new_src", "new_tgt"}}
+
+
 def _cmd_augment_plan(args) -> int:
+    for dest in ("mono", "langs", "pairs", "bitext", "direction", "new_src", "new_tgt"):
+        if getattr(args, dest) is not None and dest not in _PLAN_FLAGS[args.kind]:
+            raise MTForgeError(f"--kind {args.kind} does not use --{dest.replace('_', '-')}")
+    if args.pairs is not None and args.langs is not None:
+        raise MTForgeError("--kind dual takes --pairs or --langs, not both")
     Outputs([args.mono, args.bitext]).claim(args.out)
     if args.kind == "bt":
         if not args.mono or not args.langs:

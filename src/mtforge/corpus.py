@@ -68,9 +68,6 @@ class Direction:
             raise ValueError(f"expected src-tgt direction, got {text!r}")
         return cls(src, tgt)
 
-    def reversed(self) -> "Direction":
-        return Direction(self.tgt, self.src)
-
 
 class OriginPool(enum.Enum):
     """Which of the three training pools a pair belongs to."""
@@ -170,10 +167,6 @@ class LanguageStats:
 
     per_language: dict[str, int] = field(default_factory=dict)
     per_direction: dict[Direction, int] = field(default_factory=dict)
-
-    @property
-    def total_pairs(self) -> int:
-        return sum(self.per_direction.values())
 
 
 def read_table(path: str | Path, arity: int, parse: Callable[..., object]) -> list:

@@ -141,12 +141,6 @@ class ModelShape:
         return cls(encoder_layers, decoder_layers,
                    tuple(Inherited("pretrained") for _ in range(encoder_layers)))
 
-    def count_inherited(self) -> int:
-        return sum(isinstance(p, Inherited) for p in self.layer_provenance)
-
-    def count_fresh(self) -> int:
-        return sum(isinstance(p, FreshRandom) for p in self.layer_provenance)
-
 
 def grow_encoder(shape: ModelShape, extra: int, stage_id: str) -> ModelShape:
     """Deepen the encoder: bottom layers keep their provenance, the new top

@@ -34,7 +34,7 @@ from collections import Counter, _count_elements
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import Direction, finite_float, read_table, write_table
 from .errors import MTForgeError
@@ -42,7 +42,7 @@ from .subword import SubwordTokenizer, default_tokenizer
 from .translator import Direct, PivotVia, Strategy, Translator, pivot_translate
 
 MAX_ORDER = 4    # BLEU-4; _orders spells the four orders out
-ENGLISH = "en"   # the language the ScoreMatrix direction classes are relative to
+ENGLISH = "en"   # the language that ScoreMatrix.avg_x_to_y leaves out
 
 
 @dataclass(frozen=True)
@@ -170,11 +170,10 @@ def bleu_from_stats(matches: Sequence[int], totals: Sequence[int],
 
 @dataclass
 class ScoreMatrix:
-    """Per-direction BLEU plus the standard direction-class averages.
-
-    The classes are defined relative to English: X->En (into English),
-    En->Y (out of English), X->Y (neither side English), and the overall
-    mean. An empty class averages to None.
+    """Per-direction BLEU plus two averages: over X->Y, the directions with
+    neither side English, and over all directions. An empty set averages
+    to None. A direction given twice in a loaded file raises TableError at
+    its second row.
     """
 
     scores: dict[Direction, BleuScore]
@@ -182,14 +181,6 @@ class ScoreMatrix:
     def _mean(self, directions) -> float | None:
         values = [self.scores[d].score for d in directions]
         return sum(values) / len(values) if values else None
-
-    @property
-    def avg_x_to_en(self) -> float | None:
-        return self._mean([d for d in self.scores if d.tgt == ENGLISH])
-
-    @property
-    def avg_en_to_y(self) -> float | None:
-        return self._mean([d for d in self.scores if d.src == ENGLISH])
 
     @property
     def avg_x_to_y(self) -> float | None:
@@ -215,7 +206,23 @@ class ScoreMatrix:
             if bleu.hyp_len < 0 or bleu.ref_len < 0:
                 raise ValueError(f"negative length: hyp_len {hyp_len}, ref_len {ref_len}")
             return Direction(src, tgt), bleu
-        return cls(dict(read_table(path, 10, row)))
+        return cls(read_by_direction(path, 10, row))
+
+
+def read_by_direction(path: str | Path, arity: int, parse: Callable[..., tuple]) -> dict:
+    """``read_table`` of rows that ``parse`` makes ``(direction, value)``, as
+    a dict in row order. A direction given twice raises TableError at its
+    second row: the later row would silently win."""
+    by_direction = {}
+
+    def row(*fields) -> None:
+        direction, value = parse(*fields)
+        if direction in by_direction:
+            raise ValueError(f"direction {direction} is given twice")
+        by_direction[direction] = value
+
+    read_table(path, arity, row)
+    return by_direction
 
 
 DevSet = Mapping[Direction, tuple[Sequence[str], Sequence[str]]]

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Direction, check_lang_code, finite_float, read_table, write_table
+from .corpus import Direction, check_lang_code, finite_float, write_table
 from .errors import MTForgeError
-from .evaluation import ScoreMatrix, decode
+from .evaluation import ScoreMatrix, decode, read_by_direction
 from .translator import Direct, PivotVia, Strategy, Translator
 
 
@@ -47,7 +47,8 @@ class RoutingTable:
     @classmethod
     def load(cls, path: str | Path) -> "RoutingTable":
         """The pivot language is the first row's (``en`` for an empty table);
-        a later row that names another raises TableError at its line."""
+        a later row that names another, or a direction given twice, raises
+        TableError at its line."""
         first = None
 
         def row(src, tgt, kind, pivot_lang, direct_text, pivot_text):
@@ -61,7 +62,7 @@ class RoutingTable:
             strategy: Strategy = PivotVia(pivot_lang) if kind == "pivot" else Direct()
             return Direction(src, tgt), RouteEntry(
                 strategy, finite_float(direct_text), finite_float(pivot_text))
-        return cls(dict(read_table(path, 6, row)), first or "en")
+        return cls(read_by_direction(path, 6, row), first or "en")
 
 
 def build_routing_table(

@@ -18,6 +18,7 @@ import random
 import weakref
 from array import array
 from bisect import bisect
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -134,7 +135,6 @@ class MixtureWeights:
 @dataclass
 class Batch:
     pairs: list[SentencePair]
-    composition: dict[tuple[str, OriginPool], int]
 
 
 def language_distribution(stats: LanguageStats, temperature: float) -> SamplingDistribution:
@@ -196,7 +196,7 @@ class _OffsetPairs:
     """The pairs of one (pool, direction), concatenated over its shards in
     manifest order; ``_read_batch`` reads them from disk by offset.
     ``indices`` is the range of their indexes, so a draw from it names a
-    pair without reading it. ``keys`` are the batch composition's keys for
+    pair without reading it. ``keys`` are ``write_composition``'s keys for
     the source and the target language of each pair."""
 
     __slots__ = ("direction", "origin", "keys", "indices", "starts", "shards")
@@ -251,20 +251,14 @@ class BatchScheduler:
     stream is reproducible from the seed, and draws make exactly the RNG
     calls of ``random.choices`` and ``randrange``.
 
-    A batch's ``composition`` counts its pairs per (language, pool), once
-    for the source and once for the target language of each pair. It is
-    tallied per (pool, direction) as pairs are drawn and expanded once per
-    batch. Its keys are in the order they first occur in the batch, taking
-    each pair's source language before its target language.
-
     Each batch is drawn first and read after. The draw names every pair by
     its (pool, direction) and index and reads no line; it alone makes the
-    RNG calls and tallies the composition, so the stream does not depend on
-    what is read. Only ``next_batch`` then reads the drawn lines, in draw
-    order and in one loop over the batch (``_read_batch``);
-    ``write_composition`` reads none. A line that cannot be read (a shard
-    changed after construction) therefore raises only once the whole batch
-    has been drawn.
+    RNG calls, so the stream does not depend on what is read. Only
+    ``next_batch`` then reads the drawn lines, in draw order and in one loop
+    over the batch (``_read_batch``). ``write_composition`` reads none: it
+    counts each batch's composition from the draws. A line that cannot be
+    read (a shard changed after construction) therefore raises only once
+    the whole batch has been drawn.
 
     Construction reads every shard once in binary mode and keeps only an
     array of line-start byte offsets per shard: ``array('I')``, 4 bytes a
@@ -352,38 +346,31 @@ class BatchScheduler:
     def _draw(self, pairs: range) -> int:
         return pairs[self._rng.randrange(len(pairs))]
 
-    def _draw_batch(self) -> tuple[list[tuple[_OffsetPairs, int]],
-                                   dict[tuple[str, OriginPool], int]]:
+    def _draw_batch(self) -> list[tuple[_OffsetPairs, int]]:
         """Draw one batch without reading a line: its ``(pairs, k)`` in
-        draw order, and its composition."""
+        draw order."""
         if self.closed:
             raise ValueError("the scheduler is closed")
         rand, draw, pools = self._rng.random, self._draw, self._pools
         pool_cum, pool_total, pool_hi = self._pool_cum, self._pool_total, self._pool_hi
         batch = []
-        drawn: dict[_OffsetPairs, int] = {}   # draws per (pool, direction)
         for _ in repeat(None, self.batch_size):
             cum, total, hi, by_dir = pools[bisect(pool_cum, rand() * pool_total, 0, pool_hi)]
             pairs = by_dir[bisect(cum, rand() * total, 0, hi)]
             batch.append((pairs, draw(pairs.indices)))
-            drawn[pairs] = drawn.get(pairs, 0) + 1
-        composition: dict[tuple[str, OriginPool], int] = {}
-        for pairs, n in drawn.items():
-            for key in pairs.keys:
-                composition[key] = composition.get(key, 0) + n
-        return batch, composition
+        return batch
 
     def next_batch(self) -> Batch:
-        batch, composition = self._draw_batch()
-        return Batch(_read_batch(batch), composition)
+        return Batch(_read_batch(self._draw_batch()))
 
 
 def write_composition(scheduler: BatchScheduler, batches: int, path: str | Path) -> None:
     """Draw ``batches`` batches and write the composition report: per batch,
-    one ``batch language origin count`` row per (language, pool), sorted.
-    The batches are drawn as ``next_batch`` draws them, with the same RNG
-    calls, but no line is read, so the scheduler's stream goes on as if
-    ``next_batch`` had been called ``batches`` times. A negative
+    one ``batch language origin count`` row per (language, pool), sorted,
+    counting each drawn pair once for its source and once for its target
+    language. The batches are drawn as ``next_batch`` draws them, with the
+    same RNG calls, but no line is read, so the scheduler's stream goes on
+    as if ``next_batch`` had been called ``batches`` times. A negative
     ``batches`` or a closed scheduler, even with ``batches`` 0, raises
     ValueError before anything is drawn, and writes no report."""
     check_batches(batches)
@@ -391,6 +378,6 @@ def write_composition(scheduler: BatchScheduler, batches: int, path: str | Path)
         raise ValueError("the scheduler is closed")
     rows = []
     for b in range(batches):
-        composition = scheduler._draw_batch()[1]
+        composition = Counter(key for pairs, _ in scheduler._draw_batch() for key in pairs.keys)
         rows += sorted((b, lang, origin.value, n) for (lang, origin), n in composition.items())
     write_table(path, rows, header="batch language origin count".split())

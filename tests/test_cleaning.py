@@ -15,7 +15,6 @@ from mtforge.cleaning import (
     RejectReason,
     apply_filters,
     filter_corpus,
-    prefix_language_tag,
     shuffle_dataset,
     truncate_tokens,
 )
@@ -44,13 +43,6 @@ class TestProvenanceKept:
         assert type(verdict) is SentencePair
         assert verdict.source != self.PAIR.source   # truncated
         assert self.provenance(verdict) == self.provenance(self.PAIR)
-
-    def test_prefix_language_tag(self):
-        tagged = prefix_language_tag(self.PAIR)
-        assert type(tagged) is SentencePair
-        assert tagged.source == "__sl__ " + self.PAIR.source
-        assert tagged.target == self.PAIR.target
-        assert self.provenance(tagged) == self.provenance(self.PAIR)
 
 
 class TestApplyFilters:
@@ -246,22 +238,6 @@ def test_ratio_ladder_monotone_property(source, target, limits):
                                      TOK), SentencePair)
             for r in (tight, loose)]
     assert not kept[0] or kept[1]
-
-
-class TestPrefixLanguageTag:
-    def test_tag_encodes_target_language(self):
-        tagged = prefix_language_tag(pair("dobar dan", "good day", "hr-en"))
-        assert tagged.source == "__en__ dobar dan"
-        assert tagged.target == "good day"
-
-    def test_double_tagging_rejected(self):
-        tagged = prefix_language_tag(pair("dobar dan", "good day", "hr-en"))
-        with pytest.raises(MTForgeError, match="^source already tagged: __en__$"):
-            prefix_language_tag(tagged)
-
-    def test_tamil_direction(self):
-        tagged = prefix_language_tag(pair("hello there", "x", "en-ta"))
-        assert tagged.source.startswith("__ta__ ")
 
 
 class TestTruncateTokens:

@@ -49,6 +49,23 @@ class TestExitCodes:
         assert main(["stats", "--manifest", str(bad)]) == 1
 
 
+# augment plan: each input flag that a --kind does not use, beside the
+# inputs that it does use, all absent. Each was ignored, and the plan written.
+_PLAN_INPUTS = {"bt": ["--mono", "absent.txt", "--langs", "hr"],
+                "dual": ["--mono", "absent.txt", "--pairs", "hr-hu"],
+                "tri": ["--bitext", "absent.tsv", "--direction", "hr-en", "--new-tgt", "mk"]}
+_PLAN_UNUSED = {"bt": {"--pairs": "hr-hu", "--bitext": "absent.tsv", "--direction": "hr-en",
+                       "--new-src": "mk", "--new-tgt": "mk"},
+                "dual": {"--bitext": "absent.tsv", "--direction": "hr-en", "--new-src": "mk",
+                         "--new-tgt": "mk"},
+                "tri": {"--mono": "absent.txt", "--langs": "hr,hu", "--pairs": "hr-hu"}}
+_PLAN_UNUSED_ROWS = [
+    pytest.param(["augment", "plan", "--out", "plan.tsv", "--kind", kind, *_PLAN_INPUTS[kind],
+                  flag, value], f"--kind {kind} does not use {flag}",
+                 id=f"plan-{kind}-does-not-use-{flag[2:]}")
+    for kind, flags in _PLAN_UNUSED.items() for flag, value in flags.items()]
+
+
 class TestUsageErrors:
     """A flag value or flag combination the command cannot use fails with
     one ``error:`` line before anything is read or written."""
@@ -146,6 +163,14 @@ class TestUsageErrors:
                      id="plan-pairs-before-mono-check"),
         pytest.param(["demo", "--out", "d", "--direct-noise", "nan"],
                      "noise_rate must be in [0, 1]", id="demo-direct-noise-before-seed"),
+        pytest.param(PLAN + ["dual", "--mono", "absent.txt", "--pairs", "hr-hu",
+                             "--langs", "hr,hu,mk"],
+                     "--kind dual takes --pairs or --langs, not both",
+                     id="plan-dual-pairs-and-langs"),
+        pytest.param(PLAN + ["bt", "--mono", "absent.txt", "--langs", "hr", "--pairs", "hr-hu",
+                             "--new-src", "mk"],
+                     "--kind bt does not use --pairs", id="plan-bt-pairs-and-new-src"),
+        *_PLAN_UNUSED_ROWS,
     ]
 
     @pytest.mark.parametrize("argv, message", ROWS)
@@ -858,6 +883,20 @@ class TestRouteCli:
         assert main(["route", "build", "--direct", str(direct),
                      "--pivot", str(pivot), "--out", str(tmp_path / "t")]) == 1
 
+    def test_direction_given_twice(self, tmp_path, capsys):
+        # The second hr-hu row silently won: exit 0, routed direct at 90.
+        direct = tmp_path / "direct.tsv"
+        direct.write_text("hr\thu\t10.0\t1\t1\t1\t1\t1.0\t10\t10\n"
+                          "hr\thu\t90.0\t1\t1\t1\t1\t1.0\t10\t10\n", encoding="utf-8")
+        pivot = tmp_path / "pivot.tsv"
+        pivot.write_text("hr\thu\t60.0\t1\t1\t1\t1\t1.0\t10\t10\n", encoding="utf-8")
+        table = tmp_path / "table.tsv"
+        assert main(["route", "build", "--direct", str(direct), "--pivot", str(pivot),
+                     "--out", str(table)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {direct}:2: direction hr-hu is given twice"]
+        assert not table.exists()
 
     def test_bad_pivot_language(self, tmp_path, capsys):
         scores = tmp_path / "scores.tsv"

@@ -554,8 +554,6 @@ class TestEvaluateDirections:
         matrix = evaluate_directions(translator, devset(all_directions()))
         assert all(s.score == 100.0 for s in matrix.scores.values())
         assert matrix.avg_all == 100.0
-        assert matrix.avg_x_to_en == 100.0
-        assert matrix.avg_en_to_y == 100.0
         assert matrix.avg_x_to_y == 100.0
 
     def test_direction_class_counting(self, cipher_world):

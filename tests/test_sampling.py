@@ -217,17 +217,22 @@ class TestScheduler:
         batch = sched.next_batch()
         assert {p.direction for p in batch.pairs} == {Direction("hr", "en")}
 
-    def test_composition_tallies_match_pairs(self, make_corpus):
-        sched = scheduler_for(three_pool_corpus(make_corpus),
-                              MixtureWeights(0.6, 0.2, 0.2), batch_size=32)
-        batch = sched.next_batch()
-        # each pair contributes its two sides
-        assert sum(batch.composition.values()) == 2 * len(batch.pairs)
-        origin_totals = {}
-        for (lang, origin), n in batch.composition.items():
-            origin_totals[origin] = origin_totals.get(origin, 0) + n
-        for origin, total in origin_totals.items():
-            assert total == 2 * sum(p.origin is origin for p in batch.pairs)
+    def test_composition_tallies_match_pairs(self, make_corpus, tmp_path):
+        manifest = three_pool_corpus(make_corpus)
+        weights = MixtureWeights(0.6, 0.2, 0.2)
+        report = tmp_path / "composition.tsv"
+        with scheduler_for(manifest, weights, batch_size=32) as sched:
+            sampling.write_composition(sched, 3, report)
+        with scheduler_for(manifest, weights, batch_size=32) as sched:
+            batches = [sched.next_batch().pairs for _ in range(3)]
+        rows = [line.split("\t") for line in report.read_text(encoding="utf-8").splitlines()[1:]]
+        for b, pairs in enumerate(batches):
+            counts = [(origin, int(n)) for batch, _, origin, n in rows if batch == str(b)]
+            # each pair contributes its two sides
+            assert sum(n for _, n in counts) == 2 * len(pairs) == 64
+            for origin in OriginPool:
+                assert sum(n for o, n in counts if o == origin.value) == \
+                    2 * sum(p.origin is origin for p in pairs)
 
     def test_pool_marginals_within_three_sigma(self, make_corpus):
         draws = 20_000
@@ -500,13 +505,7 @@ class MaterializingScheduler:
         return pairs[self._rng.randrange(len(pairs))]
 
     def next_batch(self):
-        pairs = [self.draw() for _ in range(self.batch_size)]
-        composition = {}
-        for pair in pairs:
-            for lang in (pair.direction.src, pair.direction.tgt):
-                key = (lang, pair.origin)
-                composition[key] = composition.get(key, 0) + 1
-        return Batch(pairs, composition)
+        return Batch([self.draw() for _ in range(self.batch_size)])
 
 
 _DIRECTIONS = ["hr-en", "en-hr", "hu-en", "hr-hu", "mk-hu"]
@@ -540,7 +539,7 @@ def test_draw_stream_matches_materializing_oracle(shards, weights, seed, batch_s
     with tempfile.TemporaryDirectory() as tmp:
         manifest = _write_random_corpus(Path(tmp), shards)
         stats = corpus_stats(manifest)
-        assume(stats.total_pairs > 0)
+        assume(sum(stats.per_direction.values()) > 0)
         dist = language_distribution(stats, 5.0)
         weights = MixtureWeights(*weights)
         try:
@@ -552,15 +551,20 @@ def test_draw_stream_matches_materializing_oracle(shards, weights, seed, batch_s
             return
         with BatchScheduler(manifest, dist, weights, batch_size, seed) as sched:
             for _ in range(3):
-                got, want = sched.next_batch(), oracle.next_batch()
-                assert got.pairs == want.pairs
-                assert list(got.composition.items()) == list(want.composition.items())
+                assert sched.next_batch().pairs == oracle.next_batch().pairs
 
 
 def _composition_rows(batches):
-    return ["\t".join(map(str, row)) for b, batch in enumerate(batches)
-            for row in sorted((b, lang, origin.value, n)
-                              for (lang, origin), n in batch.composition.items())]
+    """The composition report's rows for ``batches``, counted pair by pair."""
+    rows = []
+    for b, batch in enumerate(batches):
+        composition = {}
+        for pair in batch.pairs:
+            for lang in (pair.direction.src, pair.direction.tgt):
+                key = (lang, pair.origin)
+                composition[key] = composition.get(key, 0) + 1
+        rows += sorted((b, lang, origin.value, n) for (lang, origin), n in composition.items())
+    return ["\t".join(map(str, row)) for row in rows]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -570,7 +574,7 @@ def test_composition_report_reads_no_line(shards, weights, seed, batch_size, bat
     with tempfile.TemporaryDirectory() as tmp:
         manifest = _write_random_corpus(Path(tmp), shards)
         stats = corpus_stats(manifest)
-        assume(stats.total_pairs > 0)
+        assume(sum(stats.per_direction.values()) > 0)
         dist = language_distribution(stats, 5.0)
         weights = MixtureWeights(*weights)
         try:
@@ -590,7 +594,6 @@ def test_composition_report_reads_no_line(shards, weights, seed, batch_size, bat
         assert report.read_text(encoding="utf-8").splitlines() == \
             ["# batch\tlanguage\torigin\tcount"] + _composition_rows(want[:batches])
         assert got.pairs == want[batches].pairs
-        assert list(got.composition.items()) == list(want[batches].composition.items())
 
 
 @settings(max_examples=25, deadline=None)

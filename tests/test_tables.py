@@ -4,6 +4,7 @@ schedule), plus the line rule that every text reader shares and the one
 writer of every text file."""
 
 import ast
+import importlib
 import io
 import re
 import tempfile
@@ -154,6 +155,22 @@ def test_duplicate_shard_path_is_located(tmp_path):
                     encoding="utf-8")
     with pytest.raises(TableError, match="duplicate shard path 'a.tsv'") as err:
         load_manifest(path)
+    assert err.value.line_no == 3 and str(err.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("fmt, first, again", [
+    pytest.param("scores", "hr\thu\t10.000000\t0.5\t0.4\t0.3\t0.2\t1.0\t10\t11",
+                 "hr\thu\t90.000000\t0.9\t0.8\t0.7\t0.6\t1.0\t10\t11", id="scores"),
+    pytest.param("routing", "hr\thu\tdirect\ten\t10.000000\t12.000000",
+                 "hr\thu\tpivot\ten\t10.000000\t12.000000", id="routing"),
+])
+def test_direction_given_twice_is_located(tmp_path, fmt, first, again):
+    # The later row silently replaced the first.
+    path = tmp_path / f"{fmt}.tsv"
+    path.write_text(f"{first}\n{GOOD_ROWS[fmt].replace('hr', 'mk', 1)}\n{again}\n",
+                    encoding="utf-8")
+    with pytest.raises(TableError, match="direction hr-hu is given twice") as err:
+        LOADERS[fmt](path)
     assert err.value.line_no == 3 and str(err.value).startswith(f"{path}:3: ")
 
 
@@ -562,6 +579,208 @@ def test_each_error_class_carries_data_or_is_caught():
     package = Path(mtforge.__file__).parent
     sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
     assert _unjustified_errors((package / "errors.py").read_text(encoding="utf-8"), sources) == []
+
+
+# --- no unread inputs ----------------------------------------------------------
+#
+# Every parameter is read, every dataclass field is read, and every export is
+# used. What the three rules below still find, with the ROADMAP item that
+# deletes it or the reason it stays:
+_ALLOWED_UNREAD = {
+    "DecodingConfig.beam_size": "item 7 deletes DecodingConfig, which perfbench passes on",
+    "DecodingConfig.length_penalty": "item 7 deletes DecodingConfig, which perfbench passes on",
+    "CipherLanguage.seed": "item 7 deletes it; perfbench/workloads.py passes it positionally",
+    "StageDescriptor.mixture": "acceptance criterion 7 builds every stage with one, and the "
+                               "schedule file's lambdas column is validated through it",
+}
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(Path(mtforge.__file__).parent.glob("*.py"))}
+
+
+def _perfbench_sources() -> list[str]:
+    return [path.read_text(encoding="utf-8") for path in sorted((_REPO / "perfbench").glob("*.py"))]
+
+
+def _decorator_names(node) -> set[str]:
+    return {getattr(d, "id", getattr(d, "attr", None))
+            for d in (getattr(d, "func", d) for d in node.decorator_list)}
+
+
+def _unread_parameters(source: str, inherited) -> list[str]:
+    """``function.parameter`` for each parameter of a function in ``source``
+    that its body never reads, functions named as ``_file_calls`` names
+    them. Not checked: a method's first parameter (``self``, ``cls``), and
+    every parameter of an abstract method, of a method whose name is in
+    ``inherited(class name)`` (a base class fixes its signature), or of a
+    dunder method other than ``__init__`` (Python fixes its signature).
+    A lambda is not a function here: its caller fixes its signature."""
+    found = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", f"{prefix}{child.name}")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, args = child.name, child.args
+                params = [p.arg for p in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if p is not None]
+                decorators = _decorator_names(child)
+                if cls and "staticmethod" not in decorators:
+                    params = params[1:]
+                if not cls or not ("abstractmethod" in decorators or name in inherited(cls) or (
+                        name.startswith("__") and name.endswith("__") and name != "__init__")):
+                    read = {n.id for statement in child.body for n in ast.walk(statement)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                    found.extend(f"{prefix}{name}.{p}" for p in params if p not in read)
+                visit(child, f"{prefix}{name}.", None)
+            else:
+                visit(child, prefix, cls)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def _base_methods(module_name: str):
+    """The ``inherited`` of ``_unread_parameters`` for a module of the
+    package: the names that a base class of the named class, other than
+    ``object``, defines."""
+    def inherited(qualname: str) -> set[str]:
+        cls = importlib.import_module(f"mtforge.{module_name}")
+        for part in qualname.split("."):
+            cls = getattr(cls, part)
+        return {name for base in cls.__mro__[1:] if base is not object for name in vars(base)}
+    return inherited
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b, *rest, c=1, **kw):\n    return a + c\n"
+              "def g(x):\n    def h(y):\n        return x\n    return h\n"
+              "class A(Base):\n"
+              "    def __init__(self, used, unused):\n        self.used = used\n"
+              "    def __exit__(self, *exc):\n        pass\n"
+              "    @abc.abstractmethod\n    def spec(self, arg):\n        pass\n"
+              "    def run(self, arg):\n        return None\n"
+              "    def own(self, arg):\n        return lambda unread: self\n"
+              "    @staticmethod\n    def static(value):\n        pass\n")
+    assert _unread_parameters(source, lambda cls: {"run"}) == [
+        "f.b", "f.rest", "f.kw", "g.h.y", "A.__init__.unused", "A.own.arg", "A.static.value"]
+
+
+def test_every_parameter_is_read():
+    """A parameter that no code reads is an input that does nothing."""
+    found = [f"{name}: {parameter}" for name, source in _package_sources().items()
+             for parameter in _unread_parameters(source, _base_methods(name[:-3]))]
+    assert found == []
+
+
+def _unread_fields(definitions: list[str], readers: list[str]) -> list[str]:
+    """``Class.field`` for each field of a dataclass or ``NamedTuple`` class
+    in ``definitions`` that no source in ``readers`` reads as an attribute
+    (``x.field``). A read in the class's own ``__post_init__`` does not
+    count, nor does one of the CLI namespace (``args.field``): neither can
+    stand in for a use."""
+    fields = []
+    for source in definitions:
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and (
+                    "dataclass" in _decorator_names(cls)
+                    or any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases)):
+                fields += [(cls.name, statement.target.id) for statement in cls.body
+                           if isinstance(statement, ast.AnnAssign)
+                           and isinstance(statement.target, ast.Name)]
+    reads = set()   # (attribute, the class whose __post_init__ reads it, or None)
+
+    def visit(node, cls, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load) \
+                    and getattr(child.value, "id", None) != "args":
+                reads.add((child.attr, owner))
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, owner)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, None, cls if child.name == "__post_init__" else owner)
+            else:
+                visit(child, cls, owner)
+
+    for source in readers:
+        visit(ast.parse(source), None, None)
+    return [f"{cls}.{name}" for cls, name in fields
+            if not any(attr == name and owner != cls for attr, owner in reads)]
+
+
+def test_unread_fields_are_found():
+    definitions = ("@dataclass(frozen=True)\nclass A:\n    kept: int\n    checked: int\n"
+                   "    flag: str\n"
+                   "    def __post_init__(self):\n        assert self.checked and self.kept\n"
+                   "class P(NamedTuple):\n    x: int\n    y: int\n"
+                   "class Plain:\n    z: int\n")
+    readers = [definitions, "def f(a, args):\n    return a.kept, args.flag, a.y\n"]
+    assert _unread_fields([definitions], readers) == ["A.checked", "A.flag", "P.x"]
+
+
+def test_every_field_is_read():
+    """A dataclass or NamedTuple field that no code reads is stored for
+    nothing: ``src/`` and perfbench are the code."""
+    package = _package_sources()
+    found = _unread_fields(list(package.values()), [*package.values(), *_perfbench_sources()])
+    assert sorted(found) == sorted(_ALLOWED_UNREAD)   # an entry goes when its name does
+
+
+def _unused_exports(init_source: str, modules: dict[str, str], users: list[str]) -> list[str]:
+    """Each name that ``init_source`` imports from a module in ``modules``
+    (by file name), and ``Class.method`` for each public method or property
+    of such a class, that no source in ``users`` names: a name as a name or
+    an attribute, a method as an attribute."""
+    names, attrs = set(), set()
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    found = []
+    for imported in ast.parse(init_source).body:
+        if not isinstance(imported, ast.ImportFrom) or imported.level != 1:
+            continue
+        classes = {node.name: node for node in ast.parse(modules[f"{imported.module}.py"]).body
+                   if isinstance(node, ast.ClassDef)}
+        for alias in imported.names:
+            if alias.name not in names | attrs:
+                found.append(alias.name)
+            found += [f"{alias.name}.{method.name}"
+                      for method in getattr(classes.get(alias.name), "body", ())
+                      if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not method.name.startswith("_") and method.name not in attrs]
+    return found
+
+
+def test_unused_exports_are_found():
+    modules = {"m.py": "def f():\n    pass\ndef g():\n    pass\n"
+                       "class C:\n    def used(self):\n        pass\n"
+                       "    @property\n    def unused(self):\n        pass\n"
+                       "    def _private(self):\n        pass\n"}
+    init = "from .m import C, f, g\n__version__ = '1'\n"
+    assert _unused_exports(init, modules, ["C().used()\nf()\nx.unused = 1"]) \
+        == ["C.unused", "g"]
+
+
+def test_every_export_is_used():
+    """A public name that only its own tests call is tested dead code. The
+    users are ``src/``, perfbench, the README's examples and the acceptance
+    criteria (``tests/test_acceptance.py``)."""
+    package = _package_sources()
+    init = package.pop("__init__.py")
+    readme = (_REPO / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    acceptance = (_REPO / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    assert examples
+    assert _unused_exports(init, package, [*package.values(), *_perfbench_sources(),
+                                           *examples, acceptance]) == []
 
 
 # --- save -> load round trips ------------------------------------------------
