@@ -71,7 +71,6 @@ from .translator import (
     LineProtocolTranslator,
     PivotVia,
     Translator,
-    pivot_translate,
 )
 
 __version__ = "0.1.0"

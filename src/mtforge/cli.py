@@ -30,6 +30,7 @@ from .translator import (
     check_noise_rate,
     check_timeout,
     derive_language_seed,
+    split_command,
 )
 
 
@@ -70,10 +71,10 @@ def _flag(check, convert=str):
 def _translator(spec: str):
     """The builder, called with ``(directions, timeout)``, of the translator
     that a ``cipher:SEED`` or ``exec:CMD`` spec names; ``timeout`` limits
-    each call of an ``exec:`` command."""
+    each call of an ``exec:`` command, which is split and checked here."""
     kind, colon, arg = spec.partition(":")
     if colon and kind == "exec":
-        return partial(LineProtocolTranslator, arg)
+        return partial(LineProtocolTranslator, split_command(arg))
     if colon and kind == "cipher":
         seed = int(arg)
         return lambda directions, timeout: CipherTranslator(

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .corpus import Direction, finite_float, read_table, write_table
 from .errors import MTForgeError
 from .subword import SubwordTokenizer, default_tokenizer
-from .translator import Direct, PivotVia, Strategy, Translator, pivot_translate
+from .translator import Direct, PivotVia, Strategy, Translator
 
 MAX_ORDER = 4    # BLEU-4; _orders spells the four orders out
 ENGLISH = "en"   # the language that ScoreMatrix.avg_x_to_y leaves out
@@ -238,12 +238,11 @@ def strategy_hops(direction: Direction, strategy: Strategy) -> list[Direction]:
 
 def decode(translator: Translator, sentences: Sequence[str], direction: Direction,
            strategy: Strategy) -> list[str]:
-    """``sentences`` translated in ``direction`` through its ``strategy_hops``;
-    two hops are one ``pivot_translate`` call."""
-    hops = strategy_hops(direction, strategy)
-    if len(hops) == 2:
-        return pivot_translate(translator, sentences, direction.src, direction.tgt, hops[0].tgt)
-    return translator.translate(sentences, direction)
+    """``sentences`` translated in ``direction`` through its ``strategy_hops``,
+    one ``translate`` call per hop."""
+    for hop in strategy_hops(direction, strategy):
+        sentences = translator.translate(sentences, hop)
+    return sentences
 
 
 def evaluate_directions(

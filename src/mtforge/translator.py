@@ -106,8 +106,11 @@ class CipherLanguage:
     """A seeded token bijection standing in for one language.
 
     ``token_map`` maps vocabulary words (``COMMON_WORDS`` for ``from_seed``) to
-    pseudo-words. Out-of-vocabulary tokens are wrapped in angle-bracket markers
-    so decoding can restore them exactly, keeping every round trip lossless.
+    pseudo-words. Each is one whitespace token, so every token decodes to one
+    token. Out-of-vocabulary tokens are wrapped in angle-bracket markers so
+    decoding restores them, and no pseudo-word may be so wrapped: every
+    en->X->en round trip is lossless. ValueError names a word that breaks a
+    rule. ``⟨⟩`` is not wrapped: unless a pseudo-word, it decodes to itself.
     """
 
     lang: str
@@ -119,6 +122,12 @@ class CipherLanguage:
         decode = _DecodeTable((v, k) for k, v in self.token_map.items())
         if len(decode) != len(self.token_map):
             raise ValueError("token_map must be a bijection")
+        for word, pseudo in self.token_map.items():
+            for token in (word, pseudo):
+                if token.split() != [token]:
+                    raise ValueError(f"token_map word {token!r} is not one whitespace token")
+            if decode.__missing__(pseudo) != pseudo:   # its OOV markers would be stripped
+                raise ValueError(f"pseudo-word {pseudo!r} is wrapped in the OOV markers")
         object.__setattr__(self, "_encode", _EncodeTable(self.token_map))
         object.__setattr__(self, "_decode", decode)
 
@@ -138,12 +147,6 @@ class CipherLanguage:
             mapping[word] = pseudo
         return cls(lang, seed, mapping)
 
-    def encode(self, sentence: str) -> str:
-        return " ".join(map(self._encode.__getitem__, sentence.split()))
-
-    def decode(self, sentence: str) -> str:
-        return " ".join(map(self._decode.__getitem__, sentence.split()))
-
 
 class _EncodeTable(dict):
     """Word -> pseudo-word; an out-of-vocabulary token comes back wrapped
@@ -157,30 +160,20 @@ class _EncodeTable(dict):
 
 class _DecodeTable(dict):
     """Pseudo-word -> word; any other token comes back with its OOV markers
-    stripped, or unchanged when it has none."""
+    stripped when it is wrapped in them (longer than 2, so ``⟨⟩`` is not),
+    or unchanged."""
 
     __slots__ = ()
 
     def __missing__(self, token: str) -> str:
-        if len(token) >= 2 and token.startswith(OOV_OPEN) and token.endswith(OOV_CLOSE):
+        if len(token) > 2 and token.startswith(OOV_OPEN) and token.endswith(OOV_CLOSE):
             return token[1:-1]
         return token
 
 
-class _NotOneToken(Exception):
-    """A token decodes to something other than exactly one token, so the
-    sentence cannot be translated token by token through a composed table."""
-
-
 class _ComposedTable(dict):
     """X-token -> Y-token through English for one X->Y call, filled as
-    tokens are first seen.
-
-    Composing per token equals ``tgt.encode(src.decode(sentence))`` only when
-    the decoded token re-splits into itself. Otherwise (an empty decode, or
-    a vocabulary key holding whitespace) lookup raises _NotOneToken and the
-    caller translates that sentence the long way.
-    """
+    tokens are first seen; each decodes to one English token."""
 
     __slots__ = ("_decode", "_encode")
 
@@ -190,10 +183,7 @@ class _ComposedTable(dict):
         self._encode = tgt._encode
 
     def __missing__(self, token: str) -> str:
-        word = self._decode[token]
-        if word.split() != [word]:
-            raise _NotOneToken(token)
-        mapped = self[token] = self._encode[word]
+        mapped = self[token] = self._encode[self._decode[token]]
         return mapped
 
 
@@ -203,27 +193,19 @@ _SPLIT_BLOCK = 64
 
 
 def _translate_into(block: list[list[str]], jobs) -> None:
-    """Append the translation of each split sentence of ``block`` to every
-    job's ``out`` list.
-
-    A job is ``(lookup, fallback, out)``: ``lookup`` maps one token, and
-    ``fallback`` translates the tokens of a sentence whose lookup raised
-    _NotOneToken.
-    """
-    for lookup, fallback, out in jobs:
+    """Append the translation of each split sentence of ``block`` to the
+    ``out`` list of every ``(lookup, out)`` job; ``lookup`` maps one token."""
+    for lookup, out in jobs:
         for tokens in block:
-            try:
-                sentence = " ".join(map(lookup, tokens))
-            except _NotOneToken:
-                sentence = fallback(tokens)
+            sentence = " ".join(map(lookup, tokens))
             out.append(sentence)
 
 
 class CipherTranslator(Translator):
     """Exact translator over {en} plus a set of cipher languages.
 
-    English is the interlingua: en->X encodes, X->en decodes, and X->Y is
-    the composition decode-then-encode. All ordered pairs are supported.
+    English is the interlingua: en->X encodes, X->en decodes, and X->Y
+    decodes then encodes, token by token. All ordered pairs are supported.
     ``translate_many`` splits each sentence once for all its directions.
     """
 
@@ -249,22 +231,21 @@ class CipherTranslator(Translator):
         for direction in directions:
             self._check_direction(direction)
             outs[direction] = []
-        jobs = [(*self._job(d), out) for d, out in outs.items()]
+        jobs = [(self._lookup(d), out) for d, out in outs.items()]
         split = map(str.split, sentences)
         while block := list(islice(split, _SPLIT_BLOCK)):
             _translate_into(block, jobs)
         return outs
 
-    def _job(self, direction: Direction):
-        """The token lookup of one direction and its whole-sentence fallback."""
+    def _lookup(self, direction: Direction):
+        """The token lookup of one direction."""
         src = self._ciphers.get(direction.src)
         tgt = self._ciphers.get(direction.tgt)
         if src is None:
-            return tgt._encode.__getitem__, None
+            return tgt._encode.__getitem__
         if tgt is None:
-            return src._decode.__getitem__, None
-        return (_ComposedTable(src, tgt).__getitem__,
-                lambda tokens: tgt.encode(src.decode(" ".join(tokens))))
+            return src._decode.__getitem__
+        return _ComposedTable(src, tgt).__getitem__
 
 
 def derive_language_seed(master_seed: int, lang: str) -> int:
@@ -353,18 +334,16 @@ make_cipher_translator = CipherTranslator
 with_noise = NoisyTranslator
 
 
-def pivot_translate(
-    translator: Translator,
-    sentences: Sequence[str],
-    src: str,
-    tgt: str,
-    pivot: str,
-) -> list[str]:
-    """Translate src->pivot->tgt in two hops."""
-    if pivot in (src, tgt):
-        raise MTForgeError(f"pivot {pivot!r} must differ from both endpoints {src!r}, {tgt!r}")
-    mid = translator.translate(sentences, Direction(src, pivot))
-    return translator.translate(mid, Direction(pivot, tgt))
+def split_command(command: str | Sequence[str]) -> list[str]:
+    """The argv of a translator command, shlex-split when it is a string.
+    Unbalanced quotes or an empty argv raise ValueError naming the command."""
+    try:
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
+    except ValueError as exc:
+        raise ValueError(f"translator command {command!r}: {exc}") from None
+    if not argv:
+        raise ValueError(f"translator command {command!r} is empty")
+    return argv
 
 
 class LineProtocolTranslator(Translator):
@@ -377,13 +356,13 @@ class LineProtocolTranslator(Translator):
     ``{src}`` and ``{tgt}`` in the command is replaced by the direction's
     language code, and no other text. With ``timeout``, a call whose
     command runs longer than that many seconds kills it and raises
-    MTForgeError.
+    MTForgeError. ``split_command`` checks the command.
     """
 
     def __init__(self, command: str | Sequence[str], directions: Iterable[Direction],
                  timeout: float | None = None):
         self._timeout = check_timeout(timeout)
-        self._command = shlex.split(command) if isinstance(command, str) else list(command)
+        self._command = split_command(command)
         self._supported = frozenset(directions)
 
     @property

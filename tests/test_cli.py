@@ -66,6 +66,21 @@ _PLAN_UNUSED_ROWS = [
     for kind, flags in _PLAN_UNUSED.items() for flag, value in flags.items()]
 
 
+# augment run and route translate with every input absent, and an exec:
+# command that cannot be run, which is refused before any input is read.
+_TRANSLATOR_COMMANDS = {
+    "augment-run": ["augment", "run", "--plan", "absent.tsv", "--out", "o"],
+    "route-translate": ["route", "translate", "--table", "absent.tsv", "--direction", "hr-en",
+                        "--input", "absent.txt", "--out", "o.txt"],
+}
+_BAD_EXEC_COMMANDS = [
+    ("exec-empty", "", "translator command '' is empty"),
+    ("exec-blank", "  \t ", "translator command '  \\t ' is empty"),
+    ("exec-unclosed-quote", "'unclosed", "translator command \"'unclosed\": No closing quotation"),
+    ("exec-trailing-backslash", "cat \\", "translator command 'cat \\\\': No escaped character"),
+]
+
+
 class TestUsageErrors:
     """A flag value or flag combination the command cannot use fails with
     one ``error:`` line before anything is read or written."""
@@ -126,6 +141,9 @@ class TestUsageErrors:
                       "--direction", "hr-en", "--input", "absent.txt", "--out", "o.txt"],
                      "unknown translator spec 'foo:1' (use cipher:SEED or exec:CMD)",
                      id="route-translate-translator-before-table"),
+        *(pytest.param(argv + ["--translator", f"exec:{command}"], message, id=f"{name}-{kind}")
+          for name, argv in _TRANSLATOR_COMMANDS.items()
+          for kind, command, message in _BAD_EXEC_COMMANDS),
         pytest.param(PLAN + ["bt", "--mono", "mono.txt"], "--kind bt needs --mono and --langs",
                      id="plan-bt-without-langs"),
         pytest.param(PLAN + ["bt", "--langs", "hr"], "--kind bt needs --mono and --langs",

@@ -156,13 +156,13 @@ class TestRouteTranslate:
             translator.translate(sources, d)
 
     def test_pivot_dispatch(self, world):
-        from mtforge.translator import pivot_translate
         translator, grid, devset = world
         d = grid[0]
         table = RoutingTable({d: RouteEntry(PivotVia("en"), 10.0, 90.0)}, "en")
         sources, _ = devset()[d]
+        english = translator.translate(sources, Direction(d.src, "en"))
         assert route_translate(translator, table, sources, d) == \
-            pivot_translate(translator, sources, d.src, d.tgt, "en")
+            translator.translate(english, Direction("en", d.tgt))
 
     def test_endpoint_pivot_decodes_directly(self, world):
         # A loaded table may route en-hr "via en"; evaluate_directions decodes

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mtforge import translator
 from mtforge.corpus import Direction
 from mtforge.errors import MalformedLineError, MTForgeError
+from mtforge.evaluation import decode
 from mtforge.translator import (
     NOISE_TOKEN,
     OOV_CLOSE,
@@ -19,9 +21,10 @@ from mtforge.translator import (
     DecodingConfig,
     LineProtocolTranslator,
     NoisyTranslator,
+    PivotVia,
     Translator,
     _noise_draw,
-    pivot_translate,
+    split_command,
 )
 
 
@@ -51,12 +54,39 @@ class TestCipherLanguage:
         assert not (set(values) & set(a.token_map))
 
     def test_oov_round_trip(self):
-        a = CipherLanguage.from_seed("xx", 5)
-        assert a.decode(a.encode("zyzzyva the qwerty")) == "zyzzyva the qwerty"
+        ciphers = CipherTranslator([CipherLanguage.from_seed("xx", 5)])
+        encoded = ciphers.translate(["zyzzyva the qwerty"], Direction("en", "xx"))
+        assert ciphers.translate(encoded, Direction("xx", "en")) == ["zyzzyva the qwerty"]
 
     def test_bijection_rejected_if_broken(self):
         with pytest.raises(ValueError):
             CipherLanguage("xx", 0, {"a": "z", "b": "z"})
+
+    @pytest.mark.parametrize("token_map, word", [
+        ({"": "p"}, ""), ({"a": ""}, ""), ({"a b": "p"}, "a b"), ({"a": "p\u2028q"}, "p\u2028q"),
+        ({"a": "p\t"}, "p\t"), ({"a": "p", "b\x1c": "q"}, "b\x1c"),
+    ], ids=["empty-word", "empty-pseudo-word", "space", "line-separator", "tab",
+            "file-separator"])
+    def test_word_that_is_not_one_token_refused(self, token_map, word):
+        message = f"token_map word {word!r} is not one whitespace token"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CipherLanguage("xx", 0, token_map)
+
+    def test_wrapped_pseudo_word_refused(self):
+        # Accepted, en "b c" would encode to "⟨b⟩ q" and decode to "a c".
+        with pytest.raises(ValueError, match="^pseudo-word '⟨b⟩' is wrapped in the OOV markers$"):
+            CipherLanguage("xx", 0, {"a": "⟨b⟩", "c": "q"})
+
+    def test_empty_marker_pair_decodes_to_itself(self):
+        # A wrapped word and bare markers are single, unwrapped tokens, so a
+        # map may hold them. "⟨⟩" wraps nothing: it decodes to itself.
+        xx = CipherLanguage("xx", 0, {"⟨b⟩": "p", "a": "⟨", "d": "⟩q"})
+        ciphers = CipherTranslator([xx, CipherLanguage("yy", 0, {"b": "r"})])
+        encoded = ciphers.translate(["⟨b⟩ a d b ⟨⟩"], Direction("en", "xx"))
+        assert encoded == ["p ⟨ ⟩q ⟨b⟩ ⟨⟨⟩⟩"]
+        assert ciphers.translate(encoded, Direction("xx", "en")) == ["⟨b⟩ a d b ⟨⟩"]
+        assert ciphers.translate_many(["⟨⟩ ⟨b⟩"], [Direction("xx", "en"), Direction("xx", "yy")]) \
+            == {Direction("xx", "en"): ["⟨⟩ b"], Direction("xx", "yy"): ["⟨⟨⟩⟩ r"]}
 
 
 class TestCipherTranslator:
@@ -109,19 +139,40 @@ def test_benchmark_constructor_names_are_the_classes():
     assert translator.with_noise is NoisyTranslator
 
 
+class _Recording(Translator):
+    """A translator that records the direction of each call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    @property
+    def supported_directions(self):
+        return self.inner.supported_directions
+
+    def translate(self, sentences, direction, config=None):
+        self.calls.append(direction)
+        return self.inner.translate(sentences, direction, config)
+
+
 class TestPivotTranslate:
+    """Pivot decoding goes through ``evaluation.decode``."""
+
     def test_equals_two_hops(self, ciphers):
         text = ["the dog sat"]
         src = ciphers.translate(text, Direction("en", "xx"))
         expected = ciphers.translate(
             ciphers.translate(src, Direction("xx", "en")), Direction("en", "yy"))
-        assert pivot_translate(ciphers, src, "xx", "yy", "en") == expected
+        recording = _Recording(ciphers)
+        assert decode(recording, src, Direction("xx", "yy"), PivotVia("en")) == expected
+        assert recording.calls == [Direction("xx", "en"), Direction("en", "yy")]
 
-    def test_pivot_equal_to_endpoint_rejected(self, ciphers):
-        with pytest.raises(MTForgeError, match="pivot 'xx' must differ from both endpoints"):
-            pivot_translate(ciphers, ["x"], "xx", "yy", "xx")
-        with pytest.raises(MTForgeError, match="pivot 'yy' must differ from both endpoints"):
-            pivot_translate(ciphers, ["x"], "xx", "yy", "yy")
+    @pytest.mark.parametrize("pivot", ["xx", "yy"])
+    def test_pivot_equal_to_endpoint_decodes_directly(self, ciphers, pivot):
+        src = ciphers.translate(["the dog sat"], Direction("en", "xx"))
+        recording = _Recording(ciphers)
+        assert decode(recording, src, Direction("xx", "yy"), PivotVia(pivot)) == \
+            ciphers.translate(src, Direction("xx", "yy"))
+        assert recording.calls == [Direction("xx", "yy")]
 
     def test_pivot_direct_equivalence(self, ciphers):
         """On perfect ciphers the direct X->Y output and the pivot output
@@ -129,7 +180,7 @@ class TestPivotTranslate:
         english = ["we take water", "the moon over the river"]
         src = ciphers.translate(english, Direction("en", "xx"))
         direct = ciphers.translate(src, Direction("xx", "yy"))
-        pivoted = pivot_translate(ciphers, src, "xx", "yy", "en")
+        pivoted = decode(ciphers, src, Direction("xx", "yy"), PivotVia("en"))
         assert direct == pivoted
 
 
@@ -310,6 +361,17 @@ class TestLineProtocolTranslator:
             t.translate(["a"], Direction("en", "de"))
         assert time.monotonic() - start < 10
 
+    @pytest.mark.parametrize("command", ["", " \t", [], "'unclosed", "a\\"],
+                             ids=["empty", "blank", "empty-list", "unclosed-quote",
+                                  "trailing-backslash"])
+    def test_command_that_cannot_run_rejected(self, command):
+        with pytest.raises(ValueError, match="^translator command .*(is empty|: No)"):
+            LineProtocolTranslator(command, [Direction("en", "de")])
+
+    def test_split_command(self):
+        assert split_command("awk '{print}' \"{src} x\"") == ["awk", "{print}", "{src} x"]
+        assert split_command(("a b", "")) == ["a b", ""]
+
     @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
     def test_timeout_must_be_positive_and_finite(self, timeout):
         with pytest.raises(ValueError, match="timeout must be a positive number"):
@@ -319,7 +381,8 @@ class TestLineProtocolTranslator:
 
 class OracleCipherTranslator(Translator):
     """``CipherTranslator`` as it was before its lookup tables: a method call
-    per token, and X->Y as ``tgt.encode(src.decode(sentence))``."""
+    per token, and X->Y as the whole sentence decoded to English, split
+    again and encoded."""
 
     def __init__(self, languages):
         self._maps = {c.lang: dict(c.token_map) for c in languages}
@@ -341,7 +404,7 @@ class OracleCipherTranslator(Translator):
         original = self._inverses[lang].get(token)
         if original is not None:
             return original
-        if len(token) >= 2 and token.startswith(OOV_OPEN) and token.endswith(OOV_CLOSE):
+        if len(token) > 2 and token.startswith(OOV_OPEN) and token.endswith(OOV_CLOSE):
             return token[1:-1]
         return token
 
@@ -360,21 +423,27 @@ class OracleCipherTranslator(Translator):
 
 
 _SEPARATORS = [" ", "  ", "\t", "\xa0", "\x1c", "\x85", "\u2028"]
-# Short words over a tiny alphabet, so vocabularies and sentences collide;
-# words may hold whitespace, be empty or carry the OOV markers.
-_WORDS = st.text(alphabet="ab" + OOV_OPEN + OOV_CLOSE + " \u2028", max_size=4)
-_PLAIN_WORDS = st.text(alphabet="abcd", min_size=1, max_size=4)
+_EMPTY_PAIR = OOV_OPEN + OOV_CLOSE
+# Short tokens over a tiny alphabet, so vocabularies and sentences collide.
+# A map holds one whitespace token per word, which may carry the OOV markers;
+# only a pseudo-word may not be wrapped in them.
+_TOKENS = st.text(alphabet="ab" + _EMPTY_PAIR, min_size=1, max_size=4)
+_PSEUDO_WORDS = _TOKENS.filter(
+    lambda w: not (len(w) > 2 and w.startswith(OOV_OPEN) and w.endswith(OOV_CLOSE)))
+# Out-of-vocabulary sentence pieces may be empty or hold whitespace.
+_PIECES = st.text(alphabet="ab" + _EMPTY_PAIR + " \u2028", max_size=4)
 
 
-def _vocab(keys, values):
-    return st.lists(st.tuples(keys, values), max_size=8,
+def _vocab():
+    return st.lists(st.tuples(_TOKENS, _PSEUDO_WORDS), max_size=8,
                     unique_by=(lambda kv: kv[0], lambda kv: kv[1])).map(dict)
 
 
 @st.composite
-def _sentences(draw, words, oov=st.one_of(_WORDS, st.just(OOV_OPEN + OOV_CLOSE))):
+def _sentences(draw, words):
     """Sentences of vocabulary and OOV words, with repeated, leading and
     non-space whitespace between them."""
+    oov = _PIECES | st.just(_EMPTY_PAIR)
     pieces = []
     for _ in range(draw(st.integers(0, 8))):
         pieces.append(draw(st.sampled_from(_SEPARATORS)))
@@ -384,43 +453,54 @@ def _sentences(draw, words, oov=st.one_of(_WORDS, st.just(OOV_OPEN + OOV_CLOSE))
     return "".join(pieces)
 
 
+def _world(data):
+    """Cipher languages xx and yy over drawn maps, and sentences over their
+    words."""
+    languages = [CipherLanguage(lang, 0, data.draw(_vocab())) for lang in ("xx", "yy")]
+    words = sorted({w for c in languages for w in (*c.token_map, *c.token_map.values())})
+    return languages, data.draw(st.lists(st.just("") | _sentences(words), max_size=6))
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), xx=_vocab(_WORDS, _WORDS), yy=_vocab(_WORDS, _WORDS))
-def test_cipher_translate_matches_oracle(data, xx, yy):
-    languages = [CipherLanguage("xx", 0, xx), CipherLanguage("yy", 0, yy)]
-    fast = CipherTranslator(languages)
-    oracle = OracleCipherTranslator(languages)
-    words = sorted({*xx, *xx.values(), *yy, *yy.values()})
-    sentences = data.draw(st.lists(_sentences(words), max_size=6))
+@given(data=st.data())
+def test_cipher_translate_matches_oracle(data):
+    languages, sentences = _world(data)
+    ciphers, oracle = CipherTranslator(languages), OracleCipherTranslator(languages)
     for direction in (Direction("en", "xx"), Direction("xx", "en"),
                       Direction("xx", "yy"), Direction("yy", "xx")):
-        assert fast.translate(sentences, direction) == \
+        assert ciphers.translate(sentences, direction) == \
             oracle.translate(sentences, direction), direction
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), xx=_vocab(_WORDS, _PLAIN_WORDS))
-def test_cipher_round_trip(data, xx):
-    ciphers = CipherTranslator([CipherLanguage("xx", 0, xx)])
-    words = sorted(w for w in {*xx, *xx.values()} if not w.startswith(OOV_OPEN))
-    sentence = data.draw(_sentences(words, oov=st.text(alphabet="abc \u2028", max_size=4)))
-    assume(not any(t.startswith(OOV_OPEN) for t in sentence.split()))
-    encoded = ciphers.translate([sentence], Direction("en", "xx"))
-    assert ciphers.translate(encoded, Direction("xx", "en")) == [" ".join(sentence.split())]
+@given(data=st.data())
+def test_accepted_map_round_trips_and_composes(data):
+    """On any map that ``CipherLanguage`` accepts, en->X->en gives back the
+    sentence's tokens, X->Y equals X->en->Y, and ``⟨⟩`` that is not a
+    pseudo-word decodes to itself."""
+    languages, sentences = _world(data)
+    ciphers = CipherTranslator(languages)
+    for lang in ("xx", "yy"):
+        encoded = ciphers.translate(sentences, Direction("en", lang))
+        assert ciphers.translate(encoded, Direction(lang, "en")) == \
+            [" ".join(s.split()) for s in sentences]
+    for src, tgt in (("xx", "yy"), ("yy", "xx")):
+        english = ciphers.translate(sentences, Direction(src, "en"))
+        assert ciphers.translate(sentences, Direction(src, tgt)) == \
+            ciphers.translate(english, Direction("en", tgt))
+    if _EMPTY_PAIR not in languages[0].token_map.values():
+        assert ciphers.translate([_EMPTY_PAIR], Direction("xx", "en")) == [_EMPTY_PAIR]
 
 
 _DIRECTIONS = [Direction(a, b) for a in ("en", "xx", "yy") for b in ("en", "xx", "yy") if a != b]
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), xx=_vocab(_WORDS, _WORDS), yy=_vocab(_WORDS, _WORDS))
-def test_translate_many_equals_translate(data, xx, yy):
-    """Empty sentences, tabs and other whitespace, OOV tokens and markers;
-    vocabulary keys holding whitespace send X->Y sentences down the
-    whole-sentence fallback."""
-    ciphers = CipherTranslator([CipherLanguage("xx", 0, xx), CipherLanguage("yy", 0, yy)])
-    words = sorted({*xx, *xx.values(), *yy, *yy.values()})
-    sentences = data.draw(st.lists(st.just("") | _sentences(words), max_size=6))
+@given(data=st.data())
+def test_translate_many_equals_translate(data):
+    """Empty sentences, tabs and other whitespace, OOV tokens and markers."""
+    languages, sentences = _world(data)
+    ciphers = CipherTranslator(languages)
     directions = data.draw(st.lists(st.sampled_from(_DIRECTIONS), max_size=8))
     got = ciphers.translate_many(sentences, directions)
     assert list(got) == list(dict.fromkeys(directions))
@@ -428,38 +508,38 @@ def test_translate_many_equals_translate(data, xx, yy):
         assert got[direction] == ciphers.translate(sentences, direction), direction
 
 
-def test_translate_many_falls_back_per_sentence_and_direction():
-    # "p" decodes to "a b", two English tokens, so xx->yy must take the
-    # long way for the sentences holding it, and only for that direction.
-    xx = CipherLanguage("xx", 0, {"a b": "p", "c": "q"})
-    yy = CipherLanguage("yy", 0, {"a": "r", "b": "s", "c": "t"})
-    ciphers = CipherTranslator([xx, yy])
-    sentences = ["p q", "q", "", "q  p"]
+def _two_ciphers():
+    return [CipherLanguage("xx", 0, {"a": "p", "b": "pp", "c": "q"}),
+            CipherLanguage("yy", 0, {"a": "r", "b": "s", "c": "t"})]
+
+
+def test_translate_many_per_sentence_and_direction():
+    languages = _two_ciphers()
+    ciphers = CipherTranslator(languages)
+    sentences = ["p pp q", "q", "", "q  ⟨z⟩ ⟨⟩"]
     directions = [Direction("xx", "yy"), Direction("xx", "en"), Direction("en", "yy")]
     assert ciphers.translate_many(sentences, directions) == {
-        Direction("xx", "yy"): ["r s t", "t", "", "t r s"],
-        Direction("xx", "en"): ["a b c", "c", "", "c a b"],
-        Direction("en", "yy"): [f"{OOV_OPEN}p{OOV_CLOSE} {OOV_OPEN}q{OOV_CLOSE}",
-                                f"{OOV_OPEN}q{OOV_CLOSE}", "",
-                                f"{OOV_OPEN}q{OOV_CLOSE} {OOV_OPEN}p{OOV_CLOSE}"],
+        Direction("xx", "yy"): ["r s t", "t", "", "t ⟨z⟩ ⟨⟨⟩⟩"],
+        Direction("xx", "en"): ["a b c", "c", "", "c z ⟨⟩"],
+        Direction("en", "yy"): ["⟨p⟩ ⟨pp⟩ ⟨q⟩", "⟨q⟩", "", "⟨q⟩ ⟨⟨z⟩⟩ ⟨⟨⟩⟩"],
     }
     for direction in directions:
         assert ciphers.translate(sentences, direction) == \
-            OracleCipherTranslator([xx, yy]).translate(sentences, direction)
+            OracleCipherTranslator(languages).translate(sentences, direction)
 
 
 def test_translate_many_across_split_blocks():
-    # More sentences than one split block holds, the fallback ones among
-    # them; translating each sentence alone never crosses a block.
-    xx = CipherLanguage("xx", 0, {"a b": "p", "c": "q"})
-    yy = CipherLanguage("yy", 0, {"a": "r", "b": "s", "c": "t"})
-    ciphers = CipherTranslator([xx, yy])
+    # More sentences than three split blocks hold; translating each
+    # sentence alone never crosses a block.
+    languages = _two_ciphers()
+    ciphers = CipherTranslator(languages)
     rng = random.Random(0)
-    sentences = [" ".join(rng.choices(["p", "q", "z", "⟨p⟩"], k=rng.randint(0, 5)))
+    sentences = [" ".join(rng.choices(["p", "pp", "q", "z", "⟨p⟩", "⟨⟩"], k=rng.randint(0, 5)))
                  for _ in range(3 * _SPLIT_BLOCK + 5)]
     got = ciphers.translate_many(sentences, _DIRECTIONS)
     for direction in _DIRECTIONS:
         assert got[direction] == [ciphers.translate([s], direction)[0] for s in sentences]
+        assert got[direction] == OracleCipherTranslator(languages).translate(sentences, direction)
 
 
 def test_translate_many_checks_every_direction_first(ciphers):
